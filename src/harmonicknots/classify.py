@@ -20,7 +20,7 @@ from .diagram import (GaussCode, build_gauss_code, conway_form_h4,
                       read_conway_from_diagram)
 from .errors import InternalError
 from .invariants import (LaurentPoly, alexander, alexander_of_fraction,
-                         determinant, factor_square)
+                         factor_square)
 from . import knotnames
 
 
@@ -348,7 +348,7 @@ def analyze(K: HarmonicTriple) -> AnalysisReport:
     crossings = tuple(enumerate_crossings(reduced))
     gc = build_gauss_code(reduced)
     delta = alexander(gc)
-    det = determinant(gc)
+    det = abs(delta(-1))
     notes: list[str] = []
 
     conway = fraction = crossing_number = None
@@ -371,8 +371,9 @@ def analyze(K: HarmonicTriple) -> AnalysisReport:
             crossing_number = sum(positive_cf(
                 SchubertFraction(fraction.alpha,
                                  min(fraction.equivalence_class()))))
-            if (reduced.b + reduced.c) % 3 == 0 and \
-                    crossing_number != (reduced.b + reduced.c) // 3:
+            # (b+c)/3 is the crossing number only in the window b < c.
+            if reduced.b < reduced.c and (reduced.b + reduced.c) % 3 == 0 \
+                    and crossing_number != (reduced.b + reduced.c) // 3:
                 raise InternalError("crossing number routes disagree")
         record = knotnames.name_by_fraction(fraction) \
             if fraction.alpha > 1 else None

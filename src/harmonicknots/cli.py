@@ -85,6 +85,14 @@ def _print_report(r: AnalysisReport, out) -> None:
         print(f"  note: {note}", file=out)
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def cmd_analyze(args) -> int:
     a, b, c = args.a, args.b, args.c
     swapped = False
@@ -94,11 +102,11 @@ def cmd_analyze(args) -> int:
     K = HarmonicTriple(a, b, c)
     report = analyze(K)
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_xy(K, RenderOptions(annotate_signs=True)))
+        _write_output(args.svg,
+                      render_xy(K, RenderOptions(annotate_signs=True)))
     if args.billiard:
-        with open(args.billiard, "w") as fh:
-            fh.write(render_billiard(K, RenderOptions(annotate_signs=True)))
+        _write_output(args.billiard,
+                      render_billiard(K, RenderOptions(annotate_signs=True)))
     if args.json:
         print(json.dumps(_report_json(report)))
     else:
@@ -130,8 +138,11 @@ def cmd_cf(args) -> int:
     if fr.alpha != alpha:
         raise CFError(f"{alpha}/{beta} is not reduced")
     print(f"fraction: {alpha}/{beta} (canonical {fr.display()})")
-    pos = positive_cf(SchubertFraction(alpha, abs(beta)))
-    print(f"positive expansion of {alpha}/{abs(beta)}: {pos}"
+    # beta and beta mod alpha present the same knot; only the reduced
+    # expansion sums to the crossing number.
+    rest = abs(beta) % alpha
+    pos = positive_cf(SchubertFraction(alpha, rest))
+    print(f"positive expansion of {alpha}/{rest}: {pos}"
           f"  crossing number {crossing_number_bireg([q for q in pos if q])}")
     for rep in sorted(set(fr.equivalence_class())):
         if rep % 2 == 1:

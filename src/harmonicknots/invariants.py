@@ -3,9 +3,11 @@
 The route is classical: Wirtinger presentation from the code, free
 differential calculus on the relations, and the determinant of an
 (n-1) x (n-1) minor over integer Laurent polynomials.  All arithmetic is
-exact; the minor determinant is computed by fraction-free elimination for
-small diagrams and by exact integer evaluation plus interpolation for
-large ones (both routes agree and are cross-tested).
+exact integer arithmetic.  The minor determinant has one route: Kronecker
+substitution.  Every entry p(t) is evaluated at t = 2**B, one
+fraction-free (Bareiss) elimination computes the integer determinant, and
+its balanced base-2**B digits are the coefficients.  B comes from an
+integer bound: no coefficient exceeds the product of the rows' l1 norms.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .diagram import GaussCode
 from .errors import InternalError
@@ -41,10 +44,6 @@ def _padd(p: list[int], q: list[int]) -> list[int]:
     return _trim(out)
 
 
-def _pneg(p: list[int]) -> list[int]:
-    return [-c for c in p]
-
-
 def _pmul(p: list[int], q: list[int]) -> list[int]:
     if not p or not q:
         return []
@@ -53,27 +52,6 @@ def _pmul(p: list[int], q: list[int]) -> list[int]:
         if a:
             for j, b in enumerate(q):
                 out[i + j] += a * b
-    return _trim(out)
-
-
-def _pdivexact(p: list[int], q: list[int]) -> list[int]:
-    """Exact polynomial division; the remainder must vanish."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    out = [0] * max(len(p) - len(q) + 1, 0)
-    lead = q[-1]
-    for i in range(len(out) - 1, -1, -1):
-        c = rem[i + len(q) - 1]
-        if c % lead:
-            raise InternalError("inexact division in fraction-free elimination")
-        f = c // lead
-        out[i] = f
-        if f:
-            for j, b in enumerate(q):
-                rem[i + j] -= f * b
-    if _trim(rem):
-        raise InternalError("inexact division in fraction-free elimination")
     return _trim(out)
 
 
@@ -286,71 +264,32 @@ def _det_bareiss_int(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _det_bareiss_poly(m: list[list[list[int]]]) -> list[int]:
-    """Fraction-free elimination over Z[t]; entries are coefficient lists."""
-    n = len(m)
-    if n == 0:
-        return [1]
-    m = [[list(e) for e in row] for row in m]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return []
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _padd(_pmul(m[i][j], m[k][k]),
-                            _pneg(_pmul(m[i][k], m[k][j])))
-                m[i][j] = _pdivexact(num, prev)
-            m[i][k] = []
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return _pneg(det) if sign < 0 else det
+def _det_poly(m: list[list[list[int]]]) -> list[int]:
+    """Exact determinant over Z[t] by Kronecker substitution.
 
-
-def _det_by_interpolation(m: list[list[list[int]]]) -> list[int]:
-    """Exact determinant of a polynomial matrix by evaluation at integers.
-
-    The determinant of an n x n matrix with degree <= 1 entries has degree
-    <= n, so n+1 exact integer determinants pin it down; Newton
-    interpolation over rationals recovers integer coefficients.
+    Each coefficient of det(m) is at most, in absolute value, the product
+    over rows of the row's l1 norm (the sum of |coefficients| of its
+    entries).  With 2**(B-1) above that bound, the integer det(m(2**B))
+    holds the coefficients as balanced base-2**B digits, each in
+    [-2**(B-1), 2**(B-1)), so one integer elimination recovers them.
     """
-    n = len(m)
-    if n == 0:
-        return [1]
-    points = []
-    x = 0
-    while len(points) < n + 1:
-        points.append(x)
-        x = -x + (0 if x > 0 else 1)  # 0, 1, -1, 2, -2, ...
-    values = []
-    for p in points:
-        values.append(_det_bareiss_int(
-            [[_peval_int(e, p) for e in row] for row in m]))
-    coefs = [Fraction(v) for v in values]
-    for j in range(1, len(points)):
-        for i in range(len(points) - 1, j - 1, -1):
-            coefs[i] = (coefs[i] - coefs[i - 1]) / (points[i] - points[i - j])
-    poly = [Fraction(0)] * len(points)
-    acc = [Fraction(1)]
-    for i, c in enumerate(coefs):
-        for d, a in enumerate(acc):
-            poly[d] += c * a
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for d, a in enumerate(acc):
-            nxt[d] -= a * points[i]
-            nxt[d + 1] += a
-        acc = nxt
-    out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise InternalError("non-integer interpolation result")
-        out.append(int(c))
-    return _trim(out)
+    bound = 1
+    for row in m:
+        bound *= sum(abs(c) for e in row for c in e)
+    width = bound.bit_length() + 1
+    value = _det_bareiss_int(
+        [[sum(c << (width * i) for i, c in enumerate(e)) for e in row]
+         for row in m])
+    base = 1 << width
+    half = base >> 1
+    coeffs = []
+    while value:
+        digit = value & (base - 1)
+        if digit >= half:
+            digit -= base
+        coeffs.append(digit)
+        value = (value - digit) >> width
+    return coeffs
 
 
 def _peval_int(p: list[int], x: int) -> int:
@@ -358,9 +297,6 @@ def _peval_int(p: list[int], x: int) -> int:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-_POLY_BAREISS_LIMIT = 16
 
 
 def _alexander_minor(gc: GaussCode) -> list[list[list[int]]]:
@@ -378,11 +314,7 @@ def alexander(gc: GaussCode) -> LaurentPoly:
     if gc.crossing_count == 0:
         return LaurentPoly.constant(1)
     minor = _alexander_minor(gc)
-    if len(minor) <= _POLY_BAREISS_LIMIT:
-        det = _det_bareiss_poly(minor)
-    else:
-        det = _det_by_interpolation(minor)
-    return LaurentPoly.from_coeffs(det).normalized()
+    return LaurentPoly.from_coeffs(_det_poly(minor)).normalized()
 
 
 def determinant(gc: GaussCode) -> int:
@@ -419,12 +351,8 @@ def factor_square(p: LaurentPoly) -> LaurentPoly | None:
         return None
     half = deg // 2
     c0 = coeffs[0]
-    root = int(round(abs(c0) ** 0.5))
-    for r in (root - 1, root, root + 1):
-        if r > 0 and r * r == c0:
-            q0 = r
-            break
-    else:
+    q0 = isqrt(c0) if c0 > 0 else 0
+    if q0 == 0 or q0 * q0 != c0:
         return None
     q = [q0] + [0] * half
     for k in range(1, half + 1):

@@ -205,6 +205,22 @@ class TestAnalyze:
         assert r.reduced == (3, 4, 5) and r.mirrored
         assert r.name == "3_1"
 
+    def test_a3_with_c_below_b(self):
+        # Irreducible curves with c < b, where (b+c)/3 is no crossing
+        # number; each is a small a = 3 curve up to mirror image.
+        for triple, mirror, name, crossings in [
+                ((3, 11, 4), (3, 4, 5), "3_1", 3),
+                ((3, 13, 5), (3, 5, 7), "4_1", 4),
+                ((3, 16, 5), (3, 4, 5), "3_1", 3),
+                ((3, 17, 7), (3, 7, 11), "6_3", 6)]:
+            r = analyze(HarmonicTriple(*triple))
+            m = analyze(HarmonicTriple(*mirror))
+            assert r.reduced == triple and not r.reductions
+            assert (r.name, r.crossing_number) == (name, crossings), triple
+            assert r.fraction.display() == m.fraction.display(), triple
+            assert two_bridge_equivalent(r.fraction, m.fraction,
+                                         up_to_mirror=True), triple
+
 
 class TestTableEnumeration:
     def test_matches_reference_table(self):

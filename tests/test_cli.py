@@ -59,6 +59,13 @@ class TestAnalyzeCommand:
         assert svg.read_text().startswith("<svg")
         assert bil.read_text().startswith("<svg")
 
+    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+        bad = str(tmp_path / "missing" / "x.svg")
+        for flag in ("--svg", "--billiard"):
+            code, _, err = run(capsys, "analyze", "3", "5", "7", flag, bad)
+            assert code == 2, flag
+            assert err.startswith("error: ") and bad in err, flag
+
 
 class TestTableCommand:
     def test_full_table(self, capsys):
@@ -107,6 +114,11 @@ class TestCfCommand:
         code, out, _ = run(capsys, "cf", "5", "2")
         assert code == 0
         assert "crossing number 4" in out
+
+    def test_beta_above_alpha(self, capsys):
+        code, out, _ = run(capsys, "cf", "3", "100")
+        assert code == 0
+        assert out.splitlines()[1].endswith("crossing number 3")
 
     def test_invalid_inputs(self, capsys):
         assert run(capsys, "cf", "6", "2")[0] == 2

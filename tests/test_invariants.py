@@ -1,12 +1,14 @@
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from harmonicknots.chebgeom import HarmonicTriple
 from harmonicknots.diagram import GaussCode, GaussEntry, build_gauss_code
 from harmonicknots.invariants import (
-    LaurentPoly, MalformedCodeError, _det_bareiss_poly, _det_by_interpolation,
-    _alexander_minor, alexander, alexander_of_fraction, determinant,
+    LaurentPoly, MalformedCodeError, _alexander_minor, _det_bareiss_int,
+    _det_poly, _peval_int, alexander, alexander_of_fraction, determinant,
     factor_square, wirtinger)
 
 
@@ -103,10 +105,60 @@ class TestAlexander:
             gc = build_gauss_code(HarmonicTriple(*t))
             assert determinant(gc) == abs(alexander(gc)(-1)), t
 
-    def test_elimination_and_interpolation_agree(self):
-        for t in [(3, 5, 7), (4, 7, 9), (5, 6, 7), (4, 9, 11)]:
+
+def assert_matches_evaluations(minor):
+    """det(minor) has degree <= n, so n+1 points pin it down: at each of
+    0, 1, -1, 2, -2, ... the polynomial route must equal the integer
+    determinant of the evaluated minor."""
+    det = _det_poly(minor)
+    n = len(minor)
+    for i in range(n + 1):
+        x = (i + 1) // 2 * (1 if i % 2 else -1)
+        assert _peval_int(det, x) == _det_bareiss_int(
+            [[_peval_int(e, x) for e in row] for row in minor]), (n, x)
+    return det
+
+
+class TestPolyDeterminant:
+    def test_curve_minors_match_integer_evaluations(self):
+        # Minors of 2 to 39 rows, H(9,11,13) the largest.
+        for t in [(3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 7, 9), (5, 6, 7),
+                  (4, 9, 11), (5, 8, 9), (6, 7, 11), (5, 11, 13),
+                  (7, 9, 11), (8, 9, 11), (7, 11, 13), (9, 10, 11),
+                  (9, 11, 13)]:
             minor = _alexander_minor(build_gauss_code(HarmonicTriple(*t)))
-            assert _det_bareiss_poly(minor) == _det_by_interpolation(minor), t
+            assert_matches_evaluations(minor)
+        assert len(minor) == 39
+
+    def test_empty_and_one_row(self):
+        assert _det_poly([]) == [1]
+        assert assert_matches_evaluations([[[1, -1]]]) == [1, -1]
+        assert assert_matches_evaluations([[[0, -2]]]) == [0, -2]
+
+    def test_diagonal_minors_near_the_bound(self):
+        for n in range(1, 41):
+            # (1+t)^n and (-1-t)^n; (2t)^n and (-2)^n meet the bound 2^n.
+            cases = (([1, 1], [comb(n, k) for k in range(n + 1)]),
+                     ([-1, -1], [(-1) ** n * comb(n, k)
+                                 for k in range(n + 1)]),
+                     ([0, 2], [0] * n + [2 ** n]),
+                     ([-2], [(-2) ** n]))
+            for entry, expected in cases:
+                minor = [[entry if i == j else [] for j in range(n)]
+                         for i in range(n)]
+                assert _det_poly(minor) == expected, (n, entry)
+
+    def test_singular_minor(self):
+        row = [[1, -1], [0, 1], [-1]]
+        assert _det_poly([row, row, [[2], [1, 1], []]]) == []
+        assert _det_poly([[[1, 1], [1]], [[], []]]) == []
+
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(st.lists(st.integers(-2, 2), min_size=0, max_size=2),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_random_small_matrices(self, minor):
+        assert_matches_evaluations(minor)
 
 
 class TestFactorSquare:
@@ -131,3 +183,8 @@ class TestFactorSquare:
                 continue
             got = factor_square(q * q)
             assert got is not None and got * got == (q * q).normalized()
+
+    def test_large_coefficients_need_an_exact_root(self):
+        n = 10 ** 20 + 12345
+        q = poly(n, -(2 * n - 1), n)
+        assert factor_square(q * q) == q
