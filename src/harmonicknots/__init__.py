@@ -1,40 +1,22 @@
 """Exact diagram calculus, two-bridge classification and Alexander
-invariants for harmonic (Chebyshev) knots H(a, b, c)."""
+invariants for harmonic (Chebyshev) knots H(a, b, c).
 
-from .cfrac import (MobiusMatrix, SchubertFraction, SignChangeProfile,
-                    crossing_number_bireg, evaluate, evaluate_projective,
-                    expand_1212, mobius_compose, normalize, positive_cf,
-                    sign_change_profile, two_bridge_equivalent)
-from .chebgeom import (Crossing, HarmonicTriple, crossing_sign,
-                       enumerate_crossings, oriented_sign, over_strand)
-from .classify import (AnalysisReport, CanonicalH4, ReductionStep, analyze,
-                       canonical_h4, enumerate_table_triples,
-                       non_harmonic_family_check, predict_family, reduce_c,
-                       twist_knot_check)
-from .diagram import (ConwayForm, GaussCode, GaussEntry, build_gauss_code,
-                      conway_form_h4, diagram_from_conway,
-                      read_conway_from_diagram)
-from .exact import Rational, RationalAngle, compare_cos, sign_cos, sign_sin
-from .invariants import (LaurentPoly, WirtingerPresentation, alexander,
-                         alexander_of_fraction, determinant, factor_square,
-                         wirtinger)
-from .render import RenderOptions, billiard_polyline, render_billiard, render_xy
+The names below are the public entry points and the types their results
+expose; everything else is importable from its submodule."""
+
+from .cfrac import SchubertFraction, expand_1212, two_bridge_equivalent
+from .chebgeom import HarmonicTriple, enumerate_crossings
+from .classify import AnalysisReport, CanonicalH4, analyze, canonical_h4
+from .diagram import GaussCode, build_gauss_code
+from .invariants import LaurentPoly, alexander, determinant
+from .render import RenderOptions, render_billiard, render_xy
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport", "CanonicalH4", "ConwayForm", "Crossing", "GaussCode",
-    "GaussEntry", "HarmonicTriple", "LaurentPoly", "MobiusMatrix",
-    "Rational", "RationalAngle", "ReductionStep", "RenderOptions",
-    "SchubertFraction", "SignChangeProfile", "WirtingerPresentation",
-    "alexander", "alexander_of_fraction", "analyze", "billiard_polyline",
-    "build_gauss_code", "canonical_h4", "compare_cos", "conway_form_h4",
-    "crossing_number_bireg", "crossing_sign", "determinant",
-    "diagram_from_conway", "enumerate_crossings", "enumerate_table_triples",
-    "evaluate", "evaluate_projective", "expand_1212", "factor_square",
-    "mobius_compose", "non_harmonic_family_check", "normalize",
-    "oriented_sign", "over_strand", "positive_cf", "predict_family",
-    "read_conway_from_diagram", "reduce_c", "render_billiard", "render_xy",
-    "sign_change_profile", "sign_cos", "sign_sin", "twist_knot_check",
-    "two_bridge_equivalent", "wirtinger",
+    "AnalysisReport", "CanonicalH4", "GaussCode", "HarmonicTriple",
+    "LaurentPoly", "RenderOptions", "SchubertFraction", "alexander",
+    "analyze", "build_gauss_code", "canonical_h4", "determinant",
+    "enumerate_crossings", "expand_1212", "render_billiard", "render_xy",
+    "two_bridge_equivalent",
 ]

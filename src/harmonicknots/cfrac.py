@@ -79,20 +79,11 @@ class SchubertFraction:
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
 
-    @classmethod
-    def from_value(cls, value) -> "SchubertFraction":
-        f = Fraction(value)
-        return cls(f.numerator, f.denominator)
-
     @property
     def value(self) -> Fraction:
         if self.beta == 0:
             raise DivisionByZeroError("fraction is infinite")
         return Fraction(self.alpha, self.beta)
-
-    @property
-    def is_knot(self) -> bool:
-        return self.alpha % 2 == 1
 
     def mirror(self) -> "SchubertFraction":
         return SchubertFraction(self.alpha, -self.beta)

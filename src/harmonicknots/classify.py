@@ -85,9 +85,10 @@ def reduce_c(K: HarmonicTriple) -> list[ReductionStep]:
         c = new_c
 
 
-def reduced_triple(K: HarmonicTriple) -> tuple[HarmonicTriple, bool]:
-    """The irreducible triple and whether it is the mirror of K."""
-    steps = reduce_c(K)
+def reduced_triple(K: HarmonicTriple,
+                   steps: list[ReductionStep]) -> tuple[HarmonicTriple, bool]:
+    """The irreducible triple that ``steps = reduce_c(K)`` reach, and
+    whether it is the mirror of K."""
     if not steps:
         return K, False
     return HarmonicTriple(K.a, K.b, steps[-1].to_c), steps[-1].mirrored
@@ -344,9 +345,9 @@ def _verify_expectation(expect: ExpectedIdentity, delta: LaurentPoly,
 def analyze(K: HarmonicTriple) -> AnalysisReport:
     """Reduce, classify and compute all invariants of one curve."""
     steps = reduce_c(K)
-    reduced, mirrored = reduced_triple(K)
+    reduced, mirrored = reduced_triple(K, steps)
     crossings = tuple(enumerate_crossings(reduced))
-    gc = build_gauss_code(reduced)
+    gc = build_gauss_code(crossings)
     delta = alexander(gc)
     det = abs(delta(-1))
     notes: list[str] = []
@@ -355,7 +356,7 @@ def analyze(K: HarmonicTriple) -> AnalysisReport:
     fraction_source = None
     record = None
     if reduced.a in (3, 4) and reduced.b > 1:
-        conway = tuple(read_conway_from_diagram(reduced))
+        conway = tuple(read_conway_from_diagram(reduced, crossings))
         fraction = evaluate_projective(conway)
         fraction_source = "computed"
         if fraction.alpha != det:

@@ -138,6 +138,9 @@ def cmd_cf(args) -> int:
     if fr.alpha != alpha:
         raise CFError(f"{alpha}/{beta} is not reduced")
     print(f"fraction: {alpha}/{beta} (canonical {fr.display()})")
+    if alpha == 1:
+        print("unknot: crossing number 0")
+        return 0
     # beta and beta mod alpha present the same knot; only the reduced
     # expansion sums to the crossing number.
     rest = abs(beta) % alpha

@@ -1,18 +1,20 @@
 """Knot diagrams: Gauss codes, twist-sequence readings, and a 4-plat builder.
 
 Two independent roads lead to a Gauss code here: ``build_gauss_code``
-traverses the Chebyshev curve itself, while ``diagram_from_conway`` builds
-the standard two-bridge twist diagram of a term sequence.  The invariant
-machinery downstream treats both identically, which is what makes the
-second one usable as an oracle for the first.
+traverses the crossings of the Chebyshev curve itself, while
+``diagram_from_conway`` builds the standard two-bridge twist diagram of a
+term sequence.  The invariant machinery downstream treats both
+identically, which is what makes the second one usable as an oracle for
+the first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
 
-from .chebgeom import HarmonicTriple, enumerate_crossings
+from .chebgeom import Crossing, HarmonicTriple
 from .errors import InternalError
 
 ConwayForm = list[int]
@@ -82,15 +84,14 @@ class GaussCode:
             for e in self.entries), self.closure)
 
 
-def build_gauss_code(K: HarmonicTriple) -> GaussCode:
-    """Gauss code of the Chebyshev diagram of K, traversed by increasing t.
+def build_gauss_code(crossings: Sequence[Crossing]) -> GaussCode:
+    """Gauss code of a Chebyshev diagram, traversed by increasing t.
 
-    Every crossing contributes its t- and s-parameter passage; the 2N
-    parameter angles are pairwise distinct multiples of pi/(ab), so the
-    traversal order is exact.  Crossing ids are 1-based in order of
-    decreasing x.
+    ``crossings`` is the diagram's ``enumerate_crossings`` list.  Every
+    crossing contributes its t- and s-parameter passage; the 2N parameter
+    angles are pairwise distinct multiples of pi/(ab), so the traversal
+    order is exact.  Crossing ids are 1-based in order of decreasing x.
     """
-    crossings = enumerate_crossings(K)
     passages = []
     for cid, c in enumerate(crossings, start=1):
         over_t = c.over_at_t
@@ -134,10 +135,12 @@ def conway_form_h4(b: int, c: int) -> ConwayForm:
     return terms
 
 
-def read_conway_from_diagram(K: HarmonicTriple) -> ConwayForm:
+def read_conway_from_diagram(K: HarmonicTriple,
+                             crossings: Sequence[Crossing]) -> ConwayForm:
     """Read the twist sequence off the Chebyshev diagram, for a in {3, 4}.
 
-    Crossings are grouped by exact x-coordinate and scanned by increasing x.
+    ``crossings`` is the ``enumerate_crossings`` list of K.  Crossings are
+    grouped by exact x-coordinate and scanned by increasing x.
     The twist sign of a crossing at scan position i is its twist sign D for
     odd i and -D for even i (right twists count positive at odd positions,
     negative at even ones); a group contributes the sum of its signs.  For
@@ -147,7 +150,6 @@ def read_conway_from_diagram(K: HarmonicTriple) -> ConwayForm:
     if K.a not in (3, 4):
         raise UnsupportedBridgeError(
             f"twist-sequence reading needs a in {{3, 4}}, got a={K.a}")
-    crossings = enumerate_crossings(K)
     groups: dict[int, list] = {}
     for c in crossings:
         groups.setdefault(c.x_order, []).append(c)

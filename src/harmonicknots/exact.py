@@ -5,9 +5,6 @@ orderings, over/under choices) reduces to integer arithmetic on angles of the
 form (p/q)*pi.  Floating point never enters: the sign of sin(r*pi) for
 rational r is (-1)**floor(r), and cosines of angles folded into [0, pi] are
 ordered by reversing the order of the folded fractions.
-
-``Rational`` is the stdlib ``fractions.Fraction``; it already maintains the
-reduced num/den representation this package needs.
 """
 
 from __future__ import annotations
@@ -15,7 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
+
+def fold(r: Fraction) -> Fraction:
+    """Fold the multiplier r of the angle r*pi into [0, 1].
+
+    cos(r*pi) is even and 2pi-periodic in the angle, so r is taken mod 2
+    and then reflected (x -> 2 - x) into [0, 1].  On that interval cosine
+    is injective, so folded fractions are canonical keys for x-coordinate
+    comparisons.
+    """
+    r = r % 2
+    return 2 - r if r > 1 else r
 
 
 @dataclass(frozen=True)
@@ -51,15 +58,8 @@ class RationalAngle:
         return Fraction(self.p, self.q)
 
     def folded(self) -> Fraction:
-        """Fold p/q into [0, 1] using the symmetries of cosine.
-
-        cos((p/q)pi) is even and 2pi-periodic in the angle, so p/q is taken
-        mod 2 and then reflected (x -> 2 - x) into [0, 1].  On that interval
-        cosine is injective, so folded fractions are canonical keys for
-        x-coordinate comparisons.
-        """
-        r = Fraction(self.p, self.q) % 2
-        return 2 - r if r > 1 else r
+        """p/q folded into [0, 1] (see ``fold``)."""
+        return fold(Fraction(self.p, self.q))
 
 
 def _sign_sin_frac(p: int, q: int) -> int:

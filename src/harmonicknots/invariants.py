@@ -90,10 +90,6 @@ class LaurentPoly:
     def min_exp(self) -> int:
         return self.offset
 
-    @property
-    def max_exp(self) -> int:
-        return self.offset + len(self.coeffs) - 1
-
     def coefficient_map(self) -> dict[int, int]:
         return {self.offset + i: c for i, c in enumerate(self.coeffs) if c}
 
@@ -127,12 +123,6 @@ class LaurentPoly:
         return LaurentPoly.from_coeffs(
             _pmul(list(self.coeffs), list(other.coeffs)),
             self.offset + other.offset)
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by t**k."""
-        if self.is_zero:
-            return self
-        return LaurentPoly(self.offset + k, self.coeffs)
 
     def normalized(self) -> "LaurentPoly":
         """Unit-normalized form: minimal exponent 0, positive leading

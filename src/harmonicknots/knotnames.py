@@ -97,10 +97,6 @@ class KnotRecord:
     fraction: SchubertFraction | None
     source: str
 
-    @property
-    def display_name(self) -> str:
-        return self.name + ("*" if self.starred else "")
-
 
 def _crossing_number_of_name(name: str) -> int:
     digits = ""
@@ -125,7 +121,7 @@ def _parse_fraction(text: str) -> SchubertFraction:
 
 def regenerate_table() -> str:
     """Recompute the table file content from the embedded source rows."""
-    from .chebgeom import HarmonicTriple
+    from .chebgeom import HarmonicTriple, enumerate_crossings
     from .diagram import build_gauss_code
     from .invariants import alexander, determinant
 
@@ -134,7 +130,7 @@ def regenerate_table() -> str:
         "alexander coefficients | fraction | source",
     ]
     for a, b, c, frac, name, starred in TABLE_ROWS + EXTRA_ROWS:
-        code = build_gauss_code(HarmonicTriple(a, b, c))
+        code = build_gauss_code(enumerate_crossings(HarmonicTriple(a, b, c)))
         delta = alexander(code)
         det = determinant(code)
         if frac is not None and _parse_fraction(frac).alpha != det:

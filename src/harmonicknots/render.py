@@ -15,20 +15,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, pi
 
-import numpy as np
-
 from .chebgeom import HarmonicTriple, enumerate_crossings
-from .exact import RationalAngle
+from .exact import RationalAngle, fold
+
+WIDTH = 520
+STROKE = 2.2
+SAMPLES = 2400
+MARGIN = 0.10
+# Half of the under-strand gap in the billiard picture, in lattice steps.
+BILLIARD_CUT = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
 class RenderOptions:
-    width: int = 520
-    stroke: float = 2.2
-    gap: float = 1.0          # under-strand gap, relative to default size
+    """``annotate_signs`` writes each crossing's twist sign next to it."""
+
     annotate_signs: bool = False
-    samples: int = 2400
-    margin: float = 0.10
 
 
 def _fmt(x: float) -> str:
@@ -41,11 +43,10 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def _polyline(points: list[tuple[float, float]], stroke: float,
-              color: str = "#1a1a1a") -> str:
+def _polyline(points: list[tuple[float, float]]) -> str:
     text = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-    return (f'<polyline fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(stroke)}" stroke-linecap="round" '
+    return (f'<polyline fill="none" stroke="#1a1a1a" '
+            f'stroke-width="{_fmt(STROKE)}" stroke-linecap="round" '
             f'points="{text}"/>')
 
 
@@ -63,41 +64,40 @@ def render_xy(K: HarmonicTriple, options: RenderOptions | None = None) -> str:
     opt = options or RenderOptions()
     crossings = enumerate_crossings(K)
     unders = sorted(
-        (c.s_angle if c.over_at_t else c.t_angle).folded()
+        float((c.s_angle if c.over_at_t else c.t_angle).folded())
         for c in crossings)
     # Window half-width: stay clear of neighbouring passages.
     angles = sorted({c.t_angle.folded() for c in crossings}
                     | {c.s_angle.folded() for c in crossings})
     min_sep = min((float(b - a) for a, b in zip(angles, angles[1:])),
                   default=1.0)
-    half = min(0.012, 0.35 * min_sep) * opt.gap
+    half = min(0.012, 0.35 * min_sep)
 
-    n = max(opt.samples, 400)
-    u = np.linspace(0.0, 1.0, n)
-    keep = np.ones(n, dtype=bool)
-    for v in unders:
-        keep &= np.abs(u - float(v)) > half
-    xs = np.cos(K.a * u * pi)
-    ys = np.cos(K.b * u * pi)
-
-    scale = opt.width / (2 + 2 * opt.margin)
-    off = (1 + opt.margin) * scale
+    scale = WIDTH / (2 + 2 * MARGIN)
+    off = (1 + MARGIN) * scale
 
     def to_px(x: float, y: float) -> tuple[float, float]:
         return off + scale * x, off - scale * y
 
+    # One sweep: the parameters u rise, so an under-passage left more than
+    # half behind stays behind, and only the next one can hide u.
     pieces: list[list[tuple[float, float]]] = []
     current: list[tuple[float, float]] = []
-    for i in range(n):
-        if keep[i]:
-            current.append(to_px(xs[i], ys[i]))
+    step = 1 / (SAMPLES - 1)
+    j = 0
+    for i in range(SAMPLES):
+        u = i * step if i < SAMPLES - 1 else 1.0
+        while j < len(unders) and u - unders[j] > half:
+            j += 1
+        if j == len(unders) or abs(u - unders[j]) > half:
+            current.append(to_px(cos(K.a * u * pi), cos(K.b * u * pi)))
         elif current:
             pieces.append(current)
             current = []
     if current:
         pieces.append(current)
 
-    body = [_polyline(p, opt.stroke) for p in pieces if len(p) > 1]
+    body = [_polyline(p) for p in pieces if len(p) > 1]
     if opt.annotate_signs:
         for c in crossings:
             x = cos(pi * float(RationalAngle(
@@ -109,23 +109,18 @@ def render_xy(K: HarmonicTriple, options: RenderOptions | None = None) -> str:
                 f'<text x="{_fmt(px + 5)}" y="{_fmt(py - 5)}" '
                 f'font-size="{_fmt(scale * 0.05)}">'
                 f'{"+" if c.sign > 0 else chr(0x2212)}</text>')
-    return _svg_document(opt.width, opt.width, body)
+    return _svg_document(WIDTH, WIDTH, body)
 
 
 # ---------------------------------------------------------------------------
 # The billiard representation
 
 
-def _fold01(x: Fraction) -> Fraction:
-    r = x % 2
-    return 2 - r if r > 1 else r
-
-
 def billiard_point(K: HarmonicTriple, v: Fraction) -> tuple[Fraction, Fraction]:
     """Image of the curve point of parameter t = cos(v pi) in billiard
     coordinates; exact."""
-    return (K.b * (2 * _fold01(Fraction(K.a) * v) - 1),
-            K.a * (2 * _fold01(Fraction(K.b) * v) - 1))
+    return (K.b * (2 * fold(K.a * v) - 1),
+            K.a * (2 * fold(K.b * v) - 1))
 
 
 def billiard_polyline(K: HarmonicTriple) -> list[tuple[int, int]]:
@@ -164,31 +159,29 @@ def render_billiard(K: HarmonicTriple,
         under_ms.append(int(under.folded() * ab))
         marks.append((billiard_point(K, c.t_angle.folded()), c.sign))
 
-    delta = min(Fraction(opt.gap).limit_denominator(64) / 2, Fraction(9, 10))
-    cut = {m: delta for m in under_ms}
+    cut = set(under_ms)
     grid = [(Fraction(m), billiard_point(K, Fraction(m, ab)))
             for m in range(ab + 1)]
 
     pieces: list[list[tuple[Fraction, Fraction]]] = [[]]
     for i, (m, pt) in enumerate(grid):
-        delta = cut.get(int(m))
-        if delta is None:
+        if int(m) not in cut:
             pieces[-1].append(pt)
             continue
         # Interpolate the window edges inside the two adjacent segments.
         before = billiard_point(K, Fraction(int(m) - 1, ab))
         after = billiard_point(K, Fraction(int(m) + 1, ab))
-        left = (pt[0] + (before[0] - pt[0]) * delta,
-                pt[1] + (before[1] - pt[1]) * delta)
-        right = (pt[0] + (after[0] - pt[0]) * delta,
-                 pt[1] + (after[1] - pt[1]) * delta)
+        left = (pt[0] + (before[0] - pt[0]) * BILLIARD_CUT,
+                pt[1] + (before[1] - pt[1]) * BILLIARD_CUT)
+        right = (pt[0] + (after[0] - pt[0]) * BILLIARD_CUT,
+                 pt[1] + (after[1] - pt[1]) * BILLIARD_CUT)
         pieces[-1].append(left)
         pieces.append([right])
 
-    pad = 1 + 2 * opt.margin
-    scale = opt.width / (2 * b * pad)
+    pad = 1 + 2 * MARGIN
+    scale = WIDTH / (2 * b * pad)
     height = int(round(2 * a * pad * scale))
-    offx = opt.width / 2
+    offx = WIDTH / 2
     offy = height / 2
 
     def to_px(p: tuple[Fraction, Fraction]) -> tuple[float, float]:
@@ -199,15 +192,15 @@ def render_billiard(K: HarmonicTriple,
         f'width="{_fmt(2 * scale * b)}" height="{_fmt(2 * scale * a)}" '
         f'fill="none" stroke="#999" stroke-width="1"/>'
     ]
-    body += [_polyline([to_px(p) for p in piece], opt.stroke)
+    body += [_polyline([to_px(p) for p in piece])
              for piece in pieces if len(piece) > 1]
     for (pt, sign) in marks:
         px, py = to_px(pt)
         body.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
-                    f'r="{_fmt(opt.stroke)}" fill="#c22"/>')
+                    f'r="{_fmt(STROKE)}" fill="#c22"/>')
         if opt.annotate_signs:
             body.append(
                 f'<text x="{_fmt(px + 4)}" y="{_fmt(py - 4)}" '
                 f'font-size="{_fmt(scale * 0.6)}">'
                 f'{"+" if sign > 0 else chr(0x2212)}</text>')
-    return _svg_document(opt.width, height, body)
+    return _svg_document(WIDTH, height, body)

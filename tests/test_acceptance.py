@@ -18,7 +18,8 @@ from harmonicknots.cfrac import (
     PreconditionError, SchubertFraction, crossing_number_bireg, evaluate,
     evaluate_projective, expand_1212, cf_matrix, positive_cf,
     sign_change_profile, two_bridge_equivalent, has_three_consecutive_changes)
-from harmonicknots.chebgeom import HarmonicTriple, crossing_parameters
+from harmonicknots.chebgeom import (HarmonicTriple, crossing_parameters,
+                                    enumerate_crossings)
 from harmonicknots.classify import (analyze, canonical_h4,
                                     non_harmonic_family_check)
 from harmonicknots.cli import main
@@ -98,7 +99,8 @@ def test_criterion_03_h4_fraction_properties():
             assert (beta * beta) % alpha in (2 % alpha, (-2) % alpha), (b, c)
             assert sign_change_profile(cf).max_run <= 1, (b, c)
             if b > 4:
-                gc = build_gauss_code(HarmonicTriple(4, b, c))
+                gc = build_gauss_code(
+                    enumerate_crossings(HarmonicTriple(4, b, c)))
                 assert determinant(gc) == alpha, (b, c)
         assert time.time() - start < 30.0
 
@@ -108,13 +110,13 @@ def test_criterion_04_consecutive_degree_family():
         start = time.time()
         for n in range(2, 7):
             K = HarmonicTriple(2 * n - 1, 2 * n, 2 * n + 1)
-            delta = alexander(build_gauss_code(K))
-            det = determinant(build_gauss_code(K))
+            delta = alexander(build_gauss_code(enumerate_crossings(K)))
+            det = determinant(build_gauss_code(enumerate_crossings(K)))
             pair = (2 * n - 1, 2 * n + 1) if n % 2 else (2 * n + 1, 2 * n - 1)
             H4 = HarmonicTriple(4, *pair) if pair[0] > 4 \
                 else HarmonicTriple(4, *pair)
-            delta4 = alexander(build_gauss_code(H4))
-            det4 = determinant(build_gauss_code(H4))
+            delta4 = alexander(build_gauss_code(enumerate_crossings(H4)))
+            det4 = determinant(build_gauss_code(enumerate_crossings(H4)))
             assert delta == delta4 and det == det4, n
             twist_form = [3] + [2] * (n - 2)
             assert delta == alexander_of_fraction(twist_form), n
@@ -126,14 +128,14 @@ def test_criterion_05_degree_five_families():
     with _Criterion(5, "degree-five families n = 1..3"):
         for n in range(1, 4):
             K = HarmonicTriple(5, 5 * n + 1, 5 * n + 2)
-            gc = build_gauss_code(K)
+            gc = build_gauss_code(enumerate_crossings(K))
             assert alexander(gc) == alexander_of_fraction(
                 [2 * n + 1, 2 * n]), n
             assert determinant(gc) == 4 * n * n + 2 * n + 1 == \
                 evaluate([2 * n + 1, 2 * n]).alpha, n
 
             K = HarmonicTriple(5, 5 * n + 3, 5 * n + 4)
-            gc = build_gauss_code(K)
+            gc = build_gauss_code(enumerate_crossings(K))
             assert alexander(gc) == alexander_of_fraction(
                 [2 * n + 1, 2 * n + 2]), n
             assert determinant(gc) == 4 * n * n + 6 * n + 3 == \
@@ -142,22 +144,28 @@ def test_criterion_05_degree_five_families():
 
 def test_criterion_06_composite_detection():
     with _Criterion(6, "composite curve: square Alexander polynomial"):
-        whole = alexander(build_gauss_code(HarmonicTriple(5, 7, 11)))
-        factor = alexander(build_gauss_code(HarmonicTriple(3, 5, 7)))
+        whole = alexander(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(5, 7, 11))))
+        factor = alexander(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(3, 5, 7))))
         assert whole == factor * factor
         assert factor_square(whole) == factor
 
 
 def test_criterion_07_isotopic_pairs_as_stated():
     with _Criterion(7, "isotopic-pair findings (stated form)"):
-        d_579 = alexander(build_gauss_code(HarmonicTriple(5, 7, 9)))
-        d_3711 = alexander(build_gauss_code(HarmonicTriple(3, 7, 11)))
+        d_579 = alexander(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(5, 7, 9))))
+        d_3711 = alexander(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(3, 7, 11))))
         assert d_579 == d_3711
         assert two_bridge_equivalent(SchubertFraction(13, 8),
                                      SchubertFraction(13, 5),
                                      up_to_mirror=True)
-        d_7911 = alexander(build_gauss_code(HarmonicTriple(7, 9, 11)))
-        d_5913 = alexander(build_gauss_code(HarmonicTriple(5, 9, 13)))
+        d_7911 = alexander(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(7, 9, 11))))
+        d_5913 = alexander(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(5, 9, 13))))
         assert d_7911 == d_5913
 
         # The third stated pair, H(9,11,13) ~ H(7,11,15), is refuted: the
@@ -172,11 +180,12 @@ def test_criterion_07_isotopic_pairs_as_stated():
                    "(see test_criterion_07_isotopic_pairs_verified)")
         deltas = {}
         for (a, b, c), det in (((9, 11, 13), 109), ((7, 11, 15), 89)):
-            gc = build_gauss_code(HarmonicTriple(a, b, c))
+            gc = build_gauss_code(enumerate_crossings(HarmonicTriple(a, b, c)))
             assert determinant(gc) == det, ((a, b, c), refuted)
             delta = deltas[a, b, c] = alexander(gc)
             for t in ((a, c, b), (b, c, a)):
-                assert alexander(build_gauss_code(HarmonicTriple(*t))) \
+                assert alexander(build_gauss_code(
+                    enumerate_crossings(HarmonicTriple(*t)))) \
                     == delta, (t, refuted)
         d_91113, d_71115 = deltas[9, 11, 13], deltas[7, 11, 15]
         assert d_91113 != d_71115, refuted
@@ -187,7 +196,8 @@ def test_criterion_07_isotopic_pairs_as_stated():
 def test_criterion_07_isotopic_pairs_verified():
     with _Criterion(7, "isotopic-pair findings (verified partners)"):
         def delta(t):
-            return alexander(build_gauss_code(HarmonicTriple(*t)))
+            return alexander(build_gauss_code(
+                enumerate_crossings(HarmonicTriple(*t))))
 
         assert delta((5, 7, 9)) == delta((3, 7, 11))
         assert delta((7, 9, 11)) == delta((5, 9, 13))

@@ -3,8 +3,9 @@ from math import gcd
 
 import pytest
 
+from harmonicknots import classify
 from harmonicknots.cfrac import SchubertFraction, two_bridge_equivalent
-from harmonicknots.chebgeom import HarmonicTriple
+from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.classify import (
     InvalidInputError, analyze, canonical_h4, enumerate_table_triples,
     non_harmonic_family_check, predict_family, reduce_c, reduced_triple,
@@ -34,7 +35,7 @@ class TestReduceC:
             if gcd(a, b) != 1 or gcd(c, a) != 1 or gcd(c, b) != 1:
                 continue
             K = HarmonicTriple(a, b, c)
-            reduced, _ = reduced_triple(K)
+            reduced, _ = reduced_triple(K, reduce_c(K))
             assert reduce_c(reduced) == []
             assert reduced.c <= c
 
@@ -54,9 +55,10 @@ class TestReduceC:
             if not reduce_c(K):
                 continue
             sampled += 1
-            reduced, _ = reduced_triple(K)
-            assert alexander(build_gauss_code(K)) == \
-                alexander(build_gauss_code(reduced)), (a, b, c)
+            reduced, _ = reduced_triple(K, reduce_c(K))
+            assert alexander(build_gauss_code(enumerate_crossings(K))) == \
+                alexander(build_gauss_code(
+                    enumerate_crossings(reduced))), (a, b, c)
 
 
 class TestCanonicalH4:
@@ -181,6 +183,19 @@ class TestNonHarmonicFamily:
 
 
 class TestAnalyze:
+    def test_reduces_and_enumerates_once(self, monkeypatch):
+        calls = {"reduce_c": 0, "enumerate_crossings": 0}
+        for name in calls:
+            original = getattr(classify, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(classify, name, counted)
+        r = analyze(HarmonicTriple(4, 5, 27))
+        assert r.reductions and r.conway is not None
+        assert calls == {"reduce_c": 1, "enumerate_crossings": 1}
+
     def test_two_bridge_rows(self):
         r = analyze(HarmonicTriple(3, 7, 11))
         assert r.fraction.alpha == 13 and r.name == "6_3"

@@ -120,6 +120,12 @@ class TestCfCommand:
         assert code == 0
         assert out.splitlines()[1].endswith("crossing number 3")
 
+    def test_unknot(self, capsys):
+        for beta in ("5", "1"):
+            code, out, _ = run(capsys, "cf", "1", beta)
+            assert code == 0, beta
+            assert out.splitlines()[-1].endswith("crossing number 0"), beta
+
     def test_invalid_inputs(self, capsys):
         assert run(capsys, "cf", "6", "2")[0] == 2
         assert run(capsys, "cf", "9", "3")[0] == 2

@@ -5,7 +5,7 @@ import pytest
 
 from harmonicknots.cfrac import (SchubertFraction, evaluate,
                                  evaluate_projective, two_bridge_equivalent)
-from harmonicknots.chebgeom import HarmonicTriple
+from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.diagram import (
     CoprimalityError, FormParityError, GaussCode, GaussEntry,
     UnsupportedBridgeError, ZeroTermError, build_gauss_code, conway_form_h4,
@@ -25,18 +25,18 @@ def canonical_h4_pairs(limit, b_min=5):
 
 class TestGaussCode:
     def test_structure(self):
-        gc = build_gauss_code(HarmonicTriple(3, 4, 5))
+        gc = build_gauss_code(enumerate_crossings(HarmonicTriple(3, 4, 5)))
         assert len(gc.entries) == 6
         gc.validate()
         assert gc.closure == "infinity"
 
     def test_each_crossing_once_over_once_under(self):
         for t in [(3, 5, 7), (4, 7, 9), (5, 6, 7)]:
-            gc = build_gauss_code(HarmonicTriple(*t))
+            gc = build_gauss_code(enumerate_crossings(HarmonicTriple(*t)))
             gc.validate()
 
     def test_reversal_and_mirror_are_involutions(self):
-        gc = build_gauss_code(HarmonicTriple(3, 5, 7))
+        gc = build_gauss_code(enumerate_crossings(HarmonicTriple(3, 5, 7)))
         assert gc.reversed().reversed() == gc
         assert gc.mirrored().mirrored() == gc
 
@@ -71,22 +71,25 @@ class TestConwayFormH4:
 
 class TestReadConway:
     def test_needs_low_bridge(self):
+        K = HarmonicTriple(5, 6, 7)
         with pytest.raises(UnsupportedBridgeError):
-            read_conway_from_diagram(HarmonicTriple(5, 6, 7))
+            read_conway_from_diagram(K, enumerate_crossings(K))
 
     def test_matches_closed_form_up_to_reversal(self):
         for b, c in canonical_h4_pairs(40):
             K = HarmonicTriple(4, b, c)
-            got = read_conway_from_diagram(K)
+            got = read_conway_from_diagram(K, enumerate_crossings(K))
             want = conway_form_h4(b, c)
             reversed_negated = [-t for t in reversed(want)]
             assert got in (want, reversed_negated), (b, c, got, want)
 
     def test_three_strand_rows(self):
-        got = read_conway_from_diagram(HarmonicTriple(3, 5, 7))
+        K = HarmonicTriple(3, 5, 7)
+        got = read_conway_from_diagram(K, enumerate_crossings(K))
         assert two_bridge_equivalent(evaluate_projective(got),
                                      SchubertFraction(5, 2), up_to_mirror=True)
-        got = read_conway_from_diagram(HarmonicTriple(4, 5, 7))
+        K = HarmonicTriple(4, 5, 7)
+        got = read_conway_from_diagram(K, enumerate_crossings(K))
         assert two_bridge_equivalent(evaluate_projective(got),
                                      SchubertFraction(7, 2), up_to_mirror=True)
 
@@ -131,16 +134,16 @@ class TestDiagramFromConway:
             if a not in (3, 4):
                 continue
             K = HarmonicTriple(a, b, c)
-            cf = read_conway_from_diagram(K)
+            cf = read_conway_from_diagram(K, enumerate_crossings(K))
             assert alexander(diagram_from_conway(cf)) == \
-                alexander(build_gauss_code(K)), (a, b, c)
+                alexander(build_gauss_code(enumerate_crossings(K))), (a, b, c)
 
 
 class TestDeterminantAlphaConsistency:
     def test_h4_determinant_equals_alpha(self):
         for b, c in canonical_h4_pairs(40):
             K = HarmonicTriple(4, b, c)
-            assert determinant(build_gauss_code(K)) == \
+            assert determinant(build_gauss_code(enumerate_crossings(K))) == \
                 evaluate(conway_form_h4(b, c)).alpha, (b, c)
 
 

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from harmonicknots.chebgeom import HarmonicTriple
+from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.diagram import GaussCode, GaussEntry, build_gauss_code
 from harmonicknots.invariants import (
     LaurentPoly, MalformedCodeError, _alexander_minor, _det_bareiss_int,
@@ -51,11 +51,13 @@ def kink_code(sign=1):
 
 class TestWirtinger:
     def test_trefoil_structure(self):
-        wp = wirtinger(build_gauss_code(HarmonicTriple(3, 4, 5)))
+        wp = wirtinger(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(3, 4, 5))))
         assert wp.arc_count == 3 and len(wp.relations) == 3
 
     def test_figure_eight_structure(self):
-        wp = wirtinger(build_gauss_code(HarmonicTriple(3, 5, 7)))
+        wp = wirtinger(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(3, 5, 7))))
         assert wp.arc_count == 4 and len(wp.relations) == 4
 
     def test_kink_gives_trivial_polynomial(self):
@@ -69,11 +71,14 @@ class TestWirtinger:
 
 class TestAlexander:
     def test_curve_fixtures(self):
-        assert alexander(build_gauss_code(HarmonicTriple(3, 4, 5))) == \
+        assert alexander(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(3, 4, 5)))) == \
             poly(1, -1, 1)
-        assert alexander(build_gauss_code(HarmonicTriple(3, 5, 7))) == \
+        assert alexander(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(3, 5, 7)))) == \
             poly(1, -3, 1)
-        assert alexander(build_gauss_code(HarmonicTriple(5, 7, 11))) == \
+        assert alexander(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(5, 7, 11)))) == \
             poly(1, -3, 1) * poly(1, -3, 1)
 
     def test_fraction_oracle_fixtures(self):
@@ -85,7 +90,8 @@ class TestAlexander:
     def test_normalization_and_symmetry(self):
         for t in [(3, 4, 5), (3, 7, 8), (4, 5, 7), (4, 7, 9), (5, 6, 7),
                   (5, 7, 11), (6, 7, 11)]:
-            d = alexander(build_gauss_code(HarmonicTriple(*t)))
+            d = alexander(build_gauss_code(
+                enumerate_crossings(HarmonicTriple(*t))))
             assert d.min_exp == 0
             coeffs = d.coefficient_list()
             assert coeffs[-1] > 0
@@ -94,7 +100,7 @@ class TestAlexander:
 
     def test_invariance_under_reversal_and_mirror(self):
         for t in [(3, 5, 7), (4, 5, 7), (5, 6, 7)]:
-            gc = build_gauss_code(HarmonicTriple(*t))
+            gc = build_gauss_code(enumerate_crossings(HarmonicTriple(*t)))
             d = alexander(gc)
             assert alexander(gc.reversed()) == d
             assert alexander(gc.mirrored()) == d
@@ -102,7 +108,7 @@ class TestAlexander:
     def test_determinant_is_alexander_at_minus_one(self):
         for t in [(3, 4, 5), (3, 5, 7), (4, 7, 9), (5, 6, 7), (5, 7, 9),
                   (6, 7, 11)]:
-            gc = build_gauss_code(HarmonicTriple(*t))
+            gc = build_gauss_code(enumerate_crossings(HarmonicTriple(*t)))
             assert determinant(gc) == abs(alexander(gc)(-1)), t
 
 
@@ -126,7 +132,8 @@ class TestPolyDeterminant:
                   (4, 9, 11), (5, 8, 9), (6, 7, 11), (5, 11, 13),
                   (7, 9, 11), (8, 9, 11), (7, 11, 13), (9, 10, 11),
                   (9, 11, 13)]:
-            minor = _alexander_minor(build_gauss_code(HarmonicTriple(*t)))
+            minor = _alexander_minor(build_gauss_code(
+                enumerate_crossings(HarmonicTriple(*t))))
             assert_matches_evaluations(minor)
         assert len(minor) == 39
 

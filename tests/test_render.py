@@ -1,4 +1,11 @@
+import hashlib
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
+
+import pytest
 
 from harmonicknots.chebgeom import HarmonicTriple
 from harmonicknots.render import (RenderOptions, billiard_point,
@@ -6,6 +13,67 @@ from harmonicknots.render import (RenderOptions, billiard_point,
                                   render_xy)
 
 SVG = "{http://www.w3.org/2000/svg}"
+
+
+# sha256 of render_xy (plain, annotated) and render_billiard (plain,
+# annotated), recorded from the numpy-sampled renderer that the pure-math
+# sampling replaced; the drawings must stay byte-identical.
+SVG_DIGESTS = {
+    (3, 4, 5): (
+        "f8dd7f09885ea90fb59f77a7598d5eea78eef891c2ad1dbeb7ae14493b186ab4",
+        "0febe25d9e2b3c80f27bb8deb7ba02b6214cacc64b8aac3e992521d8cf89dfe7",
+        "c54a9a3e2cbbfbbbbb3a524052a9d10f2bf52e9bce0aa915492db3e3bc6c12b6",
+        "119d4a6ed8fcd4150ddc9c9633c360fd8bad656df7ce15929949a644a1e4d15f"),
+    (4, 5, 7): (
+        "3d46bca8d47bb08fa127824f95d891631225dd6f71e9cb0ffb7f9193f4c98a03",
+        "089e6b4a969a5ebc65e2dc7eb929a01de515765f86fc2d9d7ab62c1dc64f3416",
+        "ccc22f39ca8c712bc0252883f0d2b892339b47b813b501134be588abbc8c1750",
+        "5f691ade717ea2dc08b8da3e36d2ef6fc1f32f6de7f1f928f38625b1be8936c7"),
+    (5, 7, 11): (
+        "651c003159f92a608bf69724477ed04a7427f1c4036a44e6e79601176424ff5c",
+        "7994c9497f90cf888de87767b63048d6dd6a40ce2d0e28781c44b8ca811ad00b",
+        "7cbc8ae7fa9dff5ed121f665a5084def62482e3a5e0c0d2511c977cf01fa3cf5",
+        "8da61b585976b79348179d02af47230cc9b3c2db6403dac8122bd26b9848bc86"),
+    (3, 17, 7): (
+        "a60ac392fdd3d7b3feecc6993034b43796c75f0338fa757f0dc040fc4c6cd424",
+        "4d39eb6ee50d1d9c49a748d62b834ec6ca85ec8074b8d4f34e55157640a2bd68",
+        "fabb76d56878f1a921e8a90f22c22c170d2df4d25105687aa0947e056e4af7a5",
+        "556493749e5886ee5ef091220b45137e829a57b98721e1591cddbfa2fa906d36"),
+    (5, 9, 1000003): (
+        "ee04299f1859fa7d6546bbc4dd3b5d074755ba05947ec87803f92d8e5da1aa2a",
+        "8ed95d5d660e567e4a56d86eed30847f9cea9148c4864ba74f896e533fd8a032",
+        "98e2bab17c185bcc8bac6f0e912d48a8ca58304e2950e3cba3758c1fd446b120",
+        "9bc70f7e517e7af15894c48229d849a69ec7fbb41ba2a29efc2d28b1f250ff75"),
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("triple", sorted(SVG_DIGESTS))
+def test_svg_digests(triple):
+    K = HarmonicTriple(*triple)
+    signs = RenderOptions(annotate_signs=True)
+    got = (sha256(render_xy(K)), sha256(render_xy(K, signs)),
+           sha256(render_billiard(K)), sha256(render_billiard(K, signs)))
+    assert got == SVG_DIGESTS[triple]
+
+
+def test_renders_without_numpy():
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from harmonicknots import cli\n"
+        "K = cli.HarmonicTriple(4, 5, 7)\n"
+        "options = cli.RenderOptions(annotate_signs=True)\n"
+        "assert cli.render_xy(K, options).startswith('<svg')\n"
+        "assert cli.render_billiard(K, options).startswith('<svg')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def polylines(svg_text):
