@@ -48,20 +48,22 @@ class ReductionStep:
 
 
 def _smallest_reduction(a: int, b: int, c: int) -> tuple[int, int] | None:
-    """(lam, mu) with lam, mu > 0, c = lam*a + mu*b minimizing |lam*a - mu*b|."""
-    best = None
-    lam = 1
-    while lam * a < c:
-        rest = c - lam * a
-        if rest % b == 0:
-            mu = rest // b
-            cand = abs(lam * a - mu * b)
-            if best is None or cand < best[0]:
-                best = (cand, lam, mu)
-        lam += 1
-    if best is None:
+    """(lam, mu) with lam, mu > 0, c = lam*a + mu*b minimizing |lam*a - mu*b|,
+    ties going to the smallest lam; a and b must be coprime.
+
+    The solutions are lam = lam0 (mod b) with lam*a < c, where
+    lam0 = c / a (mod b), and |lam*a - mu*b| = |2*lam*a - c|, so the best is
+    the term of that progression nearest c / (2a).
+    """
+    lam = c * pow(a, -1, b) % b or b
+    if 2 * lam * a < c:
+        lam += (c - 2 * lam * a) // (2 * a * b) * b
+        above = lam + b
+        if above * a < c and 2 * above * a - c < c - 2 * lam * a:
+            lam = above
+    elif lam * a >= c:
         return None
-    return best[1], best[2]
+    return lam, (c - lam * a) // b
 
 
 def reduce_c(K: HarmonicTriple) -> list[ReductionStep]:

@@ -16,7 +16,8 @@ import sys
 
 from .cfrac import (SchubertFraction, crossing_number_bireg, expand_1212,
                     positive_cf, sign_change_profile, CFError, ParityError)
-from .chebgeom import HarmonicTriple, InvalidTripleError
+from .chebgeom import (HarmonicTriple, InvalidTripleError,
+                       enumerate_crossings)
 from .classify import AnalysisReport, analyze, enumerate_table_triples
 from .errors import InternalError
 from .render import RenderOptions, render_billiard, render_xy
@@ -101,12 +102,17 @@ def cmd_analyze(args) -> int:
         swapped = True
     K = HarmonicTriple(a, b, c)
     report = analyze(K)
-    if args.svg:
-        _write_output(args.svg,
-                      render_xy(K, RenderOptions(annotate_signs=True)))
-    if args.billiard:
-        _write_output(args.billiard,
-                      render_billiard(K, RenderOptions(annotate_signs=True)))
+    if args.svg or args.billiard:
+        # The drawings show K itself; the report's crossings are those of
+        # the reduced triple, which is K when nothing reduced.
+        crossings = enumerate_crossings(K) if report.reductions \
+            else report.crossings
+        options = RenderOptions(annotate_signs=True)
+        if args.svg:
+            _write_output(args.svg, render_xy(K, options, crossings))
+        if args.billiard:
+            _write_output(args.billiard,
+                          render_billiard(K, options, crossings))
     if args.json:
         print(json.dumps(_report_json(report)))
     else:

@@ -8,6 +8,13 @@ substitution.  Every entry p(t) is evaluated at t = 2**B, one
 fraction-free (Bareiss) elimination computes the integer determinant, and
 its balanced base-2**B digits are the coefficients.  B comes from an
 integer bound: no coefficient exceeds the product of the rows' l1 norms.
+
+The elimination (``_det_sparse``, which ``determinant`` also runs, at
+t = -1) is sparse: rows hold only their nonzero entries, and a Fox row has
+at most three, one of them a unit.  Each step pivots on the live entry of
+smallest bit length, ties going to the shortest row; only the rows with an
+entry in the pivot column are eliminated, and the others are at most
+rescaled.
 """
 
 from __future__ import annotations
@@ -232,26 +239,67 @@ def _fox_rows(wp: WirtingerPresentation) -> list[dict[int, list[int]]]:
 # Exact determinants
 
 
-def _det_bareiss_int(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
+def _det_sparse(rows: list[dict[int, int]]) -> int:
+    """Determinant of the square integer matrix whose nonzero entries are
+    ``rows[i][j]``; zeros are not stored, and the rows are consumed.
+
+    Fraction-free (Bareiss) elimination in a dynamic pivot order.  After k
+    pivots every live entry is the (k+1)-minor on the pivot rows and
+    columns plus its own row and column, and ``prev`` is the k-minor on
+    the pivots alone, so each division is exact in any order.  With pivot
+    p in column c, a row holding a there becomes (v*p - a*w) / prev on the
+    union of its keys and the pivot row's w; any other row is rescaled,
+    v*p / prev, and left alone when p == prev.  A negative pivot's row is
+    negated, flipping the sign, which makes p == prev common; when prev
+    divides p, v*p / prev is v times the quotient.
+    """
+    live = dict(enumerate(rows))
+    col_of: dict[int, int] = {}
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
+    while live:
+        best = None
+        for i, row in live.items():
+            if not row:
                 return 0
-            m[k], m[swap] = m[swap], m[k]
+            size = len(row)
+            for j, v in row.items():
+                key = (v.bit_length(), size)
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        _, r, c = best
+        pivot_row = live.pop(r)
+        p = pivot_row.pop(c)
+        col_of[r] = c
+        if p < 0:
+            p, sign = -p, -sign
+            pivot_row = {j: -w for j, w in pivot_row.items()}
+        q, rem = divmod(p, prev)
+        for i, row in live.items():
+            a = row.pop(c, 0)
+            if rem:
+                new = {j: v * p for j, v in row.items()}
+                if a:
+                    for j, w in pivot_row.items():
+                        new[j] = new.get(j, 0) - a * w
+                live[i] = {j: v // prev for j, v in new.items() if v}
+            elif a or q != 1:
+                new = {j: v * q for j, v in row.items()}
+                if a:
+                    for j, w in pivot_row.items():
+                        new[j] = new.get(j, 0) - a * w // prev
+                    new = {j: v for j, v in new.items() if v}
+                live[i] = new
+        prev = p
+    # The last pivot is the determinant with rows and columns in pivot
+    # order.  Convert by the sign of r -> col_of[r]: a cycle of length L
+    # is L - 1 transpositions.
+    while col_of:
+        r, c = col_of.popitem()
+        while c != r:
+            c = col_of.pop(c)
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * prev
 
 
 def _det_poly(m: list[list[list[int]]]) -> list[int]:
@@ -267,8 +315,9 @@ def _det_poly(m: list[list[list[int]]]) -> list[int]:
     for row in m:
         bound *= sum(abs(c) for e in row for c in e)
     width = bound.bit_length() + 1
-    value = _det_bareiss_int(
-        [[sum(c << (width * i) for i, c in enumerate(e)) for e in row]
+    value = _det_sparse(
+        [{j: v for j, e in enumerate(row)
+          if e and (v := sum(c << (width * i) for i, c in enumerate(e)))}
          for row in m])
     base = 1 << width
     half = base >> 1
@@ -312,8 +361,9 @@ def determinant(gc: GaussCode) -> int:
     if gc.crossing_count == 0:
         return 1
     minor = _alexander_minor(gc)
-    return abs(_det_bareiss_int(
-        [[_peval_int(e, -1) for e in row] for row in minor]))
+    return abs(_det_sparse(
+        [{j: v for j, e in enumerate(row) if e and (v := _peval_int(e, -1))}
+         for row in minor]))
 
 
 def alexander_of_fraction(cf) -> LaurentPoly:

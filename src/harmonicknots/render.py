@@ -11,11 +11,12 @@ written out.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, pi
 
-from .chebgeom import HarmonicTriple, enumerate_crossings
+from .chebgeom import Crossing, HarmonicTriple, enumerate_crossings
 from .exact import RationalAngle, fold
 
 WIDTH = 520
@@ -54,15 +55,18 @@ def _polyline(points: list[tuple[float, float]]) -> str:
 # The xy diagram
 
 
-def render_xy(K: HarmonicTriple, options: RenderOptions | None = None) -> str:
+def render_xy(K: HarmonicTriple, options: RenderOptions | None = None,
+              crossings: Sequence[Crossing] | None = None) -> str:
     """Plane diagram with the under-strand broken at every crossing.
 
     The curve is sampled as (cos(a u), cos(b u)) for u in [0, pi]; each
     under-passage removes a parameter window around its crossing, so the
-    drawing consists of crossing_count + 1 polyline pieces.
+    drawing consists of crossing_count + 1 polyline pieces.  ``crossings``
+    is ``enumerate_crossings(K)``, computed here when not given.
     """
     opt = options or RenderOptions()
-    crossings = enumerate_crossings(K)
+    if crossings is None:
+        crossings = enumerate_crossings(K)
     unders = sorted(
         float((c.s_angle if c.over_at_t else c.t_angle).folded())
         for c in crossings)
@@ -141,17 +145,20 @@ def billiard_polyline(K: HarmonicTriple) -> list[tuple[int, int]]:
 
 
 def render_billiard(K: HarmonicTriple,
-                    options: RenderOptions | None = None) -> str:
+                    options: RenderOptions | None = None,
+                    crossings: Sequence[Crossing] | None = None) -> str:
     """Billiard trajectory in the (-b, b) x (-a, a) rectangle.
 
     The under-strand is broken by removing half a lattice step of the
     trajectory on each side of every under-passage; crossings are marked
-    with dots (and signs, if requested).
+    with dots (and signs, if requested).  ``crossings`` is
+    ``enumerate_crossings(K)``, computed here when not given.
     """
     opt = options or RenderOptions()
     a, b = K.a, K.b
     ab = a * b
-    crossings = enumerate_crossings(K)
+    if crossings is None:
+        crossings = enumerate_crossings(K)
     under_ms = []
     marks = []
     for c in crossings:

@@ -61,6 +61,39 @@ class TestReduceC:
                     enumerate_crossings(reduced))), (a, b, c)
 
 
+def smallest_reduction_by_search(a, b, c):
+    """The reference: walk lam = 1, 2, ... while lam*a < c and keep the
+    first (lam, mu) of least |lam*a - mu*b|."""
+    best = None
+    lam = 1
+    while lam * a < c:
+        rest = c - lam * a
+        if rest % b == 0:
+            mu = rest // b
+            cand = abs(lam * a - mu * b)
+            if best is None or cand < best[0]:
+                best = (cand, lam, mu)
+        lam += 1
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+class TestSmallestReduction:
+    def test_matches_the_search_exhaustively(self):
+        # Every coprime a <= 11, b < 40 and c < 4ab, ties included.
+        count = 0
+        for a in range(1, 12):
+            for b in range(1, 40):
+                if gcd(a, b) != 1:
+                    continue
+                for c in range(1, 4 * a * b):
+                    assert classify._smallest_reduction(a, b, c) == \
+                        smallest_reduction_by_search(a, b, c), (a, b, c)
+                    count += 1
+        assert count == 131_562
+
+
 class TestCanonicalH4:
     def test_fixtures(self):
         c = canonical_h4(5, 7)

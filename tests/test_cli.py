@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from harmonicknots import chebgeom, classify, cli, render
 from harmonicknots.cli import main
 
 from conftest import REFERENCE_TABLE
@@ -58,6 +63,36 @@ class TestAnalyzeCommand:
         assert code == 0
         assert svg.read_text().startswith("<svg")
         assert bil.read_text().startswith("<svg")
+
+    def test_drawings_reuse_the_crossing_list(self, capsys, tmp_path,
+                                             monkeypatch):
+        calls = []
+        for module in (chebgeom, classify, cli, render):
+            def counted(K, _original=module.enumerate_crossings):
+                calls.append((K.a, K.b, K.c))
+                return _original(K)
+            monkeypatch.setattr(module, "enumerate_crossings", counted)
+        paths = ["--svg", str(tmp_path / "xy.svg"),
+                 "--billiard", str(tmp_path / "billiard.svg")]
+        # An irreducible triple is enumerated once, for the report and
+        # both drawings; a reducible one also for the drawings of itself.
+        assert run(capsys, "analyze", "4", "5", "7", *paths)[0] == 0
+        assert calls == [(4, 5, 7)]
+        calls.clear()
+        assert run(capsys, "analyze", "3", "4", "13", *paths)[0] == 0
+        assert sorted(calls) == [(3, 4, 5), (3, 4, 13)]
+
+    def test_huge_degree_finishes(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "harmonicknots.cli", "analyze", "3", "4",
+             "100000000001", "--json"],
+            env=env, capture_output=True, text=True, timeout=20)
+        assert done.returncode == 0, done.stderr
+        data = json.loads(done.stdout)
+        assert data["reductions"] == [
+            {"from_c": 100000000001, "to_c": 1, "mirrored": True}]
 
     def test_unwritable_output_exit_2(self, capsys, tmp_path):
         bad = str(tmp_path / "missing" / "x.svg")

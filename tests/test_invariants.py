@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, strategies as st
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.diagram import GaussCode, GaussEntry, build_gauss_code
 from harmonicknots.invariants import (
-    LaurentPoly, MalformedCodeError, _alexander_minor, _det_bareiss_int,
-    _det_poly, _peval_int, alexander, alexander_of_fraction, determinant,
+    LaurentPoly, MalformedCodeError, _alexander_minor, _det_poly,
+    _det_sparse, _peval_int, alexander, alexander_of_fraction, determinant,
     factor_square, wirtinger)
 
 
@@ -112,6 +113,34 @@ class TestAlexander:
             assert determinant(gc) == abs(alexander(gc)(-1)), t
 
 
+def det_dense(m):
+    """The oracle: dense fraction-free (Bareiss) elimination with the
+    diagonal pivot, swapping in the first nonzero row below when it is 0."""
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def sparse(m):
+    return [{j: v for j, v in enumerate(row) if v} for row in m]
+
+
 def assert_matches_evaluations(minor):
     """det(minor) has degree <= n, so n+1 points pin it down: at each of
     0, 1, -1, 2, -2, ... the polynomial route must equal the integer
@@ -120,7 +149,7 @@ def assert_matches_evaluations(minor):
     n = len(minor)
     for i in range(n + 1):
         x = (i + 1) // 2 * (1 if i % 2 else -1)
-        assert _peval_int(det, x) == _det_bareiss_int(
+        assert _peval_int(det, x) == det_dense(
             [[_peval_int(e, x) for e in row] for row in minor]), (n, x)
     return det
 
@@ -160,12 +189,66 @@ class TestPolyDeterminant:
         assert _det_poly([row, row, [[2], [1, 1], []]]) == []
         assert _det_poly([[[1, 1], [1]], [[], []]]) == []
 
+    def test_untrimmed_zero_entries_are_not_pivots(self):
+        # [0] evaluates to 0; stored, it would be the entry of least bit
+        # length and the pivot.
+        minor = [[[], [], [1]], [[], [-1], []], [[1], [], [0]]]
+        assert assert_matches_evaluations(minor) == [1]
+
     @given(st.integers(0, 6).flatmap(lambda n: st.lists(
         st.lists(st.lists(st.integers(-2, 2), min_size=0, max_size=2),
                  min_size=n, max_size=n),
         min_size=n, max_size=n)))
     def test_random_small_matrices(self, minor):
         assert_matches_evaluations(minor)
+
+
+def permutation_sign(perm):
+    inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                     for j in range(i + 1, len(perm)))
+    return -1 if inversions % 2 else 1
+
+
+class TestSparseElimination:
+    def test_permutation_matrices(self):
+        for n in range(7):
+            for perm in permutations(range(n)):
+                assert _det_sparse([{j: 1} for j in perm]) == \
+                    permutation_sign(perm), perm
+
+    def test_row_that_empties_during_elimination(self):
+        # The third row is the sum of the first two, so it empties once
+        # both of them have been pivot rows.
+        m = [[1, 2, 0, 0], [0, 1, 3, 0], [1, 3, 3, 0], [0, 0, 0, 5]]
+        assert det_dense(m) == 0
+        assert _det_sparse(sparse(m)) == 0
+
+    def test_cancellation_after_an_inexact_quotient(self):
+        # The second pivot, 2, is no multiple of the first, 3, and that
+        # step cancels an entry of the last row; stored, the 0 would be
+        # the next pivot.
+        m = [[5, 0, 0, 0], [5, 0, 4, 5], [3, -2, 2, 2], [4, 0, 4, 6]]
+        assert det_dense(m) == 40
+        assert _det_sparse(sparse(m)) == 40
+
+    def test_determinant_of_a_large_curve(self):
+        gc = build_gauss_code(enumerate_crossings(HarmonicTriple(13, 15, 17)))
+        minor = _alexander_minor(gc)
+        assert len(minor) == 83
+        assert determinant(gc) == 905 == abs(det_dense(
+            [[_peval_int(e, -1) for e in row] for row in minor]))
+
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-9, 9) | st.just(0),
+                          min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.sets(st.integers(0, n - 1), max_size=2) if n else st.just(set()),
+        st.sets(st.integers(0, n - 1), max_size=2) if n else st.just(set()))))
+    def test_random_sparse_matrices(self, case):
+        m, zero_rows, zero_cols = case
+        m = [[0 if i in zero_rows or j in zero_cols else v
+              for j, v in enumerate(row)] for i, row in enumerate(m)]
+        assert _det_sparse(sparse(m)) == det_dense(m)
 
 
 class TestFactorSquare:
