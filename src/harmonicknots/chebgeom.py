@@ -2,8 +2,9 @@
 
 The (a-1)(b-1)/2 double points are parametrized by integer pairs (h, k)
 with k/a + h/b < 1, at parameters t = cos((k/a + h/b)pi) and
-s = cos((k/a - h/b)pi).  The z-coordinate T_c(t) decides over/under and
-crossing signs, all computed exactly through sine signs of rational angles.
+s = cos((k/a - h/b)pi), both integer multiples of pi/(ab).  The
+z-coordinate T_c(t) decides over/under and crossing signs, all computed
+exactly through sine signs of rational angles.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .exact import RationalAngle, _sign_sin_frac
+from .exact import fold, sign_sin
 
 
 class InvalidTripleError(ValueError):
@@ -55,13 +56,15 @@ class Crossing:
     the oriented diagram, which the Alexander machinery needs.  ``x_order``
     ranks the crossing by decreasing x (symmetric partners share a rank),
     and ``y_level`` is the index j of the horizontal line y = cos(j pi / a)
-    carrying the point.
+    carrying the point.  The two passages sit at t = cos(t_num pi / ab) and
+    s = cos(s_num pi / ab), with t_num = kb + ha and s_num = |kb - ha|,
+    both already folded into [0, ab).
     """
 
     h: int
     k: int
-    t_angle: RationalAngle
-    s_angle: RationalAngle
+    t_num: int
+    s_num: int
     sign: int
     oriented_sign: int
     over_at_t: bool
@@ -73,10 +76,10 @@ def _sine_signs(K: HarmonicTriple, h: int, k: int) -> tuple[int, int, int, int]:
     """Signs of sin(ch/b pi), sin(ck/a pi), sin(ah/b pi), sin(bk/a pi)."""
     a, b, c = K.a, K.b, K.c
     signs = (
-        _sign_sin_frac(c * h, b),
-        _sign_sin_frac(c * k, a),
-        _sign_sin_frac(a * h, b),
-        _sign_sin_frac(b * k, a),
+        sign_sin(c * h, b),
+        sign_sin(c * k, a),
+        sign_sin(a * h, b),
+        sign_sin(b * k, a),
     )
     if 0 in signs:
         raise DegenerateSignError(
@@ -129,26 +132,21 @@ def enumerate_crossings(K: HarmonicTriple) -> list[Crossing]:
     folded y angle, so the output order is deterministic.
     """
     a, b = K.a, K.b
-    ab = a * b
     records = []
     for h, k in crossing_parameters(K):
-        t_angle = RationalAngle(k * b + h * a, ab)
-        s_angle = RationalAngle(k * b - h * a, ab)
-        # x = cos(((kb+ha)/b) pi), y = cos(((kb+ha)/a) pi)
-        x_fold = RationalAngle(k * b + h * a, b).folded()
-        y_fold = RationalAngle(k * b + h * a, a).folded()
-        y_level = int(y_fold * a)
-        records.append((x_fold, y_fold, h, k, t_angle, s_angle, y_level))
-    records.sort(key=lambda r: (r[0], r[1]))
+        t_num = k * b + h * a
+        # x = cos((t_num / b) pi), y = cos((t_num / a) pi)
+        records.append((fold(t_num, b), fold(t_num, a), h, k, t_num))
+    records.sort()
     crossings = []
     rank = -1
     last_fold = None
-    for x_fold, _, h, k, t_angle, s_angle, y_level in records:
+    for x_fold, y_level, h, k, t_num in records:
         if x_fold != last_fold:
             rank += 1
             last_fold = x_fold
         crossings.append(Crossing(
-            h=h, k=k, t_angle=t_angle, s_angle=s_angle,
+            h=h, k=k, t_num=t_num, s_num=abs(k * b - h * a),
             sign=crossing_sign(K, h, k),
             oriented_sign=oriented_sign(K, h, k),
             over_at_t=over_strand(K, h, k),

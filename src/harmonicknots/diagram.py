@@ -48,15 +48,9 @@ class GaussEntry:
 
 @dataclass(frozen=True)
 class GaussCode:
-    """Passages in traversal order around the closed curve.
-
-    ``closure`` records how the curve closes: 'infinity' for Chebyshev
-    diagrams (the two polynomial ends join through a crossing-free arc far
-    from the diagram) or 'plat' for bridge closures of twist diagrams.
-    """
+    """Passages in traversal order around the closed curve."""
 
     entries: tuple[GaussEntry, ...]
-    closure: str = "infinity"
 
     @property
     def crossing_count(self) -> int:
@@ -74,14 +68,14 @@ class GaussCode:
 
     def reversed(self) -> "GaussCode":
         """Orientation-reversed traversal (crossing signs are unchanged)."""
-        return GaussCode(tuple(reversed(self.entries)), self.closure)
+        return GaussCode(tuple(reversed(self.entries)))
 
     def mirrored(self) -> "GaussCode":
         """Mirror image: over/under and all signs flip."""
         flip = {"O": "U", "U": "O"}
         return GaussCode(tuple(
             GaussEntry(e.crossing_id, flip[e.passage], -e.sign)
-            for e in self.entries), self.closure)
+            for e in self.entries))
 
 
 def build_gauss_code(crossings: Sequence[Crossing]) -> GaussCode:
@@ -89,22 +83,23 @@ def build_gauss_code(crossings: Sequence[Crossing]) -> GaussCode:
 
     ``crossings`` is the diagram's ``enumerate_crossings`` list.  Every
     crossing contributes its t- and s-parameter passage; the 2N parameter
-    angles are pairwise distinct multiples of pi/(ab), so the traversal
-    order is exact.  Crossing ids are 1-based in order of decreasing x.
+    angles are pairwise distinct multiples of pi/(ab), so sorting their
+    integer numerators gives the exact traversal order.  Crossing ids are
+    1-based in order of decreasing x.
     """
     passages = []
     for cid, c in enumerate(crossings, start=1):
         over_t = c.over_at_t
-        passages.append((c.t_angle.folded(), cid, over_t, c.oriented_sign))
-        passages.append((c.s_angle.folded(), cid, not over_t, c.oriented_sign))
-    folds = [p[0] for p in passages]
-    if len(set(folds)) != len(folds):
+        passages.append((c.t_num, cid, over_t, c.oriented_sign))
+        passages.append((c.s_num, cid, not over_t, c.oriented_sign))
+    nums = {p[0] for p in passages}
+    if len(nums) != len(passages):
         raise InternalError("coincident crossing parameters")
-    # t = cos(angle) increases as the folded angle decreases.
+    # t = cos(num pi / ab) increases as the folded numerator decreases.
     passages.sort(key=lambda p: p[0], reverse=True)
     entries = tuple(GaussEntry(cid, "O" if over else "U", sign)
                     for _, cid, over, sign in passages)
-    return GaussCode(entries, closure="infinity")
+    return GaussCode(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +229,7 @@ def _plat_gauss_code(word: list[tuple[int, int]],
         u, l = wires_of[cid]
         sign = handedness[cid] * direction[u] * direction[l]
         entries.append(GaussEntry(cid, "O" if over else "U", sign))
-    return GaussCode(tuple(entries), closure="plat")
+    return GaussCode(tuple(entries))
 
 
 def diagram_from_conway(cf: ConwayForm) -> GaussCode:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .diagram import GaussCode
@@ -93,10 +92,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def min_exp(self) -> int:
-        return self.offset
-
     def coefficient_map(self) -> dict[int, int]:
         return {self.offset + i: c for i, c in enumerate(self.coeffs) if c}
 
@@ -104,13 +99,14 @@ class LaurentPoly:
         """Coefficients from the minimal exponent upward."""
         return list(self.coeffs)
 
-    def __call__(self, x):
-        acc = Fraction(0) if isinstance(x, Fraction) else 0
+    def __call__(self, x: int) -> int:
+        """Value at the integer x by Horner's rule; the offset must be >= 0."""
+        if self.offset < 0:
+            raise ValueError(f"t^{self.offset} has no integer value")
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        if self.offset and not self.is_zero:
-            acc *= Fraction(x) ** self.offset if self.offset < 0 else x ** self.offset
-        return acc
+        return acc * x ** self.offset
 
     def __add__(self, other):
         lo = min(self.offset, other.offset)

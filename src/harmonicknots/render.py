@@ -4,27 +4,25 @@ The billiard picture applies F(x) = (2/pi)*arccos(x) - 1, the affine map
 in arccos taking [-1, 1] onto [-1, 1]; under (x, y) -> (b F(x), a F(y))
 the curve becomes a billiard trajectory in the rectangle
 (-b, b) x (-a, a) whose segments all have slope exactly +1 or -1, with
-vertices on the integer lattice.  Vertices and crossing positions are
-computed in exact rational arithmetic and only converted to floats when
-written out.
+vertices on the integer lattice.  The curve point of parameter
+t = cos(m pi / ab) maps to the lattice point (2 fold(m, b) - b,
+2 fold(m, a) - a), so vertices and crossing positions are integers, and the
+under-strand gaps end at half-integers, exact as floats.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from math import cos, pi
 
 from .chebgeom import Crossing, HarmonicTriple, enumerate_crossings
-from .exact import RationalAngle, fold
+from .exact import fold
 
 WIDTH = 520
 STROKE = 2.2
 SAMPLES = 2400
 MARGIN = 0.10
-# Half of the under-strand gap in the billiard picture, in lattice steps.
-BILLIARD_CUT = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -67,14 +65,12 @@ def render_xy(K: HarmonicTriple, options: RenderOptions | None = None,
     opt = options or RenderOptions()
     if crossings is None:
         crossings = enumerate_crossings(K)
-    unders = sorted(
-        float((c.s_angle if c.over_at_t else c.t_angle).folded())
-        for c in crossings)
+    ab = K.a * K.b
+    unders = sorted((c.s_num if c.over_at_t else c.t_num) / ab
+                    for c in crossings)
     # Window half-width: stay clear of neighbouring passages.
-    angles = sorted({c.t_angle.folded() for c in crossings}
-                    | {c.s_angle.folded() for c in crossings})
-    min_sep = min((float(b - a) for a, b in zip(angles, angles[1:])),
-                  default=1.0)
+    nums = sorted({c.t_num for c in crossings} | {c.s_num for c in crossings})
+    min_sep = min((n - m for m, n in zip(nums, nums[1:])), default=ab) / ab
     half = min(0.012, 0.35 * min_sep)
 
     scale = WIDTH / (2 + 2 * MARGIN)
@@ -104,10 +100,8 @@ def render_xy(K: HarmonicTriple, options: RenderOptions | None = None,
     body = [_polyline(p) for p in pieces if len(p) > 1]
     if opt.annotate_signs:
         for c in crossings:
-            x = cos(pi * float(RationalAngle(
-                c.t_angle.p * K.a, c.t_angle.q).folded()))
-            y = cos(pi * float(RationalAngle(
-                c.t_angle.p * K.b, c.t_angle.q).folded()))
+            x = cos(pi * (fold(c.t_num, K.b) / K.b))
+            y = cos(pi * (fold(c.t_num, K.a) / K.a))
             px, py = to_px(x, y)
             body.append(
                 f'<text x="{_fmt(px + 5)}" y="{_fmt(py - 5)}" '
@@ -120,28 +114,22 @@ def render_xy(K: HarmonicTriple, options: RenderOptions | None = None,
 # The billiard representation
 
 
-def billiard_point(K: HarmonicTriple, v: Fraction) -> tuple[Fraction, Fraction]:
-    """Image of the curve point of parameter t = cos(v pi) in billiard
-    coordinates; exact."""
-    return (K.b * (2 * fold(K.a * v) - 1),
-            K.a * (2 * fold(K.b * v) - 1))
+def billiard_point(K: HarmonicTriple, m: int) -> tuple[int, int]:
+    """Lattice point of the curve point of parameter t = cos(m pi / ab)
+    in billiard coordinates."""
+    return 2 * fold(m, K.b) - K.b, 2 * fold(m, K.a) - K.a
 
 
 def billiard_polyline(K: HarmonicTriple) -> list[tuple[int, int]]:
     """Trajectory vertices (reflection points and endpoints), in order.
 
-    Vertices sit where the parameter v passes a multiple of 1/a or 1/b;
-    all coordinates are integers and consecutive differences have
+    Vertices sit at the parameters cos(m pi / ab) with m a multiple of a
+    or b; all coordinates are integers and consecutive differences have
     |dx| = |dy|, i.e. slope exactly +-1.
     """
     ab = K.a * K.b
-    breaks = sorted({0, ab} | {m for m in range(1, ab)
-                               if m % K.a == 0 or m % K.b == 0})
-    points = []
-    for m in breaks:
-        x, y = billiard_point(K, Fraction(m, ab))
-        points.append((int(x), int(y)))
-    return points
+    return [billiard_point(K, m) for m in range(ab + 1)
+            if m % K.a == 0 or m % K.b == 0]
 
 
 def render_billiard(K: HarmonicTriple,
@@ -159,31 +147,19 @@ def render_billiard(K: HarmonicTriple,
     ab = a * b
     if crossings is None:
         crossings = enumerate_crossings(K)
-    under_ms = []
-    marks = []
-    for c in crossings:
-        under = c.s_angle if c.over_at_t else c.t_angle
-        under_ms.append(int(under.folded() * ab))
-        marks.append((billiard_point(K, c.t_angle.folded()), c.sign))
+    cut = {c.s_num if c.over_at_t else c.t_num for c in crossings}
+    grid = [billiard_point(K, m) for m in range(ab + 1)]
 
-    cut = set(under_ms)
-    grid = [(Fraction(m), billiard_point(K, Fraction(m, ab)))
-            for m in range(ab + 1)]
-
-    pieces: list[list[tuple[Fraction, Fraction]]] = [[]]
-    for i, (m, pt) in enumerate(grid):
-        if int(m) not in cut:
+    pieces: list[list[tuple[float, float]]] = [[]]
+    for m, pt in enumerate(grid):
+        if m not in cut:
             pieces[-1].append(pt)
             continue
-        # Interpolate the window edges inside the two adjacent segments.
-        before = billiard_point(K, Fraction(int(m) - 1, ab))
-        after = billiard_point(K, Fraction(int(m) + 1, ab))
-        left = (pt[0] + (before[0] - pt[0]) * BILLIARD_CUT,
-                pt[1] + (before[1] - pt[1]) * BILLIARD_CUT)
-        right = (pt[0] + (after[0] - pt[0]) * BILLIARD_CUT,
-                 pt[1] + (after[1] - pt[1]) * BILLIARD_CUT)
-        pieces[-1].append(left)
-        pieces.append([right])
+        # The window edges are the midpoints of the two adjacent segments,
+        # half a lattice step from the under-passage.
+        before, after = grid[m - 1], grid[m + 1]
+        pieces[-1].append(((pt[0] + before[0]) / 2, (pt[1] + before[1]) / 2))
+        pieces.append([((pt[0] + after[0]) / 2, (pt[1] + after[1]) / 2)])
 
     pad = 1 + 2 * MARGIN
     scale = WIDTH / (2 * b * pad)
@@ -191,8 +167,8 @@ def render_billiard(K: HarmonicTriple,
     offx = WIDTH / 2
     offy = height / 2
 
-    def to_px(p: tuple[Fraction, Fraction]) -> tuple[float, float]:
-        return offx + scale * float(p[0]), offy - scale * float(p[1])
+    def to_px(p: tuple[float, float]) -> tuple[float, float]:
+        return offx + scale * p[0], offy - scale * p[1]
 
     body = [
         f'<rect x="{_fmt(offx - scale * b)}" y="{_fmt(offy - scale * a)}" '
@@ -201,13 +177,13 @@ def render_billiard(K: HarmonicTriple,
     ]
     body += [_polyline([to_px(p) for p in piece])
              for piece in pieces if len(piece) > 1]
-    for (pt, sign) in marks:
-        px, py = to_px(pt)
+    for c in crossings:
+        px, py = to_px(billiard_point(K, c.t_num))
         body.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
                     f'r="{_fmt(STROKE)}" fill="#c22"/>')
         if opt.annotate_signs:
             body.append(
                 f'<text x="{_fmt(px + 4)}" y="{_fmt(py - 4)}" '
                 f'font-size="{_fmt(scale * 0.6)}">'
-                f'{"+" if sign > 0 else chr(0x2212)}</text>')
+                f'{"+" if c.sign > 0 else chr(0x2212)}</text>')
     return _svg_document(WIDTH, height, body)

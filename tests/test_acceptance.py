@@ -24,7 +24,7 @@ from harmonicknots.classify import (analyze, canonical_h4,
                                     non_harmonic_family_check)
 from harmonicknots.cli import main
 from harmonicknots.diagram import build_gauss_code, conway_form_h4
-from harmonicknots.exact import RationalAngle, sign_cos
+from harmonicknots.exact import sign_cos
 from harmonicknots.invariants import (alexander, alexander_of_fraction,
                                       determinant, factor_square)
 
@@ -272,7 +272,7 @@ def test_criterion_09_property_suites():
             K = HarmonicTriple(2 * n - 1, 2 * n, 2 * n + 1)
             from harmonicknots.chebgeom import _zdiff_sign, crossing_sign
             for h, k in crossing_parameters(K):
-                y_sign = sign_cos(RationalAngle(k * K.b + h * K.a, K.a))
+                y_sign = sign_cos(k * K.b + h * K.a, K.a)
                 assert crossing_sign(K, h, k) == y_sign
                 assert _zdiff_sign(K, h, k) == -y_sign
 

@@ -8,7 +8,7 @@ from harmonicknots.chebgeom import (
     DegenerateSignError, HarmonicTriple, InvalidTripleError, _sine_signs,
     _zdiff_sign, crossing_parameters, crossing_sign, enumerate_crossings,
     oriented_sign, over_strand)
-from harmonicknots.exact import RationalAngle, sign_cos
+from harmonicknots.exact import fold, sign_cos
 
 
 def admissible_triples(max_ab=30, c_max=40):
@@ -49,8 +49,7 @@ class TestEnumeration:
     def test_sorted_by_decreasing_x(self):
         K = HarmonicTriple(4, 7, 9)
         crossings = enumerate_crossings(K)
-        folds = [RationalAngle(c.t_angle.p * 4, c.t_angle.q).folded()
-                 for c in crossings]
+        folds = [fold(c.t_num, 7) for c in crossings]
         assert folds == sorted(folds)  # larger fold = smaller x
         ranks = [c.x_order for c in crossings]
         assert ranks == sorted(ranks)
@@ -58,17 +57,17 @@ class TestEnumeration:
     def test_angles(self):
         K = HarmonicTriple(3, 4, 5)
         for c in enumerate_crossings(K):
-            assert c.t_angle.fraction() == (
-                RationalAngle(c.k * 4 + c.h * 3, 12).fraction())
-            assert 0 < c.t_angle.fraction() < 1
+            assert c.t_num == c.k * 4 + c.h * 3
+            assert c.s_num == abs(c.k * 4 - c.h * 3)
+            assert 0 < c.t_num < 12
 
     def test_parameter_set_symmetric_about_half(self):
         for a, b, c in [(3, 7, 8), (4, 9, 11), (5, 8, 9), (6, 7, 11)]:
             K = HarmonicTriple(a, b, c)
             folds = []
             for cr in enumerate_crossings(K):
-                folds += [cr.t_angle.folded(), cr.s_angle.folded()]
-            assert sorted(folds) == sorted(1 - f for f in folds)
+                folds += [cr.t_num, cr.s_num]
+            assert sorted(folds) == sorted(a * b - f for f in folds)
 
 
 class TestSigns:
@@ -94,7 +93,7 @@ class TestSigns:
             K = HarmonicTriple(2 * n - 1, 2 * n, 2 * n + 1)
             for h, k in crossing_parameters(K):
                 t_num = k * K.b + h * K.a
-                y_sign = sign_cos(RationalAngle(t_num, K.a))
+                y_sign = sign_cos(t_num, K.a)
                 assert crossing_sign(K, h, k) == y_sign
 
     def test_b_equals_a_plus_one_shortcut(self):
@@ -115,7 +114,7 @@ class TestSigns:
             K = HarmonicTriple(2 * n - 1, 2 * n, 2 * n + 1)
             for h, k in crossing_parameters(K):
                 t_num = k * K.b + h * K.a
-                y_sign = sign_cos(RationalAngle(t_num, K.a))
+                y_sign = sign_cos(t_num, K.a)
                 assert _zdiff_sign(K, h, k) == -y_sign
 
     def test_degenerate_sign_detected(self):

@@ -2,6 +2,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from harmonicknots import classify
 from harmonicknots.cfrac import SchubertFraction, two_bridge_equivalent
@@ -11,7 +12,7 @@ from harmonicknots.classify import (
     non_harmonic_family_check, predict_family, reduce_c, reduced_triple,
     twist_knot_check)
 from harmonicknots.diagram import build_gauss_code
-from harmonicknots.invariants import alexander
+from harmonicknots.invariants import alexander, determinant
 
 from conftest import REFERENCE_TABLE
 
@@ -59,6 +60,21 @@ class TestReduceC:
             assert alexander(build_gauss_code(enumerate_crossings(K))) == \
                 alexander(build_gauss_code(
                     enumerate_crossings(reduced))), (a, b, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda b: st.tuples(
+        st.integers(1, b - 1), st.just(b), st.integers(1, 150))))
+    def test_preserves_alexander_and_determinant_property(self, triple):
+        a, b, c = triple
+        assume(gcd(a, b) == 1 and gcd(c, a * b) == 1)
+        K = HarmonicTriple(a, b, c)
+        steps = reduce_c(K)
+        assume(steps)
+        reduced, _ = reduced_triple(K, steps)
+        code = build_gauss_code(enumerate_crossings(K))
+        code_reduced = build_gauss_code(enumerate_crossings(reduced))
+        assert alexander(code) == alexander(code_reduced)
+        assert determinant(code) == determinant(code_reduced)
 
 
 def smallest_reduction_by_search(a, b, c):

@@ -1,8 +1,12 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from harmonicknots import chebgeom, classify, cli, render
 from harmonicknots.cli import main
@@ -164,3 +168,28 @@ class TestCfCommand:
     def test_invalid_inputs(self, capsys):
         assert run(capsys, "cf", "6", "2")[0] == 2
         assert run(capsys, "cf", "9", "3")[0] == 2
+
+
+def integer_args(n, lo, hi):
+    return st.lists(st.integers(lo, hi).map(str), min_size=n, max_size=n)
+
+
+FUZZED_ARGV = st.one_of(
+    st.tuples(st.just(["analyze"]), integer_args(2, -2, 10),
+              integer_args(1, -2, 60), st.sampled_from([[], ["--json"]])),
+    st.tuples(st.just(["table", "--max-ab"]), integer_args(1, -2, 12)),
+    st.tuples(st.just(["cf"]), integer_args(2, -40, 40)),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+class TestFuzzedArgv:
+    @settings(max_examples=300, deadline=None)
+    @given(FUZZED_ARGV)
+    def test_exit_code_is_0_2_or_3(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        assert code in (0, 2, 3), (argv, err.getvalue())

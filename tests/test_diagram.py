@@ -1,3 +1,4 @@
+import math
 import random
 from math import gcd
 
@@ -28,7 +29,19 @@ class TestGaussCode:
         gc = build_gauss_code(enumerate_crossings(HarmonicTriple(3, 4, 5)))
         assert len(gc.entries) == 6
         gc.validate()
-        assert gc.closure == "infinity"
+
+    def test_traversal_by_increasing_t(self):
+        # Each passage's parameter t = cos(num pi / ab), in double
+        # precision, rises strictly along the code.
+        for a, b, c in [(3, 4, 5), (4, 7, 9), (5, 7, 11), (6, 7, 11)]:
+            crossings = enumerate_crossings(HarmonicTriple(a, b, c))
+            ts = []
+            for e in build_gauss_code(crossings).entries:
+                cr = crossings[e.crossing_id - 1]
+                on_t = (e.passage == "O") == cr.over_at_t
+                num = cr.t_num if on_t else cr.s_num
+                ts.append(math.cos(math.pi * num / (a * b)))
+            assert all(s < t for s, t in zip(ts, ts[1:])), (a, b, c)
 
     def test_each_crossing_once_over_once_under(self):
         for t in [(3, 5, 7), (4, 7, 9), (5, 6, 7)]:

@@ -1,45 +1,24 @@
+import ast
+import importlib
 import math
 import random
-from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from harmonicknots.exact import RationalAngle, compare_cos, sign_cos, sign_sin
+from harmonicknots.exact import fold, sign_cos, sign_sin
 
 
 def test_sign_sin_examples():
-    assert sign_sin(RationalAngle(3, 10)) == 1
-    assert sign_sin(RationalAngle(-4, 5)) == -1
-    assert sign_sin(RationalAngle(2, 1)) == 0
+    assert sign_sin(3, 10) == 1
+    assert sign_sin(-4, 5) == -1
+    assert sign_sin(2, 1) == 0
 
 
 def test_sign_cos_examples():
-    assert sign_cos(RationalAngle(1, 2)) == 0
-    assert sign_cos(RationalAngle(1, 3)) == 1
-    assert sign_cos(RationalAngle(4, 5)) == -1
-
-
-def test_compare_cos_examples():
-    assert compare_cos(RationalAngle(1, 4), RationalAngle(1, 3)) == 1
-    assert compare_cos(RationalAngle(1, 5), RationalAngle(9, 5)) == 0
-    assert compare_cos(RationalAngle(2, 3), RationalAngle(1, 2)) == -1
-
-
-def test_angles_stay_unreduced():
-    x = RationalAngle(2, 4)
-    assert (x.p, x.q) == (2, 4)
-    assert x.fraction() == Fraction(1, 2)
-
-
-def test_invalid_denominator():
-    with pytest.raises(ValueError):
-        RationalAngle(1, 0)
-
-
-def test_of_coercions():
-    assert RationalAngle.of(Fraction(3, 7)) == RationalAngle(3, 7)
-    assert RationalAngle.of(2) == RationalAngle(2, 1)
-    assert RationalAngle.of((5, 9)) == RationalAngle(5, 9)
+    assert sign_cos(1, 2) == 0
+    assert sign_cos(1, 3) == 1
+    assert sign_cos(4, 5) == -1
 
 
 def test_sign_sin_symmetry_and_period():
@@ -49,9 +28,8 @@ def test_sign_sin_symmetry_and_period():
         p = rng.randint(-400, 400)
         if p % q == 0:
             continue
-        a = RationalAngle(p, q)
-        assert sign_sin(a) == -sign_sin(RationalAngle(-p, q))
-        assert sign_sin(a) == sign_sin(RationalAngle(p + 2 * q, q))
+        assert sign_sin(p, q) == -sign_sin(-p, q)
+        assert sign_sin(p, q) == sign_sin(p + 2 * q, q)
 
 
 def test_sign_sin_matches_float():
@@ -62,7 +40,7 @@ def test_sign_sin_matches_float():
         value = math.sin(math.pi * p / q)
         if abs(value) < 1e-9:
             continue
-        assert sign_sin(RationalAngle(p, q)) == (1 if value > 0 else -1)
+        assert sign_sin(p, q) == (1 if value > 0 else -1)
 
 
 def test_folded_range_and_cos_value():
@@ -70,35 +48,72 @@ def test_folded_range_and_cos_value():
     for _ in range(1000):
         q = rng.randint(1, 500)
         p = rng.randint(-2000, 2000)
-        f = RationalAngle(p, q).folded()
-        assert 0 <= f <= 1
-        assert math.cos(math.pi * float(f)) == pytest.approx(
+        f = fold(p, q)
+        assert 0 <= f <= q
+        assert math.cos(math.pi * f / q) == pytest.approx(
             math.cos(math.pi * p / q), abs=1e-9)
 
 
 def test_compare_cos_against_double_precision():
+    # Over a common denominator, a larger folded numerator is a smaller
+    # cosine.
     rng = random.Random(42)
     checked = 0
     for _ in range(10_000):
         q1, q2 = rng.randint(1, 10**6), rng.randint(1, 10**6)
         p1, p2 = rng.randint(-3 * 10**6, 3 * 10**6), rng.randint(-3 * 10**6, 3 * 10**6)
-        a, b = RationalAngle(p1, q1), RationalAngle(p2, q2)
         ca, cb = math.cos(math.pi * p1 / q1), math.cos(math.pi * p2 / q2)
         if abs(ca - cb) <= 1e-9:
             continue
         checked += 1
-        assert compare_cos(a, b) == (1 if ca > cb else -1)
+        fa, fb = fold(p1 * q2, q1 * q2), fold(p2 * q1, q1 * q2)
+        assert fa != fb
+        assert (fa < fb) == (ca > cb)
     assert checked > 9000
 
 
-def test_compare_cos_total_order():
-    rng = random.Random(3)
-    angles = [RationalAngle(rng.randint(-50, 50), rng.randint(1, 30))
-              for _ in range(60)]
-    for a in angles:
-        assert compare_cos(a, a) == 0
-        for b in angles:
-            assert compare_cos(a, b) == -compare_cos(b, a)
-            for c in angles:
-                if compare_cos(a, b) >= 0 and compare_cos(b, c) >= 0:
-                    assert compare_cos(a, c) >= 0
+# The modules that decide signs, orderings and invariants.  ``render`` and
+# ``cli`` only write output, so they may use floating point.
+DECISION_MODULES = ("exact", "chebgeom", "diagram", "invariants", "classify",
+                    "cfrac", "knotnames")
+
+
+def float_uses(source):
+    """(line, what) for each float() call, float literal, and math import
+    other than gcd and isqrt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "float":
+            found.append((node.lineno, "float() call"))
+        elif isinstance(node, ast.Constant) and type(node.value) in (float,
+                                                                    complex):
+            found.append((node.lineno, f"literal {node.value!r}"))
+        elif isinstance(node, ast.Import) and any(
+                alias.name == "math" for alias in node.names):
+            found.append((node.lineno, "import math"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            names = sorted({alias.name for alias in node.names}
+                           - {"gcd", "isqrt"})
+            if names:
+                found.append((node.lineno, f"from math import {names}"))
+    return found
+
+
+@pytest.mark.parametrize("module", DECISION_MODULES)
+def test_no_floating_point_in_decisions(module):
+    path = importlib.import_module(f"harmonicknots.{module}").__file__
+    source = Path(path).read_text()
+    assert float_uses(source) == []
+
+
+def test_float_guard_catches_each_construct():
+    assert sorted(float_uses(
+        "import math\n"
+        "from math import gcd, cos\n"
+        "x = float(3) + 0.5 + 1e3\n"
+        "y = 2j\n")) == [
+        (1, "import math"), (2, "from math import ['cos']"),
+        (3, "float() call"), (3, "literal 0.5"), (3, "literal 1000.0"),
+        (4, "literal 2j")]
+    assert float_uses("from math import gcd, isqrt\nx = 3 // 2\n") == []

@@ -26,12 +26,15 @@ class TestLaurentPoly:
         assert p - q == poly(1, -2, 1)
         assert p(2) == 3
         assert poly(1, -3, 1)(-1) == 5
+        assert LaurentPoly.from_coeffs([1, 2], offset=2)(-2) == -12
+        with pytest.raises(ValueError):
+            LaurentPoly.from_coeffs([1], offset=-1)(2)
 
     def test_shifted_and_normalized(self):
         p = LaurentPoly.from_coeffs([1, -1, 1], offset=-3)
-        assert p.min_exp == -3
+        assert p.offset == -3
         n = p.normalized()
-        assert n.min_exp == 0 and n.coefficient_list() == [1, -1, 1]
+        assert n.offset == 0 and n.coefficient_list() == [1, -1, 1]
         assert LaurentPoly.from_coeffs([-1, 3, -1]).normalized() \
             .coefficient_list() == [1, -3, 1]
 
@@ -46,8 +49,7 @@ class TestLaurentPoly:
 
 
 def kink_code(sign=1):
-    return GaussCode((GaussEntry(1, "O", sign), GaussEntry(1, "U", sign)),
-                     closure="plat")
+    return GaussCode((GaussEntry(1, "O", sign), GaussEntry(1, "U", sign)))
 
 
 class TestWirtinger:
@@ -93,7 +95,7 @@ class TestAlexander:
                   (5, 7, 11), (6, 7, 11)]:
             d = alexander(build_gauss_code(
                 enumerate_crossings(HarmonicTriple(*t))))
-            assert d.min_exp == 0
+            assert d.offset == 0
             coeffs = d.coefficient_list()
             assert coeffs[-1] > 0
             assert abs(sum(coeffs)) == 1

@@ -139,8 +139,8 @@ class TestBilliard:
         K = HarmonicTriple(4, 5, 7)
         from harmonicknots.chebgeom import enumerate_crossings
         for c in enumerate_crossings(K):
-            x, y = billiard_point(K, c.t_angle.folded())
-            xs, ys = billiard_point(K, c.s_angle.folded())
+            x, y = billiard_point(K, c.t_num)
+            xs, ys = billiard_point(K, c.s_num)
             assert (x, y) == (xs, ys)  # both passages map to one point
             assert abs(x) < K.b and abs(y) < K.a
 
