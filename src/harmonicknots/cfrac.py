@@ -5,14 +5,14 @@ a1 + 1/(a2 + 1/(... + 1/an)); evaluation is done projectively with 2x2
 integer matrices so that intermediate zero tails never divide by zero.
 Two-bridge knots are classified by their fraction alpha/beta up to
 beta' = beta^{+-1} (mod alpha), with the mirror image negating beta.
+Every routine works on the integer pair (alpha, beta); nothing divides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InternalError
 
@@ -45,7 +45,7 @@ class NotInvertibleError(CFError):
 
 
 class NonPositiveError(CFError):
-    """A positive rational was required."""
+    """A positive finite fraction was required."""
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +78,6 @@ class SchubertFraction:
             b = 1
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
-
-    @property
-    def value(self) -> Fraction:
-        if self.beta == 0:
-            raise DivisionByZeroError("fraction is infinite")
-        return Fraction(self.alpha, self.beta)
-
-    def mirror(self) -> "SchubertFraction":
-        return SchubertFraction(self.alpha, -self.beta)
 
     def equivalence_class(self) -> tuple[int, ...]:
         """Residues {beta, beta^-1, -beta, -beta^-1} mod alpha, sorted.
@@ -153,14 +144,6 @@ class MobiusMatrix:
     c: int
     d: int
 
-    def __matmul__(self, other: "MobiusMatrix") -> "MobiusMatrix":
-        return MobiusMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     @property
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -170,27 +153,12 @@ class MobiusMatrix:
         return SchubertFraction(self.a, self.c)
 
 
-MOBIUS_IDENTITY = MobiusMatrix(1, 0, 0, 1)
-MOBIUS_A = MobiusMatrix(1, 1, 1, 0)   # x -> [1, x]
-MOBIUS_B = MobiusMatrix(2, 1, 1, 0)   # x -> [2, x]
-MOBIUS_S = MobiusMatrix(1, 0, 0, -1)  # x -> -x
-_GENERATORS = {"A": MOBIUS_A, "B": MOBIUS_B, "S": MOBIUS_S}
-
-
-def mobius_compose(word: Iterable) -> MobiusMatrix:
-    """Product, in order, of generator letters 'A', 'B', 'S' (or matrices)."""
-    m = MOBIUS_IDENTITY
-    for x in word:
-        m = m @ (x if isinstance(x, MobiusMatrix) else _GENERATORS[x])
-    return m
-
-
 def cf_matrix(cf: SignedCF) -> MobiusMatrix:
     """Matrix of x -> [a1, ..., an, x], the product of [[ai,1],[1,0]]."""
-    m = MOBIUS_IDENTITY
+    p, q, r, s = 1, 0, 0, 1
     for a in cf:
-        m = m @ MobiusMatrix(a, 1, 1, 0)
-    return m
+        p, q, r, s = p * a + q, p, r * a + s, r
+    return MobiusMatrix(p, q, r, s)
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +213,16 @@ def normalize(cf: SignedCF) -> list[int]:
         raise CFError(f"cannot splice leading zero out of {list(cf)}")
 
 
-def positive_cf(r) -> list[int]:
-    """All-positive Euclidean expansion of a rational r > 0.
+def positive_cf(f: SchubertFraction) -> list[int]:
+    """All-positive Euclidean expansion of a finite fraction f > 0.
 
     Serves as the independent crossing-number oracle: the sum of the terms
-    is the crossing number of the two-bridge knot of r.  For 0 < r < 1 the
+    is the crossing number of the two-bridge knot of f.  For 0 < f < 1 the
     expansion starts with a 0 term (which does not affect the sum).
     """
-    f = r.value if isinstance(r, SchubertFraction) else Fraction(r)
-    if f <= 0:
-        raise NonPositiveError(f"{f} <= 0 has no positive expansion")
-    num, den = f.numerator, f.denominator
+    num, den = f.alpha, f.beta
+    if num == 0 or den <= 0:
+        raise NonPositiveError(f"{num}/{den} has no positive expansion")
     terms = []
     while den:
         q, rem = divmod(num, den)
@@ -341,41 +308,73 @@ def has_three_consecutive_changes(cf: SignedCF) -> bool:
                for j in range(len(flags) - 2))
 
 
-def expand_1212(r) -> list[int]:
-    """The unique expansion r = [1, +-2, +-1, +-2, ...] without three
-    consecutive sign changes, for r > 0 with odd numerator and even
-    denominator.
+def expand_1212(f: SchubertFraction) -> list[int]:
+    """The unique expansion f = [1, +-2, +-1, +-2, ...] without three
+    consecutive sign changes, for a finite f > 0 with odd alpha and even
+    beta.
 
-    Peels two terms at a time: the leading 1 is forced by positivity, the
-    following +-2 by whether the value exceeds 1, and the exact tail is
-    recovered by Mobius inversion; a negative tail flips the sign of
-    everything emitted afterwards.
+    Peels two terms at a time from the reduced pair v = n/d: the leading 1
+    is forced by positivity, the following 2e by whether v exceeds 1
+    (e = +-1), and the tail 1/(d/(n - d) - 2e) by the unimodular map
+    (n, d) -> (n - d, d - 2e(n - d)), so the pair stays reduced.  A
+    negative tail flips the sign of everything emitted afterwards.
     """
-    f = r.value if isinstance(r, SchubertFraction) else Fraction(r)
-    if f <= 0:
-        raise NonPositiveError(f"cannot expand {f} <= 0")
-    if f.numerator % 2 == 0 or f.denominator % 2 == 1:
+    n, d = f.alpha, f.beta
+    if n == 0 or d <= 0:
+        raise NonPositiveError(f"cannot expand {n}/{d}, not a positive value")
+    if n % 2 == 0 or d % 2 == 1:
         raise ParityError(
-            f"{f} needs an odd numerator and even denominator")
+            f"{n}/{d} needs an odd numerator and even denominator")
     terms: list[int] = []
     flip = 1
-    v = f
     # Expansion length can be linear in the fraction (blocks acting as
     # x -> x + 2 grow the value arithmetically); the cap only guards
     # against a non-terminating bug.
-    cap = 4 * (f.numerator + f.denominator) + 64
+    cap = 4 * (n + d) + 64
     for _ in range(cap):
-        e2 = 1 if v > 1 else -1
-        terms += [flip, 2 * e2 * flip]
-        u = 1 / (v - 1)
-        if u == 2 * e2:
+        e = 1 if n > d else -1
+        terms += [flip, 2 * e * flip]
+        if d == 2 * e * (n - d):
             break
-        v = 1 / (u - 2 * e2)
-        if v < 0:
-            v = -v
-            flip = -flip
+        n, d = n - d, d - 2 * e * (n - d)
+        if d < 0:
+            n, d = -n, -d
+        if n < 0:
+            n, flip = -n, -flip
     else:
-        raise InternalError(f"expansion of {f} did not terminate")
-    if evaluate(terms).value != f or has_three_consecutive_changes(terms):
-        raise InternalError(f"expansion of {f} failed validation")
+        raise InternalError(
+            f"expansion of {f.alpha}/{f.beta} did not terminate")
+    if evaluate(terms) != f or has_three_consecutive_changes(terms):
+        raise InternalError(
+            f"expansion of {f.alpha}/{f.beta} failed validation")
     return terms
+
+
+@dataclass(frozen=True)
+class FractionCandidate:
+    """Whether alpha/beta (odd alpha, even beta) can be the fraction of an
+    a = 4 harmonic curve: it must satisfy beta^2 = +-2 (mod alpha) and its
+    [1, +-2, ...] expansion must have no two consecutive sign changes."""
+
+    beta: int
+    beta_sq_mod: int
+    passes_beta_sq: bool
+    expansion: tuple[int, ...]
+    profile: SignChangeProfile
+    obstructed: bool
+
+    @property
+    def eligible(self) -> bool:
+        return self.passes_beta_sq and not self.obstructed
+
+
+def fraction_candidate(alpha: int, beta: int) -> FractionCandidate:
+    """The a = 4 eligibility report of alpha/beta, for odd alpha > 1 and
+    beta even and prime to alpha."""
+    sq = beta * beta % alpha
+    # The expansion of the mirror has the same change positions, so the
+    # obstruction may be read off alpha/|beta|.
+    expansion = tuple(expand_1212(SchubertFraction(alpha, abs(beta) % alpha)))
+    profile = sign_change_profile(expansion)
+    return FractionCandidate(beta, sq, sq in (2 % alpha, -2 % alpha),
+                             expansion, profile, profile.max_run >= 2)

@@ -87,35 +87,23 @@ def _sine_signs(K: HarmonicTriple, h: int, k: int) -> tuple[int, int, int, int]:
     return signs
 
 
-def _zdiff_sign(K: HarmonicTriple, h: int, k: int) -> int:
-    """Sign of z(t) - z(s) = -sin(ch/b pi) sin(ck/a pi) up to positives."""
-    s_chb, s_cka, _, _ = _sine_signs(K, h, k)
-    return -s_chb * s_cka
+def crossing_signs(K: HarmonicTriple, h: int,
+                   k: int) -> tuple[int, int, bool]:
+    """(twist sign, oriented sign, over_at_t) of the crossing (h, k).
 
-
-def crossing_sign(K: HarmonicTriple, h: int, k: int) -> int:
-    """Twist sign: +1 iff D = (z(t)-z(s)) x'(t) y'(t) > 0.
-
-    x'(t) y'(t) carries the sign (-1)^(h+k) sin(ah/b pi) sin(bk/a pi).
+    z(t) - z(s) has the sign of -sin(ch/b pi) sin(ck/a pi), and the strand
+    at t passes over iff it is positive.  The twist sign is +1 iff
+    D = (z(t)-z(s)) x'(t) y'(t) > 0, where x'(t) y'(t) carries the sign
+    (-1)^(h+k) sin(ah/b pi) sin(bk/a pi).  The oriented sign (writhe
+    contribution) is the twist sign times the sign of sin((k/a - h/b)pi),
+    which is the sign of kb - ha; the extra factor converts the
+    same-parameter derivative product in D into the cross product of the
+    two tangents.
     """
     s_chb, s_cka, s_ahb, s_bka = _sine_signs(K, h, k)
-    parity = -1 if (h + k) % 2 else 1
-    return (-s_chb * s_cka) * parity * s_ahb * s_bka
-
-
-def oriented_sign(K: HarmonicTriple, h: int, k: int) -> int:
-    """Crossing sign of the oriented diagram (writhe contribution).
-
-    Equals the twist sign times the sign of sin((k/a - h/b)pi), which is
-    the sign of kb - ha; the extra factor converts the same-parameter
-    derivative product in D into the cross product of the two tangents.
-    """
-    return crossing_sign(K, h, k) * (1 if k * K.b > h * K.a else -1)
-
-
-def over_strand(K: HarmonicTriple, h: int, k: int) -> bool:
-    """True iff the strand at parameter t passes over (z(t) > z(s))."""
-    return _zdiff_sign(K, h, k) > 0
+    zdiff = -s_chb * s_cka
+    sign = zdiff * (-1 if (h + k) % 2 else 1) * s_ahb * s_bka
+    return sign, sign * (1 if k * K.b > h * K.a else -1), zdiff > 0
 
 
 def crossing_parameters(K: HarmonicTriple) -> list[tuple[int, int]]:
@@ -145,11 +133,10 @@ def enumerate_crossings(K: HarmonicTriple) -> list[Crossing]:
         if x_fold != last_fold:
             rank += 1
             last_fold = x_fold
+        sign, oriented, over = crossing_signs(K, h, k)
         crossings.append(Crossing(
-            h=h, k=k, t_num=t_num, s_num=abs(k * b - h * a),
-            sign=crossing_sign(K, h, k),
-            oriented_sign=oriented_sign(K, h, k),
-            over_at_t=over_strand(K, h, k),
+            h=h, k=k, t_num=t_num, s_num=abs(k * b - h * a), sign=sign,
+            oriented_sign=oriented, over_at_t=over,
             x_order=rank, y_level=y_level))
     expected = K.crossing_count
     if len(crossings) != expected:

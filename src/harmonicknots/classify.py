@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .cfrac import (SchubertFraction, SignChangeProfile, evaluate,
-                    evaluate_projective, expand_1212, positive_cf,
-                    sign_change_profile, two_bridge_equivalent)
+from .cfrac import (FractionCandidate, SchubertFraction, evaluate,
+                    evaluate_projective, expand_1212, fraction_candidate,
+                    positive_cf, sign_change_profile, two_bridge_equivalent)
 from .chebgeom import Crossing, HarmonicTriple, enumerate_crossings
 from .diagram import (GaussCode, build_gauss_code, conway_form_h4,
                       read_conway_from_diagram)
@@ -129,15 +129,20 @@ def canonical_h4(b: int, c: int) -> CanonicalH4:
         raise InvalidInputError("degrees must differ")
     mirrored = False
     guard = 0
+    pair = (b, c)
     while True:
         guard += 1
         if guard > 10_000:
-            raise InternalError(f"canonicalization of ({b}, {c}) diverged")
+            raise InternalError(f"canonicalization of {pair} diverged")
         if c < b:
             b, c = c, b
             mirrored = not mirrored
         if b == 1:
             return CanonicalH4(1, c, mirrored, SchubertFraction(1, 0), 0)
+        if c > 11 * b:
+            # Above 11b, two consecutive moves take c to c - 8b and
+            # cancel their mirrors, so skip whole pairs at once.
+            c -= (c - 3 * b) // (8 * b) * 8 * b
         if (c - b) % 4 == 0:
             c, mirrored = abs(c - 2 * b), not mirrored
         elif c > 3 * b:
@@ -194,16 +199,6 @@ def predict_family(K: HarmonicTriple) -> ExpectedIdentity | None:
 
 
 @dataclass(frozen=True)
-class FractionCandidate:
-    beta: int
-    beta_sq_mod: int
-    passes_beta_sq: bool
-    expansion: tuple[int, ...] | None
-    profile: SignChangeProfile | None
-    obstructed: bool
-
-
-@dataclass(frozen=True)
 class TwistKnotReport:
     """Eligibility of the twist knot C(n, 2) for the a = 4 harmonic family."""
 
@@ -211,20 +206,6 @@ class TwistKnotReport:
     alpha: int
     candidates: tuple[FractionCandidate, ...]
     harmonic_h4_eligible: bool
-
-
-def _candidate_report(alpha: int, beta: int) -> FractionCandidate:
-    sq = (beta * beta) % alpha
-    passes = sq in (2 % alpha, (-2) % alpha)
-    expansion = profile = None
-    obstructed = False
-    if passes:
-        # The expansion of the mirror has the same change positions, so
-        # the obstruction may be read off alpha/|beta|.
-        expansion = tuple(expand_1212(SchubertFraction(alpha, abs(beta) % alpha)))
-        profile = sign_change_profile(expansion)
-        obstructed = profile.max_run >= 2
-    return FractionCandidate(beta, sq, passes, expansion, profile, obstructed)
 
 
 def twist_knot_check(n: int) -> TwistKnotReport:
@@ -246,8 +227,8 @@ def twist_knot_check(n: int) -> TwistKnotReport:
         if key in seen:
             continue
         seen.add(key)
-        candidates.append(_candidate_report(alpha, beta))
-    eligible = any(c.passes_beta_sq and not c.obstructed for c in candidates)
+        candidates.append(fraction_candidate(alpha, beta))
+    eligible = any(c.eligible for c in candidates)
     return TwistKnotReport(n, alpha, tuple(candidates), eligible)
 
 

@@ -14,8 +14,8 @@ import argparse
 import json
 import sys
 
-from .cfrac import (SchubertFraction, crossing_number_bireg, expand_1212,
-                    positive_cf, sign_change_profile, CFError, ParityError)
+from .cfrac import (SchubertFraction, crossing_number_bireg,
+                    fraction_candidate, positive_cf, CFError)
 from .chebgeom import (HarmonicTriple, InvalidTripleError,
                        enumerate_crossings)
 from .classify import AnalysisReport, analyze, enumerate_table_triples
@@ -156,18 +156,13 @@ def cmd_cf(args) -> int:
     for rep in sorted(set(fr.equivalence_class())):
         if rep % 2 == 1:
             continue
-        sq = (rep * rep) % alpha
+        cand = fraction_candidate(alpha, rep)
+        sq = cand.beta_sq_mod
         status = ("+2" if sq == 2 % alpha else
                   "-2" if sq == (-2) % alpha else f"{sq}, not +-2")
-        line = f"representative {alpha}/{rep}: beta^2 = {status} (mod {alpha})"
-        try:
-            exp = expand_1212(SchubertFraction(alpha, rep))
-        except ParityError:
-            print(line)
-            continue
-        profile = sign_change_profile(exp)
-        line += f"; expansion {exp}"
-        if profile.max_run >= 2:
+        line = (f"representative {alpha}/{rep}: beta^2 = {status}"
+                f" (mod {alpha}); expansion {list(cand.expansion)}")
+        if cand.obstructed:
             line += "  [two consecutive sign changes]"
         print(line)
     return 0

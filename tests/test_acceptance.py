@@ -190,7 +190,7 @@ def test_criterion_07_isotopic_pairs_as_stated():
         d_91113, d_71115 = deltas[9, 11, 13], deltas[7, 11, 15]
         assert d_91113 != d_71115, refuted
         assert d_71115 == alexander_of_fraction(
-            positive_cf(Fraction(89, 34))), refuted
+            positive_cf(SchubertFraction(89, 34))), refuted
 
 
 def test_criterion_07_isotopic_pairs_verified():
@@ -206,12 +206,12 @@ def test_criterion_07_isotopic_pairs_verified():
         # The larger pair of the same pattern, and its two-bridge identity.
         assert delta((11, 13, 15)) == delta((7, 13, 19))
         assert delta((7, 11, 15)) == alexander_of_fraction(
-            positive_cf(Fraction(89, 34)))
+            positive_cf(SchubertFraction(89, 34)))
 
 
 def test_criterion_08_exclusion_families():
     with _Criterion(8, "twist-knot expansion and denominator family"):
-        exp = expand_1212(Fraction(9, 4))
+        exp = expand_1212(SchubertFraction(9, 4))
         assert exp == [1, 2, -1, 2, 1, -2, 1, 2]
         code = main(["cf", "9", "4"])
         assert code == 0
@@ -235,12 +235,12 @@ def test_criterion_09_property_suites():
             if gcd(alpha, beta) != 1:
                 continue
             done += 1
-            r = Fraction(alpha, beta)
+            r = SchubertFraction(alpha, beta)
             terms = expand_1212(r)
-            assert evaluate(terms).value == r
+            assert evaluate(terms) == r
             assert not has_three_consecutive_changes(terms)
             # Value criterion: above 1 exactly when the second term is +2.
-            assert (r > 1) == (terms[1] == 2)
+            assert (alpha > beta) == (terms[1] == 2)
 
         # Identity prefixes do not change values.
         for prefix in ([1, -2, 1, -2], [2, -1, 2, -1]):
@@ -265,16 +265,19 @@ def test_criterion_09_property_suites():
                     continue
                 value = evaluate_projective(terms)
                 if value.beta != 0 and value.alpha != 0:
-                    assert cn == sum(positive_cf(abs(value.value)))
+                    assert cn == sum(positive_cf(
+                        SchubertFraction(value.alpha, abs(value.beta))))
 
         # Sign shortcuts for consecutive degrees.
         for n in (2, 3, 4):
             K = HarmonicTriple(2 * n - 1, 2 * n, 2 * n + 1)
-            from harmonicknots.chebgeom import _zdiff_sign, crossing_sign
+            from harmonicknots.chebgeom import crossing_signs
             for h, k in crossing_parameters(K):
                 y_sign = sign_cos(k * K.b + h * K.a, K.a)
-                assert crossing_sign(K, h, k) == y_sign
-                assert _zdiff_sign(K, h, k) == -y_sign
+                sign, _, over_at_t = crossing_signs(K, h, k)
+                assert sign == y_sign
+                # z(t) - z(s) > 0 exactly when the strand at t is over.
+                assert (1 if over_at_t else -1) == -y_sign
 
         assert time.time() - start < 60.0
 

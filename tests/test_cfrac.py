@@ -9,7 +9,7 @@ from harmonicknots.cfrac import (
     DivisionByZeroError, MobiusMatrix, NonPositiveError, NotInvertibleError,
     ParityError, PreconditionError, SchubertFraction, ShapeError,
     crossing_number_bireg, evaluate, evaluate_projective, expand_1212,
-    cf_matrix, has_three_consecutive_changes, mobius_compose, normalize,
+    cf_matrix, fraction_candidate, has_three_consecutive_changes, normalize,
     positive_cf, sign_change_profile, two_bridge_equivalent)
 
 
@@ -36,7 +36,8 @@ class TestEvaluate:
             value = Fraction(terms[-1])
             for t in reversed(terms[:-1]):
                 value = t + 1 / value
-            assert evaluate(terms).value == value
+            assert evaluate(terms) == SchubertFraction(value.numerator,
+                                                       value.denominator)
 
 
 class TestNormalize:
@@ -66,21 +67,21 @@ class TestNormalize:
 
 class TestPositiveCF:
     def test_fixtures(self):
-        assert positive_cf(Fraction(5, 2)) == [2, 2]
-        assert positive_cf(Fraction(3)) == [3]
-        assert positive_cf(Fraction(43, 6)) == [7, 6]
+        assert positive_cf(SchubertFraction(5, 2)) == [2, 2]
+        assert positive_cf(SchubertFraction(3, 1)) == [3]
+        assert positive_cf(SchubertFraction(43, 6)) == [7, 6]
 
     def test_nonpositive_rejected(self):
         with pytest.raises(NonPositiveError):
-            positive_cf(Fraction(0))
+            positive_cf(SchubertFraction(0, 1))
         with pytest.raises(NonPositiveError):
-            positive_cf(Fraction(-3, 2))
+            positive_cf(SchubertFraction(-3, 2))
 
     def test_roundtrip(self):
         rng = random.Random(17)
         for _ in range(200):
-            f = Fraction(rng.randint(1, 400), rng.randint(1, 400))
-            assert evaluate(positive_cf(f)).value == f
+            f = SchubertFraction(rng.randint(1, 400), rng.randint(1, 400))
+            assert evaluate(positive_cf(f)) == f
 
 
 class TestCrossingNumberBireg:
@@ -112,22 +113,24 @@ class TestCrossingNumberBireg:
                 value = evaluate_projective(terms)
                 if value.beta == 0 or value.alpha == 0:
                     continue
-                assert cn == sum(positive_cf(abs(value.value)))
+                assert cn == sum(positive_cf(
+                    SchubertFraction(value.alpha, abs(value.beta))))
 
 
 class TestExpand1212:
     def test_fixtures(self):
-        assert expand_1212(Fraction(3, 2)) == [1, 2]
-        assert expand_1212(Fraction(9, 4)) == [1, 2, -1, 2, 1, -2, 1, 2]
-        assert expand_1212(Fraction(7, 4)) == [1, 2, -1, -2]
+        assert expand_1212(SchubertFraction(3, 2)) == [1, 2]
+        assert expand_1212(SchubertFraction(9, 4)) == [1, 2, -1, 2, 1, -2,
+                                                       1, 2]
+        assert expand_1212(SchubertFraction(7, 4)) == [1, 2, -1, -2]
 
     def test_parity_rejected(self):
         with pytest.raises(ParityError):
-            expand_1212(Fraction(3, 1))
+            expand_1212(SchubertFraction(3, 1))
         with pytest.raises(ParityError):
-            expand_1212(Fraction(4, 3))
+            expand_1212(SchubertFraction(4, 3))
         with pytest.raises(NonPositiveError):
-            expand_1212(Fraction(-3, 2))
+            expand_1212(SchubertFraction(-3, 2))
 
     def test_roundtrip_random(self):
         rng = random.Random(23)
@@ -138,9 +141,9 @@ class TestExpand1212:
             if gcd(alpha, beta) != 1:
                 continue
             done += 1
-            r = Fraction(alpha, beta)
+            r = SchubertFraction(alpha, beta)
             terms = expand_1212(r)
-            assert evaluate(terms).value == r
+            assert evaluate(terms) == r
             assert terms[0] == 1
             profile = sign_change_profile(terms)
             assert profile.max_run <= 2
@@ -156,9 +159,23 @@ class TestExpand1212:
             if gcd(num, den) != 1:
                 continue
             done += 1
-            r = Fraction(num, den)
-            terms = expand_1212(r)
-            assert (r > 1) == (terms[1] == 2)
+            terms = expand_1212(SchubertFraction(num, den))
+            assert (num > den) == (terms[1] == 2)
+
+
+class TestFractionCandidate:
+    def test_fixtures(self):
+        c = fraction_candidate(7, 4)
+        assert (c.beta_sq_mod, c.expansion) == (2, (1, 2, -1, -2))
+        assert c.passes_beta_sq and not c.obstructed and c.eligible
+        c = fraction_candidate(9, 4)
+        assert c.expansion == (1, 2, -1, 2, 1, -2, 1, 2)
+        assert c.passes_beta_sq and c.obstructed and not c.eligible
+
+    def test_failed_square_still_expands(self):
+        c = fraction_candidate(5, 2)
+        assert c.beta_sq_mod == 4 and not c.passes_beta_sq
+        assert c.expansion == (1, 2, -1, 2, 1, -2) and not c.eligible
 
 
 class TestPrefixIdentities:
@@ -267,19 +284,15 @@ class TestTwoBridgeEquivalence:
 
 
 class TestMobius:
-    def test_generators_and_products(self):
-        assert mobius_compose(["A", "B"]) == MobiusMatrix(3, 1, 2, 1)
-        assert mobius_compose(["A", "S", "B"]) == MobiusMatrix(1, 1, 2, 1)
-        assert mobius_compose([]) == MobiusMatrix(1, 0, 0, 1)
-
     def test_determinants_are_units(self):
         rng = random.Random(41)
         for _ in range(100):
-            word = [rng.choice("ABS") for _ in range(rng.randint(0, 12))]
-            assert mobius_compose(word).det in (1, -1)
+            terms = [rng.randint(-3, 3) for _ in range(rng.randint(0, 12))]
+            assert cf_matrix(terms).det in (1, -1)
 
     def test_image_of_infinity(self):
-        m = mobius_compose(["A", "B"])
+        m = cf_matrix([1, 2])
+        assert m == MobiusMatrix(3, 1, 2, 1)
         assert m.image_of_infinity() == SchubertFraction(3, 2)
 
 

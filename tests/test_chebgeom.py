@@ -6,9 +6,17 @@ import pytest
 
 from harmonicknots.chebgeom import (
     DegenerateSignError, HarmonicTriple, InvalidTripleError, _sine_signs,
-    _zdiff_sign, crossing_parameters, crossing_sign, enumerate_crossings,
-    oriented_sign, over_strand)
+    crossing_parameters, crossing_signs, enumerate_crossings)
 from harmonicknots.exact import fold, sign_cos
+
+
+def twist_sign(K, h, k):
+    return crossing_signs(K, h, k)[0]
+
+
+def zdiff_sign(K, h, k):
+    """Sign of z(t) - z(s): +1 exactly when the strand at t is over."""
+    return 1 if crossing_signs(K, h, k)[2] else -1
 
 
 def admissible_triples(max_ab=30, c_max=40):
@@ -73,19 +81,21 @@ class TestEnumeration:
 class TestSigns:
     def test_trefoil_writhe(self):
         K = HarmonicTriple(3, 4, 5)
-        signs = [oriented_sign(K, h, k) for h, k in crossing_parameters(K)]
+        signs = [crossing_signs(K, h, k)[1]
+                 for h, k in crossing_parameters(K)]
         assert len(set(signs)) == 1 and abs(sum(signs)) == 3
 
     def test_figure_eight_writhe_zero(self):
         K = HarmonicTriple(3, 5, 7)
-        signs = [oriented_sign(K, h, k) for h, k in crossing_parameters(K)]
+        signs = [crossing_signs(K, h, k)[1]
+                 for h, k in crossing_parameters(K)]
         assert sorted(signs) == [-1, -1, 1, 1]
 
     def test_twist_sign_mixed_on_trefoil(self):
         # The twist sign D is a different quantity from the oriented sign;
         # on the trefoil diagram it is not constant.
         K = HarmonicTriple(3, 4, 5)
-        signs = {crossing_sign(K, h, k) for h, k in crossing_parameters(K)}
+        signs = {twist_sign(K, h, k) for h, k in crossing_parameters(K)}
         assert signs == {1, -1}
 
     def test_twist_sign_equals_y_sign_for_consecutive_degrees(self):
@@ -94,7 +104,7 @@ class TestSigns:
             for h, k in crossing_parameters(K):
                 t_num = k * K.b + h * K.a
                 y_sign = sign_cos(t_num, K.a)
-                assert crossing_sign(K, h, k) == y_sign
+                assert twist_sign(K, h, k) == y_sign
 
     def test_b_equals_a_plus_one_shortcut(self):
         # With consecutive a, b the twist sign is the sign of
@@ -105,7 +115,7 @@ class TestSigns:
                 continue
             K = HarmonicTriple(a, b, c)
             for h, k in crossing_parameters(K):
-                assert crossing_sign(K, h, k) == -_zdiff_sign(K, h, k)
+                assert twist_sign(K, h, k) == -zdiff_sign(K, h, k)
 
     def test_z_difference_identity_consecutive(self):
         # z = 2 t y - x when the third degree follows the recurrence, so
@@ -115,7 +125,7 @@ class TestSigns:
             for h, k in crossing_parameters(K):
                 t_num = k * K.b + h * K.a
                 y_sign = sign_cos(t_num, K.a)
-                assert _zdiff_sign(K, h, k) == -y_sign
+                assert zdiff_sign(K, h, k) == -y_sign
 
     def test_degenerate_sign_detected(self):
         fake = SimpleNamespace(a=4, b=6, c=2)
@@ -144,5 +154,7 @@ class TestMirrorRule:
             K = HarmonicTriple(a, b, c)
             Kp = HarmonicTriple(a, b, cp)
             for h, k in crossing_parameters(K):
-                assert crossing_sign(Kp, h, k) == -crossing_sign(K, h, k)
-                assert over_strand(Kp, h, k) == (not over_strand(K, h, k))
+                sign, _, over = crossing_signs(K, h, k)
+                sign_p, _, over_p = crossing_signs(Kp, h, k)
+                assert sign_p == -sign
+                assert over_p == (not over)

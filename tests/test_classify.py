@@ -110,6 +110,22 @@ class TestSmallestReduction:
         assert count == 131_562
 
 
+def stepwise_h4_walk(b, c):
+    """The canonical walk of a (4, b, c) curve one move at a time."""
+    mirrored = False
+    while True:
+        if c < b:
+            b, c, mirrored = c, b, not mirrored
+        if b == 1:
+            return b, c, mirrored
+        if (c - b) % 4 == 0:
+            c, mirrored = abs(c - 2 * b), not mirrored
+        elif c > 3 * b:
+            c, mirrored = abs(c - 6 * b), not mirrored
+        else:
+            return b, c, mirrored
+
+
 class TestCanonicalH4:
     def test_fixtures(self):
         c = canonical_h4(5, 7)
@@ -133,6 +149,26 @@ class TestCanonicalH4:
         # (5, 17): 17 = 5 + 12 -> |17-10| = 7 -> canonical (5, 7).
         c = canonical_h4(5, 17)
         assert (c.b_prime, c.c_prime) == (5, 7) and c.mirrored
+
+    def test_matches_stepwise_walk(self):
+        count = 0
+        for b in range(1, 80, 2):
+            for c in range(1, 80 * b, 2):
+                if c == b or gcd(b, c) != 1:
+                    continue
+                canon = canonical_h4(b, c)
+                assert (canon.b_prime, canon.c_prime, canon.mirrored) \
+                    == stepwise_h4_walk(b, c), (b, c)
+                count += 1
+        assert count == 52_119
+
+    def test_far_above_the_window(self):
+        # A walk of one 6b move at a time would take tens of thousands
+        # of steps here.
+        c = canonical_h4(5, 300001)
+        assert (c.b_prime, c.c_prime, c.mirrored) == (1, 5, True)
+        c = canonical_h4(7, 10**6 + 1)
+        assert (c.b_prime, c.c_prime, c.mirrored) == (7, 9, False)
 
     def test_swap_mirrors(self):
         direct, swapped = canonical_h4(5, 7), canonical_h4(7, 5)
@@ -200,7 +236,7 @@ class TestTwistKnots:
     def test_eligibility_matches_reference(self):
         # Only the fractions 3/2 (n=1) and 7/4 (n=3) survive both the
         # beta^2 = +-2 test and the sign-change obstruction.
-        for n in range(1, 13):
+        for n in range(1, 200):
             report = twist_knot_check(n)
             assert report.alpha == 2 * n + 1
             assert report.harmonic_h4_eligible == (n in (1, 3)), n

@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from harmonicknots import chebgeom, classify, cli, render
+from harmonicknots.cfrac import SchubertFraction, positive_cf
 from harmonicknots.cli import main
 
 from conftest import REFERENCE_TABLE
@@ -98,6 +100,22 @@ class TestAnalyzeCommand:
         assert data["reductions"] == [
             {"from_c": 100000000001, "to_c": 1, "mirrored": True}]
 
+    def test_rational_types_never_load(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        script = (
+            "import sys\n"
+            "from harmonicknots import HarmonicTriple, analyze\n"
+            "from harmonicknots.cli import main\n"
+            "analyze(HarmonicTriple(3, 4, 5))\n"
+            "main(['cf', '9', '4'])\n"
+            "print(sorted({'fractions', 'decimal', 'numbers'}"
+            " & set(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_unwritable_output_exit_2(self, capsys, tmp_path):
         bad = str(tmp_path / "missing" / "x.svg")
         for flag in ("--svg", "--billiard"):
@@ -168,6 +186,22 @@ class TestCfCommand:
     def test_invalid_inputs(self, capsys):
         assert run(capsys, "cf", "6", "2")[0] == 2
         assert run(capsys, "cf", "9", "3")[0] == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 499).map(lambda k: 2 * k + 1).flatmap(
+        lambda alpha: st.tuples(st.just(alpha),
+                                st.integers(-2 * alpha, 2 * alpha))))
+    def test_crossing_number_is_euclidean_sum(self, pair):
+        alpha, beta = pair
+        assume(gcd(alpha, beta) == 1)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["cf", str(alpha), str(beta)]) == 0
+        printed = int(out.getvalue().splitlines()[1].rsplit(" ", 1)[1])
+        fraction = SchubertFraction(alpha, beta)
+        expected = 0 if alpha == 1 else sum(positive_cf(SchubertFraction(
+            alpha, min(fraction.equivalence_class()))))
+        assert printed == expected, pair
 
 
 def integer_args(n, lo, hi):

@@ -78,8 +78,12 @@ DECISION_MODULES = ("exact", "chebgeom", "diagram", "invariants", "classify",
                     "cfrac", "knotnames")
 
 
+INEXACT_MODULES = ("math", "fractions", "decimal")
+
+
 def float_uses(source):
-    """(line, what) for each float() call, float literal, and math import
+    """(line, what) for each float() call, float literal, true division
+    (int / int is a float), and import of fractions, decimal or math
     other than gcd and isqrt."""
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -89,9 +93,16 @@ def float_uses(source):
         elif isinstance(node, ast.Constant) and type(node.value) in (float,
                                                                     complex):
             found.append((node.lineno, f"literal {node.value!r}"))
-        elif isinstance(node, ast.Import) and any(
-                alias.name == "math" for alias in node.names):
-            found.append((node.lineno, "import math"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "true division"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}")
+                      for alias in node.names
+                      if alias.name in INEXACT_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.module in (
+                "fractions", "decimal"):
+            found.append((node.lineno, f"from {node.module} import"))
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
             names = sorted({alias.name for alias in node.names}
                            - {"gcd", "isqrt"})
@@ -112,8 +123,15 @@ def test_float_guard_catches_each_construct():
         "import math\n"
         "from math import gcd, cos\n"
         "x = float(3) + 0.5 + 1e3\n"
-        "y = 2j\n")) == [
+        "y = 2j\n"
+        "z = 1 / 2\n"
+        "z /= 3\n"
+        "import fractions, decimal\n"
+        "from fractions import Fraction\n"
+        "from decimal import Decimal\n")) == [
         (1, "import math"), (2, "from math import ['cos']"),
         (3, "float() call"), (3, "literal 0.5"), (3, "literal 1000.0"),
-        (4, "literal 2j")]
+        (4, "literal 2j"), (5, "true division"), (6, "true division"),
+        (7, "import decimal"), (7, "import fractions"),
+        (8, "from fractions import"), (9, "from decimal import")]
     assert float_uses("from math import gcd, isqrt\nx = 3 // 2\n") == []
