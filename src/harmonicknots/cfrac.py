@@ -162,7 +162,7 @@ def cf_matrix(cf: SignedCF) -> MobiusMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and normalization
+# Evaluation
 
 
 def evaluate_projective(cf: SignedCF) -> SchubertFraction:
@@ -184,33 +184,6 @@ def evaluate(cf: SignedCF) -> SchubertFraction:
     if value.beta == 0:
         raise DivisionByZeroError(f"{list(cf)} evaluates to an infinite value")
     return value
-
-
-def normalize(cf: SignedCF) -> list[int]:
-    """Equal-valued term sequence with no zeros, or the single-term [0].
-
-    Uses the zero-splice identity [..., x, 0, y, ...] = [..., x+y, ...]
-    and, projectively, [..., y, x, 0] = [..., y].  A leading zero that
-    survives splicing (a value in (-1, 1) presented as [0, ...]) has no
-    zero-free rewriting by splices alone and is rejected.
-    """
-    terms = list(cf)
-    if not terms:
-        raise CFError("empty continued fraction")
-    while True:
-        if terms == [0] or all(t != 0 for t in terms):
-            return terms
-        if len(terms) >= 3:
-            i = next((j for j in range(1, len(terms) - 1) if terms[j] == 0), None)
-            if i is not None:
-                terms[i - 1:i + 2] = [terms[i - 1] + terms[i + 1]]
-                continue
-        if terms[-1] == 0:
-            if len(terms) >= 3:
-                terms = terms[:-2]
-                continue
-            raise DivisionByZeroError(f"{list(cf)} is projectively infinite")
-        raise CFError(f"cannot splice leading zero out of {list(cf)}")
 
 
 def positive_cf(f: SchubertFraction) -> list[int]:

@@ -338,7 +338,7 @@ def analyze(K: HarmonicTriple) -> AnalysisReport:
     conway = fraction = crossing_number = None
     fraction_source = None
     record = None
-    if reduced.a in (3, 4) and reduced.b > 1:
+    if reduced.a in (3, 4):
         conway = tuple(read_conway_from_diagram(reduced, crossings))
         fraction = evaluate_projective(conway)
         fraction_source = "computed"

@@ -16,8 +16,7 @@ import sys
 
 from .cfrac import (SchubertFraction, crossing_number_bireg,
                     fraction_candidate, positive_cf, CFError)
-from .chebgeom import (HarmonicTriple, InvalidTripleError,
-                       enumerate_crossings)
+from .chebgeom import HarmonicTriple, enumerate_crossings
 from .classify import AnalysisReport, analyze, enumerate_table_triples
 from .errors import InternalError
 from .render import RenderOptions, render_billiard, render_xy
@@ -199,7 +198,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidTripleError, CFError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:

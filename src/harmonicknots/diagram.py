@@ -97,8 +97,10 @@ def build_gauss_code(crossings: Sequence[Crossing]) -> GaussCode:
         raise InternalError("coincident crossing parameters")
     # t = cos(num pi / ab) increases as the folded numerator decreases.
     passages.sort(key=lambda p: p[0], reverse=True)
-    entries = tuple(GaussEntry(cid, "O" if over else "U", sign)
-                    for _, cid, over, sign in passages)
+    # From a list, so the tuple is allocated at its final size (see
+    # ``LaurentPoly.__neg__``).
+    entries = tuple([GaussEntry(cid, "O" if over else "U", sign)
+                     for _, cid, over, sign in passages])
     return GaussCode(entries)
 
 
@@ -178,15 +180,16 @@ def read_conway_from_diagram(K: HarmonicTriple,
 
 
 def _plat_gauss_code(word: list[tuple[int, int]],
-                     right_caps: tuple = ((0, 1), (2, 3))) -> GaussCode:
+                     right_caps: tuple) -> GaussCode:
     """Gauss code of the plat closure of a 4-strand braid word.
 
     ``word`` lists single crossings (j, s): generator sigma_j (j in 1..3,
     acting on strand positions j, j+1) with handedness s = +-1.  The left
     end is capped by bridges joining positions (1,2) and (3,4);
-    ``right_caps`` gives the right-end pairing in 0-based positions (the
-    nested pairing (1,4),(2,3) is also planar and crossing-free).  Raises
-    if the closure has more than one component.
+    ``right_caps`` gives the right-end pairing in 0-based positions, the
+    parallel ((0, 1), (2, 3)) or the nested ((0, 3), (1, 2)); both are
+    planar and crossing-free.  Raises if the closure has more than one
+    component.
     """
     wire_at = [0, 1, 2, 3]
     passages: dict[int, list[tuple[int, bool]]] = {w: [] for w in wire_at}
@@ -255,6 +258,6 @@ def diagram_from_conway(cf: ConwayForm) -> GaussCode:
             gen, s = 1, -1 if a > 0 else 1
         word.extend([(gen, s)] * abs(a))
     caps = ((0, 1), (2, 3)) if len(terms) % 2 else ((0, 3), (1, 2))
-    code = _plat_gauss_code(word, right_caps=caps)
+    code = _plat_gauss_code(word, caps)
     code.validate()
     return code

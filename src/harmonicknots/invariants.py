@@ -2,12 +2,14 @@
 
 The route is classical: Wirtinger presentation from the code, free
 differential calculus on the relations, and the determinant of an
-(n-1) x (n-1) minor over integer Laurent polynomials.  All arithmetic is
-exact integer arithmetic.  The minor determinant has one route: Kronecker
-substitution.  Every entry p(t) is evaluated at t = 2**B, one
-fraction-free (Bareiss) elimination computes the integer determinant, and
-its balanced base-2**B digits are the coefficients.  B comes from an
-integer bound: no coefficient exceeds the product of the rows' l1 norms.
+(n-1) x (n-1) minor.  All arithmetic is exact integer arithmetic.  Every
+Fox entry is linear in t, so the minor is built once, as sparse rows that
+map a column to the pair (c0, c1) of its entry c0 + c1*t.  The minor
+determinant has one route: Kronecker substitution.  Every entry is
+evaluated at t = 2**B, one fraction-free (Bareiss) elimination computes
+the integer determinant, and its balanced base-2**B digits are the
+coefficients.  B comes from an integer bound: no coefficient exceeds the
+product of the rows' l1 norms.
 
 The elimination (``_det_sparse``, which ``determinant`` also runs, at
 t = -1) is sparse: rows hold only their nonzero entries, and a Fox row has
@@ -118,7 +120,11 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly(self.offset, tuple(-c for c in self.coeffs))
+        # From a list, so the tuple is allocated at its final size.  A
+        # generator's tuple is taken at a guessed size and resized, so each
+        # call would move one block into CPython's free list for the final
+        # size, which only a full garbage collection empties.
+        return LaurentPoly(self.offset, tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -140,9 +146,7 @@ class LaurentPoly:
         if sum(self.coeffs) not in (1, -1):
             raise InternalError(
                 f"value at t=1 is {sum(self.coeffs)}, not a unit")
-        coeffs = self.coeffs if self.coeffs[-1] > 0 \
-            else tuple(-c for c in self.coeffs)
-        return LaurentPoly(0, coeffs)
+        return LaurentPoly(0, (self if self.coeffs[-1] > 0 else -self).coeffs)
 
     def __str__(self):
         if self.is_zero:
@@ -209,26 +213,32 @@ def wirtinger(gc: GaussCode) -> WirtingerPresentation:
     return WirtingerPresentation(n, tuple(relations))
 
 
-def _fox_rows(wp: WirtingerPresentation) -> list[dict[int, list[int]]]:
-    """Free-derivative rows, abelianized to polynomials in t.
+def _alexander_minor(gc: GaussCode) -> list[dict[int, tuple[int, int]]]:
+    """The Fox minor: row i maps column j to (c0, c1), the entry c0 + c1*t.
 
-    A positive crossing contributes (1-t, t, -1) on (over, in, out); a
-    negative one contributes (t-1, 1, -t) (the row scaled by t to stay
-    polynomial).  Coincident arcs accumulate.
+    Free derivatives of the Wirtinger relations, abelianized, are linear:
+    a positive crossing contributes (1-t, t, -1) on (over, in, out), a
+    negative one (t-1, 1, -t) (the row scaled by t to stay polynomial), and
+    coincident arcs add up.  Any one relation is redundant and any one
+    generator column may be struck, and all resulting minors agree up to
+    units: the last relation goes, and so does arc 0, so arc j is column
+    j - 1.
     """
-    rows = []
-    for rel in wp.relations:
-        row: dict[int, list[int]] = {}
+    minor = []
+    for rel in wirtinger(gc).relations[:-1]:
         if rel.sign > 0:
-            contribs = ((rel.over_arc, [1, -1]), (rel.incoming_arc, [0, 1]),
-                        (rel.outgoing_arc, [-1]))
+            contribs = ((rel.over_arc, 1, -1), (rel.incoming_arc, 0, 1),
+                        (rel.outgoing_arc, -1, 0))
         else:
-            contribs = ((rel.over_arc, [-1, 1]), (rel.incoming_arc, [1]),
-                        (rel.outgoing_arc, [0, -1]))
-        for arc, poly in contribs:
-            row[arc] = _padd(row.get(arc, []), poly)
-        rows.append(row)
-    return rows
+            contribs = ((rel.over_arc, -1, 1), (rel.incoming_arc, 1, 0),
+                        (rel.outgoing_arc, 0, -1))
+        row: dict[int, tuple[int, int]] = {}
+        for arc, c0, c1 in contribs:
+            if arc:
+                d0, d1 = row.get(arc - 1, (0, 0))
+                row[arc - 1] = (c0 + d0, c1 + d1)
+        minor.append(row)
+    return minor
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +308,27 @@ def _det_sparse(rows: list[dict[int, int]]) -> int:
     return sign * prev
 
 
-def _det_poly(m: list[list[list[int]]]) -> list[int]:
+def _at(minor: list[dict[int, tuple[int, int]]],
+        x: int) -> list[dict[int, int]]:
+    """The integer matrix minor(x), holding only its nonzero entries."""
+    return [{j: v for j, (c0, c1) in row.items() if (v := c0 + c1 * x)}
+            for row in minor]
+
+
+def _det_poly(minor: list[dict[int, tuple[int, int]]]) -> list[int]:
     """Exact determinant over Z[t] by Kronecker substitution.
 
-    Each coefficient of det(m) is at most, in absolute value, the product
-    over rows of the row's l1 norm (the sum of |coefficients| of its
-    entries).  With 2**(B-1) above that bound, the integer det(m(2**B))
-    holds the coefficients as balanced base-2**B digits, each in
-    [-2**(B-1), 2**(B-1)), so one integer elimination recovers them.
+    Each coefficient of det(minor) is at most, in absolute value, the
+    product over rows of the row's l1 norm (the sum of |c0| + |c1| over its
+    entries).  With 2**(B-1) above that bound, the integer
+    det(minor(2**B)) holds the coefficients as balanced base-2**B digits,
+    each in [-2**(B-1), 2**(B-1)), so one integer elimination recovers them.
     """
     bound = 1
-    for row in m:
-        bound *= sum(abs(c) for e in row for c in e)
+    for row in minor:
+        bound *= sum(abs(c0) + abs(c1) for c0, c1 in row.values())
     width = bound.bit_length() + 1
-    value = _det_sparse(
-        [{j: v for j, e in enumerate(row)
-          if e and (v := sum(c << (width * i) for i, c in enumerate(e)))}
-         for row in m])
+    value = _det_sparse(_at(minor, 1 << width))
     base = 1 << width
     half = base >> 1
     coeffs = []
@@ -327,39 +341,16 @@ def _det_poly(m: list[list[list[int]]]) -> list[int]:
     return coeffs
 
 
-def _peval_int(p: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _alexander_minor(gc: GaussCode) -> list[list[list[int]]]:
-    wp = wirtinger(gc)
-    rows = _fox_rows(wp)
-    n = wp.arc_count
-    # Any one relation is redundant and any one generator column may be
-    # struck; all resulting minors agree up to units.
-    return [[row.get(arc, []) for arc in range(1, n)] for row in rows[:-1]]
-
-
 def alexander(gc: GaussCode) -> LaurentPoly:
     """Alexander polynomial of the knot, normalized to minimal exponent 0
     and value +1 at t = 1."""
-    if gc.crossing_count == 0:
-        return LaurentPoly.constant(1)
-    minor = _alexander_minor(gc)
-    return LaurentPoly.from_coeffs(_det_poly(minor)).normalized()
+    return LaurentPoly.from_coeffs(
+        _det_poly(_alexander_minor(gc))).normalized()
 
 
 def determinant(gc: GaussCode) -> int:
     """|Delta(-1)|, computed directly by an integer elimination at t = -1."""
-    if gc.crossing_count == 0:
-        return 1
-    minor = _alexander_minor(gc)
-    return abs(_det_sparse(
-        [{j: v for j, e in enumerate(row) if e and (v := _peval_int(e, -1))}
-         for row in minor]))
+    return abs(_det_sparse(_at(_alexander_minor(gc), -1)))
 
 
 def alexander_of_fraction(cf) -> LaurentPoly:

@@ -59,7 +59,7 @@ def regenerate_table() -> str:
     determinant and Alexander coefficients are derived again."""
     from .chebgeom import HarmonicTriple, enumerate_crossings
     from .diagram import build_gauss_code
-    from .invariants import alexander, determinant
+    from .invariants import alexander
 
     lines = []
     for line in _table_lines():
@@ -70,7 +70,7 @@ def regenerate_table() -> str:
         a, b, c = (int(x) for x in source[2:-1].split(","))
         code = build_gauss_code(enumerate_crossings(HarmonicTriple(a, b, c)))
         delta = alexander(code)
-        det = determinant(code)
+        det = abs(delta(-1))
         if frac != "-" and _parse_fraction(frac).alpha != det:
             raise ValueError(
                 f"determinant {det} of {source} does not match {frac}")

@@ -9,7 +9,7 @@ from harmonicknots.cfrac import (
     DivisionByZeroError, MobiusMatrix, NonPositiveError, NotInvertibleError,
     ParityError, PreconditionError, SchubertFraction, ShapeError,
     crossing_number_bireg, evaluate, evaluate_projective, expand_1212,
-    cf_matrix, fraction_candidate, has_three_consecutive_changes, normalize,
+    cf_matrix, fraction_candidate, has_three_consecutive_changes,
     positive_cf, sign_change_profile, two_bridge_equivalent)
 
 
@@ -29,6 +29,9 @@ class TestEvaluate:
     def test_zero_value(self):
         assert evaluate([2, 0, -2]) == SchubertFraction(0, 1)
 
+    def test_trailing_zero_projective_rule(self):
+        assert evaluate_projective([5, 3, 0]) == evaluate_projective([5])
+
     def test_matches_plain_fold_on_random_positive_cfs(self):
         rng = random.Random(5)
         for _ in range(300):
@@ -38,31 +41,6 @@ class TestEvaluate:
                 value = t + 1 / value
             assert evaluate(terms) == SchubertFraction(value.numerator,
                                                        value.denominator)
-
-
-class TestNormalize:
-    def test_fixtures(self):
-        assert normalize([1, 0, 1, 2]) == [2, 2]
-        assert normalize([3]) == [3]
-        assert normalize([2, 0, -2]) == [0]
-
-    def test_trailing_zero_projective_rule(self):
-        assert normalize([5, 3, 0]) == [5]
-        assert evaluate_projective([5, 3, 0]) == evaluate_projective([5])
-
-    def test_value_preserved(self):
-        rng = random.Random(11)
-        for _ in range(300):
-            terms = [rng.choice([-3, -2, -1, 0, 1, 2, 3])
-                     for _ in range(rng.randint(3, 10))]
-            if terms[0] == 0:
-                terms[0] = 1
-            try:
-                clean = normalize(terms)
-            except (DivisionByZeroError, ValueError):
-                continue
-            assert evaluate_projective(clean) == evaluate_projective(terms)
-            assert clean == [0] or all(t != 0 for t in clean)
 
 
 class TestPositiveCF:

@@ -12,7 +12,7 @@ from harmonicknots.classify import (
     non_harmonic_family_check, predict_family, reduce_c, reduced_triple,
     twist_knot_check)
 from harmonicknots.diagram import build_gauss_code
-from harmonicknots.invariants import alexander, determinant
+from harmonicknots.invariants import LaurentPoly, alexander, determinant
 
 from conftest import REFERENCE_TABLE
 
@@ -299,6 +299,11 @@ class TestAnalyze:
     def test_unidentified_is_honest(self):
         r = analyze(HarmonicTriple(7, 8, 11))
         assert r.name is None
+
+    def test_crossing_free_curve(self):
+        r = analyze(HarmonicTriple(1, 2, 3))
+        assert r.crossings == ()
+        assert r.alexander == LaurentPoly.constant(1) and r.determinant == 1
 
     def test_reduction_recorded(self):
         r = analyze(HarmonicTriple(3, 4, 13))

@@ -135,3 +135,58 @@ def test_float_guard_catches_each_construct():
         (7, "import decimal"), (7, "import fractions"),
         (8, "from fractions import"), (9, "from decimal import")]
     assert float_uses("from math import gcd, isqrt\nx = 3 // 2\n") == []
+
+
+def dead_private_names(sources):
+    """(module, line, name) for each module-level private function, class
+    or assignment that no other top-level statement of any module loads,
+    by name or as an attribute.  ``sources`` maps module names to their
+    source text; a self-reference inside the definition does not count."""
+    definitions = []
+    loads_by_statement = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            loads = {n.attr if isinstance(n, ast.Attribute) else n.id
+                     for n in ast.walk(node)
+                     if isinstance(n, ast.Attribute)
+                     or (isinstance(n, ast.Name)
+                         and isinstance(n.ctx, ast.Load))}
+            loads_by_statement.append(loads)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            definitions += [(module, node.lineno, name, loads)
+                            for name in names if name.startswith("_")
+                            and not name.endswith("__")]
+    return [(module, line, name) for module, line, name, own in definitions
+            if not any(name in loads for loads in loads_by_statement
+                       if loads is not own)]
+
+
+def test_no_dead_private_helpers():
+    package = Path(importlib.import_module("harmonicknots").__file__).parent
+    sources = {path.stem: path.read_text()
+               for path in sorted(package.glob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
+def test_dead_helper_guard_catches_each_definition():
+    assert dead_private_names({
+        "a": "def _used(): pass\n"
+             "def _recursive(): return _recursive()\n"
+             "_ATTR = 1\n"
+             "_annotated: int = 2\n"
+             "class _Imported: pass\n"
+             "_left, _right = 3, 4\n"
+             "__version__ = '0'\n",
+        "b": "from a import _Imported\n"
+             "import a\n"
+             "print(_used(), a._ATTR, _right)\n"}) == [
+        ("a", 2, "_recursive"), ("a", 4, "_annotated"),
+        ("a", 5, "_Imported"), ("a", 6, "_left")]

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
+from harmonicknots.classify import enumerate_table_triples
 from harmonicknots.diagram import GaussCode, GaussEntry, build_gauss_code
 from harmonicknots.invariants import (
     LaurentPoly, MalformedCodeError, _alexander_minor, _det_poly,
-    _det_sparse, _peval_int, alexander, alexander_of_fraction, determinant,
+    _det_sparse, alexander, alexander_of_fraction, determinant,
     factor_square, wirtinger)
 
 
@@ -66,6 +67,20 @@ class TestWirtinger:
     def test_kink_gives_trivial_polynomial(self):
         for sign in (1, -1):
             assert alexander(kink_code(sign)) == poly(1)
+
+    def test_coincident_arcs_add_up(self):
+        # Two kinks in a row: the first crossing's over arc is its
+        # incoming arc, so (1-t) + t = 1, or (t-1) + 1 = t when negative.
+        for sign, entry in ((1, (1, 0)), (-1, (0, 1))):
+            gc = GaussCode(tuple(GaussEntry(cid, passage, sign)
+                                 for cid in (1, 2) for passage in "OU"))
+            assert _alexander_minor(gc) == [{0: entry}]
+
+    def test_crossing_free_code_is_the_unknot(self):
+        # Its minor has no rows, and a 0 x 0 determinant is 1.
+        assert _alexander_minor(GaussCode(())) == []
+        assert alexander(GaussCode(())) == poly(1)
+        assert determinant(GaussCode(())) == 1
 
     def test_malformed_code(self):
         with pytest.raises(MalformedCodeError):
@@ -143,16 +158,29 @@ def sparse(m):
     return [{j: v for j, v in enumerate(row) if v} for row in m]
 
 
+def dense_at(minor, x):
+    """The n x n integer matrix of the pair rows ``minor`` at t = x."""
+    n = len(minor)
+    return [[c0 + c1 * x for c0, c1 in (row.get(j, (0, 0)) for j in range(n))]
+            for row in minor]
+
+
+def horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def assert_matches_evaluations(minor):
-    """det(minor) has degree <= n, so n+1 points pin it down: at each of
-    0, 1, -1, 2, -2, ... the polynomial route must equal the integer
-    determinant of the evaluated minor."""
+    """Every entry is linear, so det(minor) has degree <= n and n+1 points
+    pin it down: at each of 0, 1, -1, 2, -2, ... the polynomial route must
+    equal the integer determinant of the evaluated minor."""
     det = _det_poly(minor)
     n = len(minor)
     for i in range(n + 1):
         x = (i + 1) // 2 * (1 if i % 2 else -1)
-        assert _peval_int(det, x) == det_dense(
-            [[_peval_int(e, x) for e in row] for row in minor]), (n, x)
+        assert horner(det, x) == det_dense(dense_at(minor, x)), (n, x)
     return det
 
 
@@ -168,38 +196,52 @@ class TestPolyDeterminant:
             assert_matches_evaluations(minor)
         assert len(minor) == 39
 
+    def test_table_minor_rows_are_small(self):
+        # The Kronecker width rests on these rows: 1 to 3 linear entries,
+        # none of them stored as zero, and an l1 norm of at most 4.
+        triples = enumerate_table_triples(72)
+        assert len(triples) == 431
+        for t in triples:
+            minor = _alexander_minor(build_gauss_code(
+                enumerate_crossings(HarmonicTriple(*t))))
+            for row in minor:
+                assert 1 <= len(row) <= 3, t
+                assert (0, 0) not in row.values(), t
+                assert sum(abs(c0) + abs(c1)
+                           for c0, c1 in row.values()) <= 4, t
+
     def test_empty_and_one_row(self):
         assert _det_poly([]) == [1]
-        assert assert_matches_evaluations([[[1, -1]]]) == [1, -1]
-        assert assert_matches_evaluations([[[0, -2]]]) == [0, -2]
+        assert assert_matches_evaluations([{0: (1, -1)}]) == [1, -1]
+        assert assert_matches_evaluations([{0: (0, -2)}]) == [0, -2]
 
     def test_diagonal_minors_near_the_bound(self):
         for n in range(1, 41):
             # (1+t)^n and (-1-t)^n; (2t)^n and (-2)^n meet the bound 2^n.
-            cases = (([1, 1], [comb(n, k) for k in range(n + 1)]),
-                     ([-1, -1], [(-1) ** n * comb(n, k)
-                                 for k in range(n + 1)]),
-                     ([0, 2], [0] * n + [2 ** n]),
-                     ([-2], [(-2) ** n]))
+            cases = (((1, 1), [comb(n, k) for k in range(n + 1)]),
+                     ((-1, -1), [(-1) ** n * comb(n, k)
+                                  for k in range(n + 1)]),
+                     ((0, 2), [0] * n + [2 ** n]),
+                     ((-2, 0), [(-2) ** n]))
             for entry, expected in cases:
-                minor = [[entry if i == j else [] for j in range(n)]
-                         for i in range(n)]
+                minor = [{i: entry} for i in range(n)]
                 assert _det_poly(minor) == expected, (n, entry)
 
     def test_singular_minor(self):
-        row = [[1, -1], [0, 1], [-1]]
-        assert _det_poly([row, row, [[2], [1, 1], []]]) == []
-        assert _det_poly([[[1, 1], [1]], [[], []]]) == []
+        row = {0: (1, -1), 1: (0, 1), 2: (-1, 0)}
+        assert _det_poly([row, row, {0: (2, 0), 1: (1, 1)}]) == []
+        assert _det_poly([{0: (1, 1), 1: (1, 0)}, {}]) == []
 
     def test_untrimmed_zero_entries_are_not_pivots(self):
-        # [0] evaluates to 0; stored, it would be the entry of least bit
-        # length and the pivot.
-        minor = [[[], [], [1]], [[], [-1], []], [[1], [], [0]]]
+        # (0, 0) evaluates to 0; stored, it would be the entry of least
+        # bit length and the pivot.
+        minor = [{2: (1, 0)}, {1: (-1, 0)}, {0: (1, 0), 2: (0, 0)}]
         assert assert_matches_evaluations(minor) == [1]
 
     @given(st.integers(0, 6).flatmap(lambda n: st.lists(
-        st.lists(st.lists(st.integers(-2, 2), min_size=0, max_size=2),
-                 min_size=n, max_size=n),
+        st.dictionaries(st.integers(0, max(n - 1, 0)),
+                        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                        max_size=n),
         min_size=n, max_size=n)))
     def test_random_small_matrices(self, minor):
         assert_matches_evaluations(minor)
@@ -237,8 +279,7 @@ class TestSparseElimination:
         gc = build_gauss_code(enumerate_crossings(HarmonicTriple(13, 15, 17)))
         minor = _alexander_minor(gc)
         assert len(minor) == 83
-        assert determinant(gc) == 905 == abs(det_dense(
-            [[_peval_int(e, -1) for e in row] for row in minor]))
+        assert determinant(gc) == 905 == abs(det_dense(dense_at(minor, -1)))
 
     @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
         st.lists(st.lists(st.integers(-9, 9) | st.just(0),
