@@ -8,15 +8,17 @@ map a column to the pair (c0, c1) of its entry c0 + c1*t.  The minor
 determinant has one route: Kronecker substitution.  Every entry is
 evaluated at t = 2**B, one fraction-free (Bareiss) elimination computes
 the integer determinant, and its balanced base-2**B digits are the
-coefficients.  B comes from an integer bound: no coefficient exceeds the
-product of the rows' l1 norms.
+coefficients.  B comes from an integer bound: by Parseval and Hadamard's
+inequality no coefficient exceeds the product of the rows' l2 norms on
+|t| = 1, which is at most sqrt(6) for a Fox row.
 
 The elimination (``_det_sparse``, which ``determinant`` also runs, at
 t = -1) is sparse: rows hold only their nonzero entries, and a Fox row has
 at most three, one of them a unit.  Each step pivots on the live entry of
 smallest bit length, ties going to the shortest row; only the rows with an
 entry in the pivot column are eliminated, and the others are at most
-rescaled.
+rescaled.  Each row's best candidate is cached, so a step rescans only the
+rows it rewrote.
 """
 
 from __future__ import annotations
@@ -76,15 +78,11 @@ class LaurentPoly:
 
     @classmethod
     def from_coeffs(cls, coeffs, offset: int = 0) -> "LaurentPoly":
-        c = list(coeffs)
-        lead = 0
-        while c and c[0] == 0:
-            c.pop(0)
-            lead += 1
-        _trim(c)
+        c = _trim(list(coeffs))
         if not c:
             return cls(0, ())
-        return cls(offset + lead, tuple(c))
+        lead = next(i for i, v in enumerate(c) if v)
+        return cls(offset + lead, tuple(c[lead:]))
 
     @classmethod
     def constant(cls, n: int) -> "LaurentPoly":
@@ -257,23 +255,28 @@ def _det_sparse(rows: list[dict[int, int]]) -> int:
     union of its keys and the pivot row's w; any other row is rescaled,
     v*p / prev, and left alone when p == prev.  A negative pivot's row is
     negated, flipping the sign, which makes p == prev common; when prev
-    divides p, v*p / prev is v times the quotient.
+    divides p, v*p / prev is v times the quotient, and when p == prev an
+    eliminated row is updated in place, dropping the entries that cancel.
+
+    The pivot is the live entry of least bit length, ties going to the
+    shorter row, then to the first row and the first entry in it.  Each
+    row's best entry is cached as the key (bit length, row length, row
+    index, column); the live rows keep their index order, so the least key
+    is that pivot.  A step refreshes the keys of the rows it rewrites,
+    eliminated or rescaled, and no other key can change.
     """
     live = dict(enumerate(rows))
+    best = {}
+    for i, row in live.items():
+        if not row:
+            return 0
+        best[i] = _best_entry(i, row)
     col_of: dict[int, int] = {}
     sign = 1
     prev = 1
     while live:
-        best = None
-        for i, row in live.items():
-            if not row:
-                return 0
-            size = len(row)
-            for j, v in row.items():
-                key = (v.bit_length(), size)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        _, r, c = best
+        _, _, r, c = min(best.values())
+        del best[r]
         pivot_row = live.pop(r)
         p = pivot_row.pop(c)
         col_of[r] = c
@@ -288,14 +291,22 @@ def _det_sparse(rows: list[dict[int, int]]) -> int:
                 if a:
                     for j, w in pivot_row.items():
                         new[j] = new.get(j, 0) - a * w
-                live[i] = {j: v // prev for j, v in new.items() if v}
+                new = {j: v // prev for j, v in new.items() if v}
             elif a or q != 1:
-                new = {j: v * q for j, v in row.items()}
+                new = row if q == 1 else {j: v * q for j, v in row.items()}
                 if a:
                     for j, w in pivot_row.items():
-                        new[j] = new.get(j, 0) - a * w // prev
-                    new = {j: v for j, v in new.items() if v}
-                live[i] = new
+                        v = new.get(j, 0) - a * w // prev
+                        if v:
+                            new[j] = v
+                        else:
+                            del new[j]
+            else:
+                continue
+            if not new:
+                return 0
+            live[i] = new
+            best[i] = _best_entry(i, new)
         prev = p
     # The last pivot is the determinant with rows and columns in pivot
     # order.  Convert by the sign of r -> col_of[r]: a cycle of length L
@@ -308,6 +319,16 @@ def _det_sparse(rows: list[dict[int, int]]) -> int:
     return sign * prev
 
 
+def _best_entry(i: int, row: dict[int, int]) -> tuple[int, int, int, int]:
+    """The pivot key of row i: its first entry of least bit length."""
+    least = None
+    for j, v in row.items():
+        bits = v.bit_length()
+        if least is None or bits < least:
+            least, col = bits, j
+    return least, len(row), i, col
+
+
 def _at(minor: list[dict[int, tuple[int, int]]],
         x: int) -> list[dict[int, int]]:
     """The integer matrix minor(x), holding only its nonzero entries."""
@@ -315,19 +336,31 @@ def _at(minor: list[dict[int, tuple[int, int]]],
             for row in minor]
 
 
+def _kronecker_width(minor: list[dict[int, tuple[int, int]]]) -> int:
+    """The B of ``_det_poly``: 2**(B-1) exceeds every coefficient of
+    det(minor)."""
+    squares = 1
+    for row in minor:
+        squares *= sum((abs(c0) + abs(c1)) ** 2 for c0, c1 in row.values())
+    return isqrt(squares).bit_length() + 1
+
+
 def _det_poly(minor: list[dict[int, tuple[int, int]]]) -> list[int]:
     """Exact determinant over Z[t] by Kronecker substitution.
 
-    Each coefficient of det(minor) is at most, in absolute value, the
-    product over rows of the row's l1 norm (the sum of |c0| + |c1| over its
-    entries).  With 2**(B-1) above that bound, the integer
-    det(minor(2**B)) holds the coefficients as balanced base-2**B digits,
-    each in [-2**(B-1), 2**(B-1)), so one integer elimination recovers them.
+    On the unit circle the coefficients of D(t) = det(minor(t)) are its
+    Fourier coefficients, so by Parseval none exceeds, in absolute value,
+    max |D(t)| over |t| = 1.  By Hadamard's inequality |D(t)| is at most
+    the product of the rows' l2 norms, and an entry has
+    |c0 + c1*t| <= |c0| + |c1| there, so no coefficient exceeds the square
+    root of S = prod_i sum_j (|c0| + |c1|)**2.  The coefficients are
+    integers, so none exceeds isqrt(S) either.  With 2**(B-1) above
+    isqrt(S) (``_kronecker_width``), the integer det(minor(2**B)) holds the
+    coefficients as balanced base-2**B digits, each in
+    [-2**(B-1), 2**(B-1)), so one integer elimination recovers them.  A Fox
+    row contributes sqrt(6) to the bound where its l1 norm is 4.
     """
-    bound = 1
-    for row in minor:
-        bound *= sum(abs(c0) + abs(c1) for c0, c1 in row.values())
-    width = bound.bit_length() + 1
+    width = _kronecker_width(minor)
     value = _det_sparse(_at(minor, 1 << width))
     base = 1 << width
     half = base >> 1

@@ -9,13 +9,20 @@ from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.classify import enumerate_table_triples
 from harmonicknots.diagram import GaussCode, GaussEntry, build_gauss_code
 from harmonicknots.invariants import (
-    LaurentPoly, MalformedCodeError, _alexander_minor, _det_poly,
-    _det_sparse, alexander, alexander_of_fraction, determinant,
-    factor_square, wirtinger)
+    LaurentPoly, MalformedCodeError, _alexander_minor, _at, _det_poly,
+    _det_sparse, _kronecker_width, alexander, alexander_of_fraction,
+    determinant, factor_square, wirtinger)
 
 
 def poly(*coeffs):
     return LaurentPoly.from_coeffs(coeffs)
+
+
+@pytest.fixture(scope="module")
+def table_codes():
+    """The Gauss codes of the 431 curves of ``table --max-ab 72``."""
+    return {t: build_gauss_code(enumerate_crossings(HarmonicTriple(*t)))
+            for t in enumerate_table_triples(72)}
 
 
 class TestLaurentPoly:
@@ -42,6 +49,14 @@ class TestLaurentPoly:
     def test_coefficient_map(self):
         p = LaurentPoly.from_coeffs([2, 0, -1], offset=1)
         assert p.coefficient_map() == {1: 2, 3: -1}
+
+    def test_many_leading_zeros(self):
+        p = LaurentPoly.from_coeffs([0] * 500 + [1, -1, 1, 0, 0], offset=-3)
+        assert p.offset == 497 and p.coeffs == (1, -1, 1)
+
+    def test_all_zero_coefficients(self):
+        p = LaurentPoly.from_coeffs([0] * 50, offset=7)
+        assert p.is_zero and p.offset == 0 and p.coeffs == ()
 
     def test_str(self):
         assert str(poly(1, -3, 1)) == "1 - 3t + t^2"
@@ -172,6 +187,39 @@ def horner(coeffs, x):
     return acc
 
 
+def l1_width(minor):
+    """The oracle width: no coefficient of det(minor) exceeds the product of
+    the rows' l1 norms, and 2**(B-1) must exceed that product."""
+    bound = 1
+    for row in minor:
+        bound *= sum(abs(c0) + abs(c1) for c0, c1 in row.values())
+    return bound.bit_length() + 1
+
+
+def balanced_digits(value, width):
+    """The digits of value in base 2**width, each in [-2**(width-1),
+    2**(width-1)), least significant first."""
+    base = 2 ** width
+    digits = []
+    while value:
+        digit = value % base
+        if 2 * digit >= base:
+            digit -= base
+        digits.append(digit)
+        value = (value - digit) // base
+    return digits
+
+
+def pair_minors(entry):
+    """Square minors of up to 6 rows with pairs drawn from [-entry, entry]."""
+    return st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.dictionaries(st.integers(0, max(n - 1, 0)),
+                        st.tuples(st.integers(-entry, entry),
+                                  st.integers(-entry, entry)),
+                        max_size=n),
+        min_size=n, max_size=n))
+
+
 def assert_matches_evaluations(minor):
     """Every entry is linear, so det(minor) has degree <= n and n+1 points
     pin it down: at each of 0, 1, -1, 2, -2, ... the polynomial route must
@@ -196,19 +244,32 @@ class TestPolyDeterminant:
             assert_matches_evaluations(minor)
         assert len(minor) == 39
 
-    def test_table_minor_rows_are_small(self):
-        # The Kronecker width rests on these rows: 1 to 3 linear entries,
-        # none of them stored as zero, and an l1 norm of at most 4.
-        triples = enumerate_table_triples(72)
-        assert len(triples) == 431
-        for t in triples:
-            minor = _alexander_minor(build_gauss_code(
-                enumerate_crossings(HarmonicTriple(*t))))
+    def test_table_minor_rows_are_small(self, table_codes):
+        # The Fox rows the elimination sees: 1 to 3 linear entries, none of
+        # them stored as zero, and an l1 norm of at most 4.  A row
+        # (1-t, t, -1) has l1 norm 4, and its term in the Kronecker width's
+        # bound, sum (|c0| + |c1|)**2, is 6.
+        assert len(table_codes) == 431
+        for t, gc in table_codes.items():
+            minor = _alexander_minor(gc)
             for row in minor:
                 assert 1 <= len(row) <= 3, t
                 assert (0, 0) not in row.values(), t
                 assert sum(abs(c0) + abs(c1)
                            for c0, c1 in row.values()) <= 4, t
+
+    def test_width_is_within_the_l1_width(self, table_codes):
+        # Both widths decode det(minor(2**B)) to the same coefficients.
+        codes = list(table_codes.values())
+        codes.append(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(13, 15, 17))))
+        for gc in codes:
+            minor = _alexander_minor(gc)
+            width, oracle = _kronecker_width(minor), l1_width(minor)
+            assert width <= oracle
+            assert _det_poly(minor) == balanced_digits(
+                _det_sparse(_at(minor, 1 << oracle)), oracle)
+        assert len(minor) == 83 and (width, oracle) == (109, 167)
 
     def test_empty_and_one_row(self):
         assert _det_poly([]) == [1]
@@ -238,12 +299,13 @@ class TestPolyDeterminant:
         minor = [{2: (1, 0)}, {1: (-1, 0)}, {0: (1, 0), 2: (0, 0)}]
         assert assert_matches_evaluations(minor) == [1]
 
-    @given(st.integers(0, 6).flatmap(lambda n: st.lists(
-        st.dictionaries(st.integers(0, max(n - 1, 0)),
-                        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-                        max_size=n),
-        min_size=n, max_size=n)))
+    @given(pair_minors(2))
     def test_random_small_matrices(self, minor):
+        assert_matches_evaluations(minor)
+
+    @given(pair_minors(9))
+    def test_random_wide_pairs(self, minor):
+        assert _kronecker_width(minor) <= l1_width(minor)
         assert_matches_evaluations(minor)
 
 
@@ -280,6 +342,36 @@ class TestSparseElimination:
         minor = _alexander_minor(gc)
         assert len(minor) == 83
         assert determinant(gc) == 905 == abs(det_dense(dense_at(minor, -1)))
+
+    def test_table_determinants(self, table_codes):
+        for t, gc in table_codes.items():
+            minor = _alexander_minor(gc)
+            assert determinant(gc) == abs(det_dense(dense_at(minor, -1))), t
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.sampled_from([((2, 3), (3, 4)), ((3, -2), (4, -3)),
+                         ((-2, 3), (3, -5))]),
+        st.lists(st.lists(st.just(0) | st.integers(4, 15)
+                          | st.integers(-15, -4), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.permutations(range(n + 2)),
+        st.permutations(range(n + 2)))))
+    def test_inexact_quotients_and_rescaled_rows(self, case):
+        # Two rows of entries of 2 or 3 bits with determinant +-1, beside a
+        # block of entries of 3 bits or more whose diagonal is nonzero.  The
+        # first pivot p is one of 2 bits, so every block row is rescaled by
+        # |p|; the second is +-1, no multiple of |p|, so every block row
+        # takes an inexact step.  Both rewrite rows without eliminating
+        # them, and their pivot keys must be refreshed.
+        pair, block, row_order, col_order = case
+        n = len(block)
+        m = [[0] * (n + 2) for _ in range(n + 2)]
+        m[0][:2], m[1][:2] = pair
+        for i, row in enumerate(block):
+            m[i + 2][2:] = row
+            m[i + 2][i + 2] = row[i] or 4
+        m = [[m[i][j] for j in col_order] for i in row_order]
+        assert _det_sparse(sparse(m)) == det_dense(m)
 
     @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
         st.lists(st.lists(st.integers(-9, 9) | st.just(0),
