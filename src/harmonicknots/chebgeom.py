@@ -9,7 +9,7 @@ exactly through sine signs of rational angles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .exact import fold, sign_sin
@@ -70,6 +70,13 @@ class Crossing:
     over_at_t: bool
     x_order: int
     y_level: int
+
+    def mirrored(self) -> "Crossing":
+        """The same double point of the mirror image: over/under and both
+        signs flip."""
+        return replace(self, sign=-self.sign,
+                       oriented_sign=-self.oriented_sign,
+                       over_at_t=not self.over_at_t)
 
 
 def _sine_signs(K: HarmonicTriple, h: int, k: int) -> tuple[int, int, int, int]:

@@ -16,7 +16,7 @@ import sys
 
 from .cfrac import (SchubertFraction, crossing_number_bireg,
                     fraction_candidate, positive_cf, CFError)
-from .chebgeom import HarmonicTriple, enumerate_crossings
+from .chebgeom import HarmonicTriple
 from .classify import AnalysisReport, analyze, enumerate_table_triples
 from .errors import InternalError
 from .render import RenderOptions, render_billiard, render_xy
@@ -103,9 +103,11 @@ def cmd_analyze(args) -> int:
     report = analyze(K)
     if args.svg or args.billiard:
         # The drawings show K itself; the report's crossings are those of
-        # the reduced triple, which is K when nothing reduced.
-        crossings = enumerate_crossings(K) if report.reductions \
-            else report.crossings
+        # the reduced triple.  A degree reduction keeps every double point
+        # and mirrors the diagram crossing by crossing, so K's crossings
+        # are the report's, flipped when the reductions mirrored.
+        crossings = [c.mirrored() for c in report.crossings] \
+            if report.mirrored else report.crossings
         options = RenderOptions(annotate_signs=True)
         if args.svg:
             _write_output(args.svg, render_xy(K, options, crossings))

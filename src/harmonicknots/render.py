@@ -1,5 +1,14 @@
 """SVG drawings: the xy plane diagram and the billiard representation.
 
+The xy diagram samples the curve at u = i * step, step = 1 / (SAMPLES - 1),
+the last sample at exactly 1.0.  The under-passage at u0 hides sample i
+iff abs(u - u0) <= half, a window that stays clear of every other passage.
+Since u rises with i, each under-passage hides one run of indices, found
+by that float test at the run's two ends; the drawing is the visible runs
+of two or more samples, each sampled and formatted as one piece.  Every
+number is printed as ``_fmt`` prints it (four decimals, trailing zeros
+and a bare point dropped), and the tests pin the output byte for byte.
+
 The billiard picture applies F(x) = (2/pi)*arccos(x) - 1, the affine map
 in arccos taking [-1, 1] onto [-1, 1]; under (x, y) -> (b F(x), a F(y))
 the curve becomes a billiard trajectory in the rectangle
@@ -42,11 +51,20 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def _polyline(points: list[tuple[float, float]]) -> str:
-    text = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+def _polyline(coords: list[float]) -> str:
+    """Polyline through (coords[0], coords[1]), (coords[2], coords[3]), ...
+
+    One ``%`` formats the whole piece to four decimals, each number
+    followed by "," or " ".  A number ending in 0 then ends a chunk of the
+    split on "0," (or "0 "), and ``_fmt``'s rule trims that chunk.
+    """
+    text = ("%.4f,%.4f " * (len(coords) // 2)) % tuple(coords)
+    for sep in (",", " "):
+        text = sep.join([chunk.rstrip("0").rstrip(".")
+                         for chunk in text.split("0" + sep)])
     return (f'<polyline fill="none" stroke="#1a1a1a" '
             f'stroke-width="{_fmt(STROKE)}" stroke-linecap="round" '
-            f'points="{text}"/>')
+            f'points="{text[:-1]}"/>')
 
 
 # ---------------------------------------------------------------------------
@@ -73,36 +91,52 @@ def render_xy(K: HarmonicTriple, options: RenderOptions | None = None,
     min_sep = min((n - m for m, n in zip(nums, nums[1:])), default=ab) / ab
     half = min(0.012, 0.35 * min_sep)
 
+    # The hidden run [lo, hi) of each under-passage (module docstring):
+    # abs(u - u0) <= half split into its two signed halves, each end
+    # walked from a guess at most a step or two away.
+    last = SAMPLES - 1
+    step = 1 / last
+
+    def u_at(i: int) -> float:
+        return i * step if i < last else 1.0
+
+    runs: list[tuple[int, int]] = []
+    start = 0
+    for u0 in unders:
+        lo = max(int((u0 - half) * last), 0)
+        while lo > 0 and u_at(lo - 1) - u0 >= -half:
+            lo -= 1
+        while lo < SAMPLES and u_at(lo) - u0 < -half:
+            lo += 1
+        hi = max(int((u0 + half) * last), lo)
+        while hi > lo and u_at(hi - 1) - u0 > half:
+            hi -= 1
+        while hi < SAMPLES and u_at(hi) - u0 <= half:
+            hi += 1
+        if lo < hi:
+            runs.append((start, lo))
+            start = hi
+    runs.append((start, SAMPLES))
+
     scale = WIDTH / (2 + 2 * MARGIN)
     off = (1 + MARGIN) * scale
-
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        return off + scale * x, off - scale * y
-
-    # One sweep: the parameters u rise, so an under-passage left more than
-    # half behind stays behind, and only the next one can hide u.
-    pieces: list[list[tuple[float, float]]] = []
-    current: list[tuple[float, float]] = []
-    step = 1 / (SAMPLES - 1)
-    j = 0
-    for i in range(SAMPLES):
-        u = i * step if i < SAMPLES - 1 else 1.0
-        while j < len(unders) and u - unders[j] > half:
-            j += 1
-        if j == len(unders) or abs(u - unders[j]) > half:
-            current.append(to_px(cos(K.a * u * pi), cos(K.b * u * pi)))
-        elif current:
-            pieces.append(current)
-            current = []
-    if current:
-        pieces.append(current)
-
-    body = [_polyline(p) for p in pieces if len(p) > 1]
+    a, b = K.a, K.b
+    body = []
+    for lo, hi in runs:
+        if hi - lo < 2:
+            continue
+        us = [i * step for i in range(lo, min(hi, last))]
+        if hi == SAMPLES:
+            us.append(1.0)
+        coords = [0.0] * (2 * len(us))
+        coords[::2] = [off + scale * cos(a * u * pi) for u in us]
+        coords[1::2] = [off - scale * cos(b * u * pi) for u in us]
+        body.append(_polyline(coords))
     if opt.annotate_signs:
         for c in crossings:
-            x = cos(pi * (fold(c.t_num, K.b) / K.b))
-            y = cos(pi * (fold(c.t_num, K.a) / K.a))
-            px, py = to_px(x, y)
+            x = cos(pi * (fold(c.t_num, b) / b))
+            y = cos(pi * (fold(c.t_num, a) / a))
+            px, py = off + scale * x, off - scale * y
             body.append(
                 f'<text x="{_fmt(px + 5)}" y="{_fmt(py - 5)}" '
                 f'font-size="{_fmt(scale * 0.05)}">'
@@ -118,18 +152,6 @@ def billiard_point(K: HarmonicTriple, m: int) -> tuple[int, int]:
     """Lattice point of the curve point of parameter t = cos(m pi / ab)
     in billiard coordinates."""
     return 2 * fold(m, K.b) - K.b, 2 * fold(m, K.a) - K.a
-
-
-def billiard_polyline(K: HarmonicTriple) -> list[tuple[int, int]]:
-    """Trajectory vertices (reflection points and endpoints), in order.
-
-    Vertices sit at the parameters cos(m pi / ab) with m a multiple of a
-    or b; all coordinates are integers and consecutive differences have
-    |dx| = |dy|, i.e. slope exactly +-1.
-    """
-    ab = K.a * K.b
-    return [billiard_point(K, m) for m in range(ab + 1)
-            if m % K.a == 0 or m % K.b == 0]
 
 
 def render_billiard(K: HarmonicTriple,
@@ -175,7 +197,7 @@ def render_billiard(K: HarmonicTriple,
         f'width="{_fmt(2 * scale * b)}" height="{_fmt(2 * scale * a)}" '
         f'fill="none" stroke="#999" stroke-width="1"/>'
     ]
-    body += [_polyline([to_px(p) for p in piece])
+    body += [_polyline([v for p in piece for v in to_px(p)])
              for piece in pieces if len(piece) > 1]
     for c in crossings:
         px, py = to_px(billiard_point(K, c.t_num))

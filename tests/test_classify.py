@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from harmonicknots import classify
 from harmonicknots.cfrac import SchubertFraction, two_bridge_equivalent
@@ -75,6 +75,23 @@ class TestReduceC:
         code_reduced = build_gauss_code(enumerate_crossings(reduced))
         assert alexander(code) == alexander(code_reduced)
         assert determinant(code) == determinant(code_reduced)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 14).flatmap(lambda b: st.tuples(
+        st.integers(1, b - 1), st.just(b), st.integers(1, 10 ** 9))))
+    @example((3, 4, 13))  # one step: mirrored
+    @example((3, 4, 19))  # two steps: not mirrored
+    def test_mirrors_the_diagram_crossing_by_crossing(self, triple):
+        # Not only the knot: every double point keeps its parameters, and
+        # its signs and over/under flip exactly when the chain mirrors.
+        a, b, c = triple
+        assume(gcd(a, b) == 1 and gcd(c, a * b) == 1)
+        K = HarmonicTriple(a, b, c)
+        reduced, mirrored = reduced_triple(K, reduce_c(K))
+        expected = enumerate_crossings(reduced)
+        if mirrored:
+            expected = [x.mirrored() for x in expected]
+        assert enumerate_crossings(K) == expected
 
 
 def smallest_reduction_by_search(a, b, c):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
-from harmonicknots import chebgeom, classify, cli, render
+from harmonicknots import chebgeom, classify, render
 from harmonicknots.cfrac import SchubertFraction, positive_cf
 from harmonicknots.cli import main
 
@@ -73,20 +73,32 @@ class TestAnalyzeCommand:
     def test_drawings_reuse_the_crossing_list(self, capsys, tmp_path,
                                              monkeypatch):
         calls = []
-        for module in (chebgeom, classify, cli, render):
+        for module in (chebgeom, classify, render):
             def counted(K, _original=module.enumerate_crossings):
                 calls.append((K.a, K.b, K.c))
                 return _original(K)
             monkeypatch.setattr(module, "enumerate_crossings", counted)
         paths = ["--svg", str(tmp_path / "xy.svg"),
                  "--billiard", str(tmp_path / "billiard.svg")]
-        # An irreducible triple is enumerated once, for the report and
-        # both drawings; a reducible one also for the drawings of itself.
+        # Each curve is enumerated once, for the report and both drawings;
+        # a reducible one as its reduced triple.
         assert run(capsys, "analyze", "4", "5", "7", *paths)[0] == 0
         assert calls == [(4, 5, 7)]
         calls.clear()
         assert run(capsys, "analyze", "3", "4", "13", *paths)[0] == 0
-        assert sorted(calls) == [(3, 4, 5), (3, 4, 13)]
+        assert calls == [(3, 4, 5)]
+
+    def test_drawings_of_a_reducible_triple(self, capsys, tmp_path):
+        # H(3,4,13) reduces once (mirrored), H(3,4,19) twice (not
+        # mirrored); the files must show the input triple.
+        xy, bil = tmp_path / "xy.svg", tmp_path / "billiard.svg"
+        options = render.RenderOptions(annotate_signs=True)
+        for c in ("13", "19"):
+            assert run(capsys, "analyze", "3", "4", c, "--svg", str(xy),
+                       "--billiard", str(bil))[0] == 0
+            K = chebgeom.HarmonicTriple(3, 4, int(c))
+            assert xy.read_text() == render.render_xy(K, options)
+            assert bil.read_text() == render.render_billiard(K, options)
 
     def test_huge_degree_finishes(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -3,16 +3,98 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from math import cos, gcd, pi
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from harmonicknots.chebgeom import HarmonicTriple
-from harmonicknots.render import (RenderOptions, billiard_point,
-                                  billiard_polyline, render_billiard,
-                                  render_xy)
+from harmonicknots import render
+from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
+from harmonicknots.exact import fold
+from harmonicknots.render import (MARGIN, SAMPLES, STROKE, WIDTH,
+                                  RenderOptions, _fmt, _svg_document,
+                                  billiard_point, render_billiard, render_xy)
 
 SVG = "{http://www.w3.org/2000/svg}"
+
+
+# ---------------------------------------------------------------------------
+# Reference drawings: the per-sample sweep and the per-number polyline that
+# the per-piece renderer replaced.  The package's output must match them
+# byte for byte.
+
+
+def reference_polyline(points):
+    text = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+    return (f'<polyline fill="none" stroke="#1a1a1a" '
+            f'stroke-width="{_fmt(STROKE)}" stroke-linecap="round" '
+            f'points="{text}"/>')
+
+
+def reference_render_xy(K, options=None):
+    opt = options or RenderOptions()
+    crossings = enumerate_crossings(K)
+    ab = K.a * K.b
+    unders = sorted((c.s_num if c.over_at_t else c.t_num) / ab
+                    for c in crossings)
+    nums = sorted({c.t_num for c in crossings} | {c.s_num for c in crossings})
+    min_sep = min((n - m for m, n in zip(nums, nums[1:])), default=ab) / ab
+    half = min(0.012, 0.35 * min_sep)
+
+    scale = WIDTH / (2 + 2 * MARGIN)
+    off = (1 + MARGIN) * scale
+
+    def to_px(x, y):
+        return off + scale * x, off - scale * y
+
+    # One sweep: the parameters u rise, so an under-passage left more than
+    # half behind stays behind, and only the next one can hide u.
+    pieces = []
+    current = []
+    step = 1 / (SAMPLES - 1)
+    j = 0
+    for i in range(SAMPLES):
+        u = i * step if i < SAMPLES - 1 else 1.0
+        while j < len(unders) and u - unders[j] > half:
+            j += 1
+        if j == len(unders) or abs(u - unders[j]) > half:
+            current.append(to_px(cos(K.a * u * pi), cos(K.b * u * pi)))
+        elif current:
+            pieces.append(current)
+            current = []
+    if current:
+        pieces.append(current)
+
+    body = [reference_polyline(p) for p in pieces if len(p) > 1]
+    if opt.annotate_signs:
+        for c in crossings:
+            x = cos(pi * (fold(c.t_num, K.b) / K.b))
+            y = cos(pi * (fold(c.t_num, K.a) / K.a))
+            px, py = to_px(x, y)
+            body.append(
+                f'<text x="{_fmt(px + 5)}" y="{_fmt(py - 5)}" '
+                f'font-size="{_fmt(scale * 0.05)}">'
+                f'{"+" if c.sign > 0 else chr(0x2212)}</text>')
+    return _svg_document(WIDTH, WIDTH, body)
+
+
+def reference_coords_polyline(coords):
+    """``reference_polyline`` taking the flat list ``render._polyline``
+    takes."""
+    return reference_polyline(list(zip(coords[::2], coords[1::2])))
+
+
+def billiard_polyline(K):
+    """Trajectory vertices (reflection points and endpoints), in order.
+
+    Vertices sit at the parameters cos(m pi / ab) with m a multiple of a
+    or b; all coordinates are integers and consecutive differences have
+    |dx| = |dy|, i.e. slope exactly +-1.
+    """
+    ab = K.a * K.b
+    return [billiard_point(K, m) for m in range(ab + 1)
+            if m % K.a == 0 or m % K.b == 0]
 
 
 # sha256 of render_xy (plain, annotated) and render_billiard (plain,
@@ -74,6 +156,48 @@ def test_renders_without_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# Pairwise coprime degrees a < b, a <= 12, b <= 40, c up to 10^9.
+TRIPLES = st.integers(2, 40).flatmap(lambda b: st.tuples(
+    st.integers(1, min(b - 1, 12)), st.just(b),
+    st.integers(1, 10 ** 9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(TRIPLES, st.booleans())
+@example((3, 4, 5), True)
+@example((1, 2, 3), False)
+@example((11, 40, 999999937), True)
+# ab = 2368: some windows are narrower than a sample step and hide none.
+@example((37, 64, 5), False)
+def test_matches_the_reference_drawings(triple, annotate):
+    a, b, c = triple
+    assume(gcd(a, b) == 1 and gcd(c, a * b) == 1)
+    K = HarmonicTriple(*triple)
+    options = RenderOptions(annotate_signs=annotate)
+    assert render_xy(K, options) == reference_render_xy(K, options)
+    billiard = render_billiard(K, options)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(render, "_polyline", reference_coords_polyline)
+        assert billiard == render_billiard(K, options)
+
+
+# Coordinates whose four-decimal rounding carries into the integer part
+# or leaves only zeros.
+CARRIES = [99.99995, 9.99996, 999.99996, 0.00004, -0.00004, 0.0, 100.0,
+           10.5, 23.6, 496.4]
+COORDS = st.one_of(st.sampled_from(CARRIES),
+                   st.floats(-1e6, 1e6, allow_nan=False),
+                   st.integers(-10 ** 6, 10 ** 6).map(lambda n: n / 10 ** 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=20))
+@example(list(zip(CARRIES, reversed(CARRIES))))
+def test_bulk_format_equals_per_number_fmt(points):
+    coords = [v for p in points for v in p]
+    assert render._polyline(coords) == reference_polyline(points)
 
 
 def polylines(svg_text):
