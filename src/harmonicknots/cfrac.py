@@ -274,13 +274,6 @@ def sign_change_profile(cf: SignedCF) -> SignChangeProfile:
     return SignChangeProfile(changes, max_run, palindromic)
 
 
-def has_three_consecutive_changes(cf: SignedCF) -> bool:
-    terms = list(cf)
-    flags = [terms[j] * terms[j + 1] < 0 for j in range(len(terms) - 1)]
-    return any(flags[j] and flags[j + 1] and flags[j + 2]
-               for j in range(len(flags) - 2))
-
-
 def expand_1212(f: SchubertFraction) -> list[int]:
     """The unique expansion f = [1, +-2, +-1, +-2, ...] without three
     consecutive sign changes, for a finite f > 0 with odd alpha and even
@@ -317,7 +310,7 @@ def expand_1212(f: SchubertFraction) -> list[int]:
     else:
         raise InternalError(
             f"expansion of {f.alpha}/{f.beta} did not terminate")
-    if evaluate(terms) != f or has_three_consecutive_changes(terms):
+    if evaluate(terms) != f or sign_change_profile(terms).max_run >= 3:
         raise InternalError(
             f"expansion of {f.alpha}/{f.beta} failed validation")
     return terms

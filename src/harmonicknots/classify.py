@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .cfrac import (FractionCandidate, SchubertFraction, evaluate,
-                    evaluate_projective, expand_1212, fraction_candidate,
-                    positive_cf, sign_change_profile, two_bridge_equivalent)
+from .cfrac import (SchubertFraction, evaluate, evaluate_projective,
+                    positive_cf, two_bridge_equivalent)
 from .chebgeom import Crossing, HarmonicTriple, enumerate_crossings
 from .diagram import (GaussCode, build_gauss_code, conway_form_h4,
                       read_conway_from_diagram)
@@ -195,89 +194,6 @@ def predict_family(K: HarmonicTriple) -> ExpectedIdentity | None:
 
 
 # ---------------------------------------------------------------------------
-# Exclusion reports
-
-
-@dataclass(frozen=True)
-class TwistKnotReport:
-    """Eligibility of the twist knot C(n, 2) for the a = 4 harmonic family."""
-
-    n: int
-    alpha: int
-    candidates: tuple[FractionCandidate, ...]
-    harmonic_h4_eligible: bool
-
-
-def twist_knot_check(n: int) -> TwistKnotReport:
-    """Test whether C(n, 2) (fraction (2n+1)/2) can have a = 4 degrees.
-
-    The even-denominator fractions of the knot are (2n+1)/2 and
-    (2n+1)/(n+1) for odd n or (2n+1)/(-n) for even n; eligibility needs
-    one of them to satisfy beta^2 = +-2 (mod alpha) with an expansion free
-    of two consecutive sign changes.  Only n in {1, 3} survive.
-    """
-    if n < 1:
-        raise InvalidInputError("twist knots need n >= 1")
-    alpha = 2 * n + 1
-    betas = [2, (n + 1) if n % 2 else -n]
-    seen = set()
-    candidates = []
-    for beta in betas:
-        key = beta % alpha
-        if key in seen:
-            continue
-        seen.add(key)
-        candidates.append(fraction_candidate(alpha, beta))
-    eligible = any(c.eligible for c in candidates)
-    return TwistKnotReport(n, alpha, tuple(candidates), eligible)
-
-
-@dataclass(frozen=True)
-class DenominatorFamilyReport:
-    """The fraction (2n^2+1)/(2n): beta^2 = -2 always, yet obstructed for
-    n > 1 by two consecutive sign changes."""
-
-    n: int
-    fraction: SchubertFraction
-    beta_sq_is_minus_two: bool
-    construction: tuple[int, ...]
-    construction_matches: bool
-    expansion: tuple[int, ...]
-    obstructed: bool
-
-
-def non_harmonic_family_check(n: int) -> DenominatorFamilyReport:
-    """Verify the (2n^2+1)/(2n) family and its sign-change obstruction.
-
-    The expansion is produced structurally by composing the blocks
-    C = [1,2,-1,2] (adds 2), D = [1,-2,1,2] (x -> x/(4x+1)) and
-    F = [1,2] ((3x+1)/(2x+1)): n = 2k gives C^k D^k, n = 2k+1 gives
-    C^k F D^k; the composition is cross-checked by exact evaluation.
-    """
-    if n < 1:
-        raise InvalidInputError("family is indexed by n >= 1")
-    fraction = SchubertFraction(2 * n * n + 1, 2 * n)
-    k = n // 2
-    blocks = [1, 2, -1, 2] * k
-    if n % 2:
-        blocks = blocks + [1, 2]
-    construction = tuple(blocks + [1, -2, 1, 2] * k)
-    matches = evaluate(construction) == fraction
-    expansion = tuple(expand_1212(fraction))
-    profile = sign_change_profile(expansion)
-    return DenominatorFamilyReport(
-        n=n,
-        fraction=fraction,
-        beta_sq_is_minus_two=(4 * n * n) % fraction.alpha
-        == (fraction.alpha - 2) % fraction.alpha,
-        construction=construction,
-        construction_matches=matches and construction == expansion,
-        expansion=expansion,
-        obstructed=profile.max_run >= 2,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Full analysis
 
 
@@ -309,7 +225,8 @@ class AnalysisReport:
 
 
 def _verify_expectation(expect: ExpectedIdentity, delta: LaurentPoly,
-                        det: int) -> tuple[str, ...]:
+                        det: int) -> str:
+    """The note of a family prediction; Delta or det refuting it raises."""
     if expect.h4_pair:
         b, c = expect.h4_pair
         other = canonical_h4(b, c)
@@ -319,10 +236,12 @@ def _verify_expectation(expect: ExpectedIdentity, delta: LaurentPoly,
     else:
         ref_delta = alexander_of_fraction(list(expect.conway))
         ref_det = abs(evaluate_projective(list(expect.conway)).alpha)
-    status = "verified" if (ref_delta == delta and ref_det == det) \
-        else "FAILED"
-    return (f"family prediction: isotopic to {expect.describe()}"
-            f" ({status}: matching Alexander polynomial and determinant)",)
+    claim = f"family prediction: isotopic to {expect.describe()}"
+    if ref_delta != delta or ref_det != det:
+        raise InternalError(f"{claim} fails: Alexander polynomial or "
+                            "determinant differs")
+    return (f"{claim} (verified: matching Alexander polynomial and "
+            "determinant)")
 
 
 def analyze(K: HarmonicTriple) -> AnalysisReport:
@@ -338,6 +257,8 @@ def analyze(K: HarmonicTriple) -> AnalysisReport:
     conway = fraction = crossing_number = None
     fraction_source = None
     record = None
+    # a <= 2 or a degree 1 leaves a coordinate with one critical point.
+    unknotted = reduced.a <= 2 or 1 in (reduced.b, reduced.c)
     if reduced.a in (3, 4):
         conway = tuple(read_conway_from_diagram(reduced, crossings))
         fraction = evaluate_projective(conway)
@@ -361,8 +282,7 @@ def analyze(K: HarmonicTriple) -> AnalysisReport:
                 raise InternalError("crossing number routes disagree")
         record = knotnames.name_by_fraction(fraction) \
             if fraction.alpha > 1 else None
-        if fraction.alpha == 1:
-            notes.append("unknotted curve")
+        unknotted = unknotted or fraction.alpha == 1
     else:
         source = f"H({reduced.a},{reduced.b},{reduced.c})"
         record = next((r for r in knotnames.records() if r.source == source),
@@ -376,13 +296,15 @@ def analyze(K: HarmonicTriple) -> AnalysisReport:
             fraction = record.fraction
             fraction_source = "table"
 
+    if unknotted:
+        notes.append("unknotted curve")
     composite = factor_square(delta)
     if composite is not None and len(delta.coeffs) > 1:
         notes.append("Alexander polynomial is a perfect square "
                      f"(({composite})^2): candidate connected sum")
     expect = predict_family(K)
     if expect is not None:
-        notes.extend(_verify_expectation(expect, delta, det))
+        notes.append(_verify_expectation(expect, delta, det))
 
     return AnalysisReport(
         triple=(K.a, K.b, K.c),

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid input, 3 broken internal invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -169,7 +170,8 @@ def cmd_cf(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harmonicknots",
         description="Diagram calculus and invariants for harmonic "
@@ -196,8 +198,11 @@ def main(argv=None) -> int:
     p.add_argument("alpha", type=int)
     p.add_argument("beta", type=int)
     p.set_defaults(func=cmd_cf)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -32,8 +32,3 @@ def sign_sin(p: int, q: int) -> int:
     if p % q == 0:
         return 0
     return -1 if (p // q) % 2 else 1
-
-
-def sign_cos(p: int, q: int) -> int:
-    """Sign of cos((p/q)*pi), via the complementary angle (1/2 - p/q)*pi."""
-    return sign_sin(q - 2 * p, 2 * q)

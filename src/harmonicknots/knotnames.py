@@ -6,15 +6,14 @@ fraction, source triple).  Its rows cover exactly the knots this package
 can name honestly: the 51 curves with (a-1)(b-1) <= 30 plus the two larger
 identified curves (8_17 and 10_115).  The file is the one source of the
 table: its name, starred, fraction and source columns are data, and the
-others are derived.  ``regenerate_table`` recomputes the derived columns
-with this package's own pipeline, and a test pins the shipped copy to it.
+others are derived; a test recomputes them with this package's own
+pipeline and pins the shipped copy to the result.
 
 Lookups outside the table report None ("unidentified") rather than guess.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -32,11 +31,6 @@ class KnotRecord:
     source: str
 
 
-def _crossing_number_of_name(name: str) -> int:
-    """Sum of the leading crossing counts: 12n356 -> 12, 4_1#4_1 -> 8."""
-    return sum(int(re.match(r"\d+", part)[0]) for part in name.split("#"))
-
-
 def _parse_fraction(text: str) -> SchubertFraction:
     if "/" in text:
         num, den = text.split("/")
@@ -51,34 +45,6 @@ def _table_lines() -> list[str]:
 
 def _fields(line: str) -> list[str]:
     return [p.strip() for p in line.split("|")]
-
-
-def regenerate_table() -> str:
-    """Recompute the shipped table: its ``#`` header and its name, starred,
-    fraction and source columns are kept, and the crossing number,
-    determinant and Alexander coefficients are derived again."""
-    from .chebgeom import HarmonicTriple, enumerate_crossings
-    from .diagram import build_gauss_code
-    from .invariants import alexander
-
-    lines = []
-    for line in _table_lines():
-        if line.startswith("#"):
-            lines.append(line)
-            continue
-        name, starred, _, _, _, frac, source = _fields(line)
-        a, b, c = (int(x) for x in source[2:-1].split(","))
-        code = build_gauss_code(enumerate_crossings(HarmonicTriple(a, b, c)))
-        delta = alexander(code)
-        det = abs(delta(-1))
-        if frac != "-" and _parse_fraction(frac).alpha != det:
-            raise ValueError(
-                f"determinant {det} of {source} does not match {frac}")
-        coeffs = ",".join(str(x) for x in delta.coefficient_list())
-        lines.append(
-            f"{name} | {starred} | {_crossing_number_of_name(name)}"
-            f" | {det} | {coeffs} | {frac} | {source}")
-    return "\n".join(lines) + "\n"
 
 
 def _load_records() -> tuple[KnotRecord, ...]:

@@ -4,11 +4,17 @@ REFERENCE_TABLE lists the 51 small irreducible curves with their published
 fractions and knot names (triple, fraction or None, name, starred).  It
 deliberately duplicates the package's embedded data: the tests treat this
 copy as the oracle and the package's as the artifact under test.
+``sign_cos`` is the exact cosine sign that the crossing-sign tests compare
+the package against, and ``denominator_family_blocks`` builds the
+expansion of the fractions (2n^2+1)/(2n) from blocks, independently of
+``expand_1212``.
 """
 
 from fractions import Fraction
 
 import pytest
+
+from harmonicknots.exact import sign_sin
 
 REFERENCE_TABLE = [
     ((3, 4, 5), "3", "3_1", False),
@@ -63,6 +69,21 @@ REFERENCE_TABLE = [
     ((6, 7, 23), None, "15n165258", True),
     ((6, 7, 29), None, "15a81117", False),
 ]
+
+
+def sign_cos(p, q):
+    """Sign of cos((p/q)*pi), via the complementary angle (1/2 - p/q)*pi."""
+    return sign_sin(q - 2 * p, 2 * q)
+
+
+def denominator_family_blocks(n):
+    """The [1, +-2, ...] expansion of (2n^2+1)/(2n), composed from the
+    blocks C = [1,2,-1,2] (adds 2), D = [1,-2,1,2] (x -> x/(4x+1)) and
+    F = [1,2] ((3x+1)/(2x+1)): n = 2k gives C^k D^k, n = 2k+1 gives
+    C^k F D^k."""
+    k = n // 2
+    middle = [1, 2] if n % 2 else []
+    return tuple([1, 2, -1, 2] * k + middle + [1, -2, 1, 2] * k)
 
 
 def parse_fraction(text):

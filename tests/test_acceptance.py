@@ -16,19 +16,17 @@ from math import gcd
 
 from harmonicknots.cfrac import (
     PreconditionError, SchubertFraction, crossing_number_bireg, evaluate,
-    evaluate_projective, expand_1212, cf_matrix, positive_cf,
-    sign_change_profile, two_bridge_equivalent, has_three_consecutive_changes)
+    evaluate_projective, expand_1212, cf_matrix, fraction_candidate,
+    positive_cf, sign_change_profile, two_bridge_equivalent)
 from harmonicknots.chebgeom import (HarmonicTriple, crossing_parameters,
                                     enumerate_crossings)
-from harmonicknots.classify import (analyze, canonical_h4,
-                                    non_harmonic_family_check)
+from harmonicknots.classify import analyze, canonical_h4
 from harmonicknots.cli import main
 from harmonicknots.diagram import build_gauss_code, conway_form_h4
-from harmonicknots.exact import sign_cos
 from harmonicknots.invariants import (alexander, alexander_of_fraction,
                                       determinant, factor_square)
 
-from conftest import REFERENCE_TABLE
+from conftest import REFERENCE_TABLE, denominator_family_blocks, sign_cos
 
 
 class _Criterion:
@@ -216,9 +214,12 @@ def test_criterion_08_exclusion_families():
         code = main(["cf", "9", "4"])
         assert code == 0
         for n in range(1, 6):
-            report = non_harmonic_family_check(n)
-            assert report.beta_sq_is_minus_two
-            assert report.construction_matches
+            alpha, beta = 2 * n * n + 1, 2 * n
+            report = fraction_candidate(alpha, beta)
+            assert report.beta_sq_mod == alpha - 2
+            construction = denominator_family_blocks(n)
+            assert evaluate(construction) == SchubertFraction(alpha, beta)
+            assert report.expansion == construction
             assert report.obstructed == (n > 1)
 
 
@@ -238,7 +239,7 @@ def test_criterion_09_property_suites():
             r = SchubertFraction(alpha, beta)
             terms = expand_1212(r)
             assert evaluate(terms) == r
-            assert not has_three_consecutive_changes(terms)
+            assert sign_change_profile(terms).max_run < 3
             # Value criterion: above 1 exactly when the second term is +2.
             assert (alpha > beta) == (terms[1] == 2)
 

@@ -9,8 +9,8 @@ from harmonicknots.cfrac import (
     DivisionByZeroError, MobiusMatrix, NonPositiveError, NotInvertibleError,
     ParityError, PreconditionError, SchubertFraction, ShapeError,
     crossing_number_bireg, evaluate, evaluate_projective, expand_1212,
-    cf_matrix, fraction_candidate, has_three_consecutive_changes,
-    positive_cf, sign_change_profile, two_bridge_equivalent)
+    cf_matrix, fraction_candidate, positive_cf, sign_change_profile,
+    two_bridge_equivalent)
 
 
 class TestEvaluate:
@@ -125,7 +125,6 @@ class TestExpand1212:
             assert terms[0] == 1
             profile = sign_change_profile(terms)
             assert profile.max_run <= 2
-            assert not has_three_consecutive_changes(terms)
 
     def test_value_above_one_iff_second_term_positive(self):
         # Both r > 1 and its reciprocal-ish partner alpha/beta < 1 occur.

@@ -7,7 +7,9 @@ import pytest
 from harmonicknots.chebgeom import (
     DegenerateSignError, HarmonicTriple, InvalidTripleError, _sine_signs,
     crossing_parameters, crossing_signs, enumerate_crossings)
-from harmonicknots.exact import fold, sign_cos
+from harmonicknots.exact import fold
+
+from conftest import sign_cos
 
 
 def twist_sign(K, h, k):

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from harmonicknots import classify
-from harmonicknots.cfrac import SchubertFraction, two_bridge_equivalent
+from harmonicknots.cfrac import (SchubertFraction, evaluate,
+                                 fraction_candidate, two_bridge_equivalent)
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.classify import (
     InvalidInputError, analyze, canonical_h4, enumerate_table_triples,
-    non_harmonic_family_check, predict_family, reduce_c, reduced_triple,
-    twist_knot_check)
+    predict_family, reduce_c, reduced_triple)
 from harmonicknots.diagram import build_gauss_code
 from harmonicknots.invariants import LaurentPoly, alexander, determinant
 
-from conftest import REFERENCE_TABLE
+from conftest import REFERENCE_TABLE, denominator_family_blocks
 
 
 class TestReduceC:
@@ -249,22 +249,31 @@ class TestPredictFamily:
         assert predict_family(HarmonicTriple(5, 7, 9)) is None
 
 
+def twist_candidates(n):
+    """The a = 4 eligibility of the twist knot C(n, 2), fraction (2n+1)/2:
+    one candidate per even member of its class, as ``cf`` lists them."""
+    alpha = 2 * n + 1
+    return [fraction_candidate(alpha, rep)
+            for rep in SchubertFraction(alpha, 2).equivalence_class()
+            if rep % 2 == 0]
+
+
 class TestTwistKnots:
     def test_eligibility_matches_reference(self):
         # Only the fractions 3/2 (n=1) and 7/4 (n=3) survive both the
         # beta^2 = +-2 test and the sign-change obstruction.
         for n in range(1, 200):
-            report = twist_knot_check(n)
-            assert report.alpha == 2 * n + 1
-            assert report.harmonic_h4_eligible == (n in (1, 3)), n
+            eligible = any(c.eligible for c in twist_candidates(n))
+            assert eligible == (n in (1, 3)), n
 
     def test_figure_eight_case(self):
-        report = twist_knot_check(2)
-        assert not any(c.passes_beta_sq for c in report.candidates)
+        # 5/2 and its mirror 5/3 are one class with one even member.
+        candidates = twist_candidates(2)
+        assert [c.beta for c in candidates] == [2]
+        assert not any(c.passes_beta_sq for c in candidates)
 
     def test_six_one_case(self):
-        report = twist_knot_check(4)
-        survivor = [c for c in report.candidates if c.passes_beta_sq]
+        survivor = [c for c in twist_candidates(4) if c.passes_beta_sq]
         assert len(survivor) == 1
         assert survivor[0].expansion == (1, 2, -1, 2, 1, -2, 1, 2)
         assert survivor[0].obstructed
@@ -273,15 +282,18 @@ class TestTwistKnots:
 class TestNonHarmonicFamily:
     def test_reports(self):
         for n in range(1, 6):
-            r = non_harmonic_family_check(n)
-            assert r.fraction == SchubertFraction(2 * n * n + 1, 2 * n)
-            assert r.beta_sq_is_minus_two
-            assert r.construction_matches
+            alpha, beta = 2 * n * n + 1, 2 * n
+            r = fraction_candidate(alpha, beta)
+            assert r.beta_sq_mod == alpha - 2
+            construction = denominator_family_blocks(n)
+            assert evaluate(construction) == SchubertFraction(alpha, beta)
+            assert r.expansion == construction
             assert r.obstructed == (n > 1), n
 
     def test_small_cases(self):
-        assert non_harmonic_family_check(2).fraction == SchubertFraction(9, 4)
-        assert non_harmonic_family_check(3).fraction == SchubertFraction(19, 6)
+        assert evaluate(denominator_family_blocks(2)) == SchubertFraction(9, 4)
+        assert evaluate(denominator_family_blocks(3)) == \
+            SchubertFraction(19, 6)
 
 
 class TestAnalyze:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,9 +10,10 @@ from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
-from harmonicknots import chebgeom, classify, render
+from harmonicknots import chebgeom, classify, cli, render
 from harmonicknots.cfrac import SchubertFraction, positive_cf
 from harmonicknots.cli import main
+from harmonicknots.invariants import LaurentPoly
 
 from conftest import REFERENCE_TABLE
 
@@ -50,6 +52,34 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "perfect square" in out
         assert "4_1#4_1" in out
+
+    def test_unknotted_curves_are_noted_once(self, capsys):
+        # A degree 1 or a <= 2 leaves a coordinate with at most one
+        # critical point; H(3,4,10^30+1) reduces to H(3,4,1), whose
+        # fraction 1/0 gave the note before.
+        for triple in (("2", "3", "5"), ("5", "6", "1"), ("1", "2", "3"),
+                       ("3", "4", str(10 ** 30 + 1))):
+            code, out, _ = run(capsys, "analyze", *triple)
+            assert code == 0, triple
+            assert out.count("note: unknotted curve") == 1, triple
+        code, out, _ = run(capsys, "analyze", "3", "4", "5")
+        assert "unknotted" not in out
+
+    def test_family_prediction(self, capsys):
+        code, out, _ = run(capsys, "analyze", "5", "6", "7")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "  note: family prediction: isotopic to two-bridge curve with "
+            "degrees (4, 5, 7) (verified: matching Alexander polynomial and "
+            "determinant)")
+
+    def test_failed_family_prediction_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(classify, "alexander_of_fraction",
+                            lambda cf: LaurentPoly.from_coeffs([1]))
+        code, out, err = run(capsys, "analyze", "5", "6", "7")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal invariant failure: family prediction")
 
     def test_reduction_note(self, capsys):
         code, out, _ = run(capsys, "analyze", "3", "4", "13")
@@ -165,7 +195,57 @@ class TestTableCommand:
                    for l in lines)
 
 
+# `cf` output of the twist knots 5_2 (7/2, 7/4) and of the (2n^2+1)/(2n)
+# fractions 9/4 and 19/6, pinned verbatim.
+CF_TEXT = {
+    ("7", "2"): "fraction: 7/2 (canonical 7/2)\n"
+    "positive expansion of 7/2: [3, 2]  crossing number 5\n"
+    "representative 7/2: beta^2 = 4, not +-2 (mod 7); expansion "
+    "[1, 2, -1, 2, 1, 2]  [two consecutive sign changes]\n"
+    "representative 7/4: beta^2 = +2 (mod 7); expansion [1, 2, -1, -2]\n",
+    ("7", "4"): "fraction: 7/4 (canonical 7/2)\n"
+    "positive expansion of 7/4: [1, 1, 3]  crossing number 5\n"
+    "representative 7/2: beta^2 = 4, not +-2 (mod 7); expansion "
+    "[1, 2, -1, 2, 1, 2]  [two consecutive sign changes]\n"
+    "representative 7/4: beta^2 = +2 (mod 7); expansion [1, 2, -1, -2]\n",
+    ("9", "4"): "fraction: 9/4 (canonical 9/2)\n"
+    "positive expansion of 9/4: [2, 4]  crossing number 6\n"
+    "representative 9/2: beta^2 = 4, not +-2 (mod 9); expansion "
+    "[1, 2, -1, 2, 1, 2, -1, 2, 1, -2]  [two consecutive sign changes]\n"
+    "representative 9/4: beta^2 = -2 (mod 9); expansion "
+    "[1, 2, -1, 2, 1, -2, 1, 2]  [two consecutive sign changes]\n",
+    ("19", "6"): "fraction: 19/6 (canonical 19/3)\n"
+    "positive expansion of 19/6: [3, 6]  crossing number 9\n"
+    "representative 19/6: beta^2 = -2 (mod 19); expansion "
+    "[1, 2, -1, 2, 1, 2, 1, -2, 1, 2]  [two consecutive sign changes]\n"
+    "representative 19/16: beta^2 = 9, not +-2 (mod 19); expansion "
+    "[1, 2, 1, -2, 1, 2, -1, -2]  [two consecutive sign changes]\n",
+}
+
+
 class TestCfCommand:
+    def test_pinned_texts(self, capsys):
+        for (alpha, beta), text in CF_TEXT.items():
+            assert run(capsys, "cf", alpha, beta) == (0, text, ""), alpha
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+
+        def counted(self, *args, _original=argparse.ArgumentParser.__init__,
+                    **kwargs):
+            built.append(kwargs.get("prog"))
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._parser.cache_clear()
+        try:
+            for alpha, beta in CF_TEXT:
+                assert run(capsys, "cf", alpha, beta)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        # The root parser and its three subcommands, once for all calls.
+        assert len(built) == 4
+
     def test_nine_four(self, capsys):
         code, out, _ = run(capsys, "cf", "9", "4")
         assert code == 0

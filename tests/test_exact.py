@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from harmonicknots.exact import fold, sign_cos, sign_sin
+from harmonicknots.exact import fold, sign_sin
+
+from conftest import sign_cos
 
 
 def test_sign_sin_examples():
@@ -137,11 +139,12 @@ def test_float_guard_catches_each_construct():
     assert float_uses("from math import gcd, isqrt\nx = 3 // 2\n") == []
 
 
-def dead_private_names(sources):
-    """(module, line, name) for each module-level private function, class
-    or assignment that no other top-level statement of any module loads,
-    by name or as an attribute.  ``sources`` maps module names to their
-    source text; a self-reference inside the definition does not count."""
+def dead_names(sources, exported):
+    """(module, line, name) for each module-level function, class or
+    assignment outside ``exported`` that no other top-level statement of
+    any module loads, by name or as an attribute.  ``sources`` maps module
+    names to their source text; a self-reference inside the definition
+    does not count."""
     definitions = []
     loads_by_statement = []
     for module, source in sources.items():
@@ -162,31 +165,40 @@ def dead_private_names(sources):
             else:
                 names = []
             definitions += [(module, node.lineno, name, loads)
-                            for name in names if name.startswith("_")
-                            and not name.endswith("__")]
+                            for name in names if not name.endswith("__")
+                            and name not in exported]
     return [(module, line, name) for module, line, name, own in definitions
             if not any(name in loads for loads in loads_by_statement
                        if loads is not own)]
 
 
 def test_no_dead_private_helpers():
-    package = Path(importlib.import_module("harmonicknots").__file__).parent
+    # Covers public names too: a name outside __all__ that no package code
+    # loads is reachable only from tests, and belongs there.
+    package_module = importlib.import_module("harmonicknots")
+    package = Path(package_module.__file__).parent
     sources = {path.stem: path.read_text()
                for path in sorted(package.glob("*.py"))}
-    assert dead_private_names(sources) == []
+    assert dead_names(sources, package_module.__all__) == []
 
 
 def test_dead_helper_guard_catches_each_definition():
-    assert dead_private_names({
+    assert dead_names({
         "a": "def _used(): pass\n"
              "def _recursive(): return _recursive()\n"
              "_ATTR = 1\n"
              "_annotated: int = 2\n"
              "class _Imported: pass\n"
              "_left, _right = 3, 4\n"
-             "__version__ = '0'\n",
+             "__version__ = '0'\n"
+             "def public(): pass\n"
+             "def listed(): pass\n"
+             "class Called: pass\n"
+             "LIMIT = 5\n",
         "b": "from a import _Imported\n"
              "import a\n"
-             "print(_used(), a._ATTR, _right)\n"}) == [
+             "print(_used(), a._ATTR, _right, a.Called())\n"},
+        exported=("listed",)) == [
         ("a", 2, "_recursive"), ("a", 4, "_annotated"),
-        ("a", 5, "_Imported"), ("a", 6, "_left")]
+        ("a", 5, "_Imported"), ("a", 6, "_left"), ("a", 8, "public"),
+        ("a", 11, "LIMIT")]
