@@ -326,7 +326,6 @@ class FractionCandidate:
     beta_sq_mod: int
     passes_beta_sq: bool
     expansion: tuple[int, ...]
-    profile: SignChangeProfile
     obstructed: bool
 
     @property
@@ -341,6 +340,6 @@ def fraction_candidate(alpha: int, beta: int) -> FractionCandidate:
     # The expansion of the mirror has the same change positions, so the
     # obstruction may be read off alpha/|beta|.
     expansion = tuple(expand_1212(SchubertFraction(alpha, abs(beta) % alpha)))
-    profile = sign_change_profile(expansion)
     return FractionCandidate(beta, sq, sq in (2 % alpha, -2 % alpha),
-                             expansion, profile, profile.max_run >= 2)
+                             expansion,
+                             sign_change_profile(expansion).max_run >= 2)

@@ -164,8 +164,6 @@ class ExpectedIdentity:
     polynomial and determinant), never a substitute for computing them.
     """
 
-    kind: str
-    n: int
     h4_pair: tuple[int, int] | None = None
     conway: tuple[int, ...] | None = None
 
@@ -180,16 +178,14 @@ def predict_family(K: HarmonicTriple) -> ExpectedIdentity | None:
     if b == a + 1 and c == a + 2 and a % 2 == 1 and a >= 3:
         n = (a + 1) // 2
         pair = (2 * n - 1, 2 * n + 1) if n % 2 else (2 * n + 1, 2 * n - 1)
-        return ExpectedIdentity("consecutive", n, h4_pair=pair)
+        return ExpectedIdentity(h4_pair=pair)
     if a == 5 and c == b + 1:
         if b % 5 == 1:
             n = b // 5
-            return ExpectedIdentity("fifth-plus-one", n,
-                                    conway=(2 * n + 1, 2 * n))
+            return ExpectedIdentity(conway=(2 * n + 1, 2 * n))
         if b % 5 == 3:
             n = (b - 3) // 5
-            return ExpectedIdentity("fifth-plus-three", n,
-                                    conway=(2 * n + 1, 2 * n + 2))
+            return ExpectedIdentity(conway=(2 * n + 1, 2 * n + 2))
     return None
 
 

@@ -34,6 +34,10 @@ def _fraction_text(r: AnalysisReport) -> str:
     return r.fraction.display()
 
 
+def _name_text(r: AnalysisReport) -> str:
+    return r.name + ("*" if r.starred else "") if r.name else "unidentified"
+
+
 def _report_json(r: AnalysisReport) -> dict:
     return {
         "triple": list(r.triple),
@@ -78,7 +82,7 @@ def _print_report(r: AnalysisReport, out) -> None:
         print(f"  crossing number: <= {r.crossing_bound}", file=out)
     print(f"  alexander polynomial: {r.alexander}", file=out)
     print(f"  determinant: {r.determinant}", file=out)
-    name = (r.name + ("*" if r.starred else "")) if r.name else "unidentified"
+    name = _name_text(r)
     if r.name and r.reduced[0] >= 5:
         name += " (consistent with invariants; not a certified isotopy)"
     print(f"  name: {name}", file=out)
@@ -130,10 +134,8 @@ def cmd_table(args) -> int:
     print(f"{'curve':<14}{'fraction':<12}name")
     for a, b, c in triples:
         r = analyze(HarmonicTriple(a, b, c))
-        frac = _fraction_text(r)
-        name = (r.name + ("*" if r.starred else "")) if r.name \
-            else "unidentified"
-        print(f"{f'H({a},{b},{c})':<14}{frac:<12}{name}")
+        print(f"{f'H({a},{b},{c})':<14}{_fraction_text(r):<12}"
+              f"{_name_text(r)}")
     print(f"{len(triples)} curves")
     return 0
 
@@ -160,8 +162,8 @@ def cmd_cf(args) -> int:
             continue
         cand = fraction_candidate(alpha, rep)
         sq = cand.beta_sq_mod
-        status = ("+2" if sq == 2 % alpha else
-                  "-2" if sq == (-2) % alpha else f"{sq}, not +-2")
+        status = ("+2" if sq == 2 % alpha else "-2") if cand.passes_beta_sq \
+            else f"{sq}, not +-2"
         line = (f"representative {alpha}/{rep}: beta^2 = {status}"
                 f" (mod {alpha}); expansion {list(cand.expansion)}")
         if cand.obstructed:

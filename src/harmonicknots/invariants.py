@@ -1,16 +1,17 @@
 """Alexander polynomials and determinants from Gauss codes.
 
-The route is classical: Wirtinger presentation from the code, free
-differential calculus on the relations, and the determinant of an
-(n-1) x (n-1) minor.  All arithmetic is exact integer arithmetic.  Every
-Fox entry is linear in t, so the minor is built once, as sparse rows that
-map a column to the pair (c0, c1) of its entry c0 + c1*t.  The minor
-determinant has one route: Kronecker substitution.  Every entry is
-evaluated at t = 2**B, one fraction-free (Bareiss) elimination computes
-the integer determinant, and its balanced base-2**B digits are the
-coefficients.  B comes from an integer bound: by Parseval and Hadamard's
-inequality no coefficient exceeds the product of the rows' l2 norms on
-|t| = 1, which is at most sqrt(6) for a Fox row.
+The route is classical (Fox): free differential calculus on the Wirtinger
+relations, one per crossing, and the determinant of an (n-1) x (n-1)
+minor.  The Fox rows are read straight from the Gauss code, with no
+presentation object in between.  All arithmetic is exact integer
+arithmetic.  Every Fox entry is linear in t, so the minor is built once,
+as sparse rows that map a column to the pair (c0, c1) of its entry
+c0 + c1*t.  The minor determinant has one route: Kronecker substitution.
+Every entry is evaluated at t = 2**B, one fraction-free (Bareiss)
+elimination computes the integer determinant, and its balanced base-2**B
+digits are the coefficients.  B comes from an integer bound: by Parseval
+and Hadamard's inequality no coefficient exceeds the product of the rows'
+l2 norms on |t| = 1, which is at most sqrt(6) for a Fox row.
 
 The elimination (``_det_sparse``, which ``determinant`` also runs, at
 t = -1) is sparse: rows hold only their nonzero entries, and a Fox row has
@@ -23,7 +24,6 @@ rows it rewrote.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
 
@@ -162,74 +162,39 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Wirtinger presentation
-
-
-@dataclass(frozen=True)
-class WirtingerRelation:
-    """out = over^e * in * over^{-e} at a crossing of sign e."""
-
-    over_arc: int
-    incoming_arc: int
-    outgoing_arc: int
-    sign: int
-
-
-@dataclass(frozen=True)
-class WirtingerPresentation:
-    arc_count: int
-    relations: tuple[WirtingerRelation, ...]
-
-
-def wirtinger(gc: GaussCode) -> WirtingerPresentation:
-    """Arcs delimited by under-passages, one conjugation relation per
-    crossing."""
-    try:
-        gc.validate()
-    except ValueError as exc:
-        raise MalformedCodeError(str(exc)) from exc
-    entries = gc.entries
-    n = gc.crossing_count
-    if n == 0:
-        return WirtingerPresentation(1, ())
-    unders = [i for i, e in enumerate(entries) if e.passage == "U"]
-    overs = {e.crossing_id: i for i, e in enumerate(entries) if e.passage == "O"}
-
-    def arc_at(pos: int) -> int:
-        # Arc j runs from just after unders[j] to unders[j+1] inclusive.
-        return (bisect_left(unders, pos) - 1) % n
-
-    relations = []
-    for u_idx, u_pos in enumerate(unders):
-        e = entries[u_pos]
-        relations.append(WirtingerRelation(
-            over_arc=arc_at(overs[e.crossing_id]),
-            incoming_arc=(u_idx - 1) % n,
-            outgoing_arc=u_idx,
-            sign=e.sign,
-        ))
-    return WirtingerPresentation(n, tuple(relations))
+# The Fox minor
 
 
 def _alexander_minor(gc: GaussCode) -> list[dict[int, tuple[int, int]]]:
     """The Fox minor: row i maps column j to (c0, c1), the entry c0 + c1*t.
 
-    Free derivatives of the Wirtinger relations, abelianized, are linear:
+    Arc j starts just after the j-th under-passage, so the k-th one has
+    incoming arc k - 1 (mod n) and outgoing arc k, and an over-passage lies
+    on the arc of the last under-passage before it.  The free derivatives
+    of the relation out = over^e * in * over^{-e}, abelianized, are linear:
     a positive crossing contributes (1-t, t, -1) on (over, in, out), a
-    negative one (t-1, 1, -t) (the row scaled by t to stay polynomial), and
+    negative one (t-1, 1, -t) (scaled by t to stay polynomial), and
     coincident arcs add up.  Any one relation is redundant and any one
-    generator column may be struck, and all resulting minors agree up to
-    units: the last relation goes, and so does arc 0, so arc j is column
-    j - 1.
+    column may be struck, and all such minors agree up to units: the last
+    relation goes, and so does arc 0, so arc j is column j - 1.
     """
-    minor = []
-    for rel in wirtinger(gc).relations[:-1]:
-        if rel.sign > 0:
-            contribs = ((rel.over_arc, 1, -1), (rel.incoming_arc, 0, 1),
-                        (rel.outgoing_arc, -1, 0))
+    try:
+        gc.validate()
+    except ValueError as exc:
+        raise MalformedCodeError(str(exc)) from exc
+    n = gc.crossing_count
+    over_arc = {}
+    unders = []
+    for e in gc.entries:
+        if e.passage == "O":
+            over_arc[e.crossing_id] = (len(unders) - 1) % n
         else:
-            contribs = ((rel.over_arc, -1, 1), (rel.incoming_arc, 1, 0),
-                        (rel.outgoing_arc, 0, -1))
+            unders.append(e)
+    minor = []
+    for k, e in enumerate(unders[:-1]):
+        over, into = over_arc[e.crossing_id], (k - 1) % n
+        contribs = (((over, 1, -1), (into, 0, 1), (k, -1, 0)) if e.sign > 0
+                    else ((over, -1, 1), (into, 1, 0), (k, 0, -1)))
         row: dict[int, tuple[int, int]] = {}
         for arc, c0, c1 in contribs:
             if arc:

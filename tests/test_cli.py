@@ -11,7 +11,8 @@ from pathlib import Path
 from hypothesis import assume, given, settings, strategies as st
 
 from harmonicknots import chebgeom, classify, cli, render
-from harmonicknots.cfrac import SchubertFraction, positive_cf
+from harmonicknots.cfrac import (SchubertFraction, fraction_candidate,
+                                  positive_cf)
 from harmonicknots.cli import main
 from harmonicknots.invariants import LaurentPoly
 
@@ -274,6 +275,25 @@ class TestCfCommand:
             code, out, _ = run(capsys, "cf", "1", beta)
             assert code == 0, beta
             assert out.splitlines()[-1].endswith("crossing number 0"), beta
+
+    def test_beta_sq_status_follows_the_candidate(self, capsys):
+        # Every even representative of every fraction with odd alpha up to
+        # 201: its line says "not +-2" exactly when the candidate fails
+        # beta^2 = +-2 (mod alpha).
+        for alpha in range(3, 202, 2):
+            evens = {b for b in range(2, alpha, 2) if gcd(alpha, b) == 1}
+            shown = set()
+            for beta in sorted(evens):
+                if beta in shown:
+                    continue
+                code, out, _ = run(capsys, "cf", str(alpha), str(beta))
+                assert code == 0
+                for line in out.splitlines()[2:]:
+                    rep = int(line.split(":")[0].split("/")[1])
+                    failed = not fraction_candidate(alpha, rep).passes_beta_sq
+                    assert ("not +-2" in line) == failed, (alpha, rep)
+                    shown.add(rep)
+            assert shown == evens, alpha
 
     def test_invalid_inputs(self, capsys):
         assert run(capsys, "cf", "6", "2")[0] == 2

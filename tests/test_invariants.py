@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from itertools import permutations
 from math import comb
 
@@ -11,7 +12,7 @@ from harmonicknots.diagram import GaussCode, GaussEntry, build_gauss_code
 from harmonicknots.invariants import (
     LaurentPoly, MalformedCodeError, _alexander_minor, _at, _det_poly,
     _det_sparse, _kronecker_width, alexander, alexander_of_fraction,
-    determinant, factor_square, wirtinger)
+    determinant, factor_square)
 
 
 def poly(*coeffs):
@@ -68,16 +69,64 @@ def kink_code(sign=1):
     return GaussCode((GaussEntry(1, "O", sign), GaussEntry(1, "U", sign)))
 
 
+def bisect_minor(gc):
+    """The oracle: the Wirtinger relations (over, incoming, outgoing arc
+    and sign), one per under-passage, with each over-passage's arc found by
+    bisecting the under-passage positions, then the Fox rows of all
+    relations but the last, arc 0 struck and coincident arcs summed."""
+    entries = gc.entries
+    n = gc.crossing_count
+    unders = [i for i, e in enumerate(entries) if e.passage == "U"]
+    overs = {e.crossing_id: i for i, e in enumerate(entries)
+             if e.passage == "O"}
+    relations = [((bisect_left(unders, overs[entries[u].crossing_id]) - 1) % n,
+                  (k - 1) % n, k, entries[u].sign)
+                 for k, u in enumerate(unders)]
+    fox = {1: ((1, -1), (0, 1), (-1, 0)), -1: ((-1, 1), (1, 0), (0, -1))}
+    minor = []
+    for over, incoming, outgoing, sign in relations[:-1]:
+        row = {}
+        for arc, (c0, c1) in zip((over, incoming, outgoing), fox[sign]):
+            if arc:
+                d0, d1 = row.get(arc - 1, (0, 0))
+                row[arc - 1] = (c0 + d0, c1 + d1)
+        minor.append(row)
+    return minor
+
+
+@st.composite
+def valid_codes(draw):
+    """Gauss codes of 0 to 9 crossings: each id passes twice, in any order,
+    once over and once under, and every passage has its own random sign."""
+    n = draw(st.integers(0, 9))
+    ids = draw(st.permutations([cid for cid in range(1, n + 1)
+                                for _ in range(2)]))
+    over_first = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from((1, -1)),
+                          min_size=2 * n, max_size=2 * n))
+    seen = set()
+    entries = []
+    for cid, sign in zip(ids, signs):
+        first = cid not in seen
+        seen.add(cid)
+        over = over_first[cid - 1] == first
+        entries.append(GaussEntry(cid, "O" if over else "U", sign))
+    return GaussCode(tuple(entries))
+
+
+def rows_in_key_order(minor):
+    # The key order decides pivot ties in ``_det_sparse``.
+    return [list(row.items()) for row in minor]
+
+
 class TestWirtinger:
     def test_trefoil_structure(self):
-        wp = wirtinger(build_gauss_code(
-            enumerate_crossings(HarmonicTriple(3, 4, 5))))
-        assert wp.arc_count == 3 and len(wp.relations) == 3
+        assert len(_alexander_minor(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(3, 4, 5))))) == 2
 
     def test_figure_eight_structure(self):
-        wp = wirtinger(build_gauss_code(
-            enumerate_crossings(HarmonicTriple(3, 5, 7))))
-        assert wp.arc_count == 4 and len(wp.relations) == 4
+        assert len(_alexander_minor(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(3, 5, 7))))) == 3
 
     def test_kink_gives_trivial_polynomial(self):
         for sign in (1, -1):
@@ -98,8 +147,21 @@ class TestWirtinger:
         assert determinant(GaussCode(())) == 1
 
     def test_malformed_code(self):
-        with pytest.raises(MalformedCodeError):
-            wirtinger(GaussCode((GaussEntry(1, "O", 1), GaussEntry(1, "O", 1))))
+        gc = GaussCode((GaussEntry(1, "O", 1), GaussEntry(1, "O", 1)))
+        for route in (alexander, determinant):
+            with pytest.raises(MalformedCodeError):
+                route(gc)
+
+    def test_table_rows_match_the_bisect_route(self, table_codes):
+        for t, gc in table_codes.items():
+            assert rows_in_key_order(_alexander_minor(gc)) == \
+                rows_in_key_order(bisect_minor(gc)), t
+
+    @given(valid_codes())
+    def test_random_rows_match_the_bisect_route(self, gc):
+        minor = _alexander_minor(gc)
+        assert len(minor) == max(gc.crossing_count - 1, 0)
+        assert rows_in_key_order(minor) == rows_in_key_order(bisect_minor(gc))
 
 
 class TestAlexander:
