@@ -1,8 +1,8 @@
 """Signed continued fractions and the two-bridge fraction calculus.
 
 A signed continued fraction [a1, ..., an] denotes
-a1 + 1/(a2 + 1/(... + 1/an)); evaluation is done projectively with 2x2
-integer matrices so that intermediate zero tails never divide by zero.
+a1 + 1/(a2 + 1/(... + 1/an)); evaluation is done projectively with the
+continuant recurrence so that intermediate zero tails never divide by zero.
 Two-bridge knots are classified by their fraction alpha/beta up to
 beta' = beta^{+-1} (mod alpha), with the mirror image negating beta.
 Every routine works on the integer pair (alpha, beta); nothing divides.
@@ -28,16 +28,8 @@ class DivisionByZeroError(CFError):
     """The fraction is infinite (projective value 1/0) where a finite value is required."""
 
 
-class PreconditionError(CFError):
-    """A stated hypothesis on the term sequence fails."""
-
-
 class ParityError(CFError):
     """alpha/beta does not have the required odd/even parity split."""
-
-
-class ShapeError(CFError):
-    """The term sequence is not of the alternating +-1, +-2 shape."""
 
 
 class NotInvertibleError(CFError):
@@ -49,7 +41,7 @@ class NonPositiveError(CFError):
 
 
 # ---------------------------------------------------------------------------
-# Fractions and Mobius matrices
+# Fractions
 
 
 @dataclass(frozen=True)
@@ -135,41 +127,22 @@ def two_bridge_equivalent(f: SchubertFraction, g: SchubertFraction,
     return False
 
 
-@dataclass(frozen=True)
-class MobiusMatrix:
-    """Integer 2x2 matrix acting as x -> (a x + b)/(c x + d)."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def image_of_infinity(self) -> SchubertFraction:
-        """The projective value (a : c) as a fraction."""
-        return SchubertFraction(self.a, self.c)
-
-
-def cf_matrix(cf: SignedCF) -> MobiusMatrix:
-    """Matrix of x -> [a1, ..., an, x], the product of [[ai,1],[1,0]]."""
-    p, q, r, s = 1, 0, 0, 1
-    for a in cf:
-        p, q, r, s = p * a + q, p, r * a + s, r
-    return MobiusMatrix(p, q, r, s)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
 def evaluate_projective(cf: SignedCF) -> SchubertFraction:
-    """Projective value of the continued fraction; total, never raises."""
-    if not cf:
-        return SchubertFraction(1, 0)
-    return cf_matrix(cf).image_of_infinity()
+    """Projective value (p : r) of the continued fraction; total, never
+    raises.
+
+    (p, r) is the first column of the product of the matrices
+    [[ai, 1], [1, 0]], run as the continuant recurrence; the empty
+    sequence is the identity, whose value is 1/0.
+    """
+    p, q, r, s = 1, 0, 0, 1
+    for a in cf:
+        p, q, r, s = p * a + q, p, r * a + s, r
+    return SchubertFraction(p, r)
 
 
 def evaluate(cf: SignedCF) -> SchubertFraction:
@@ -204,74 +177,18 @@ def positive_cf(f: SchubertFraction) -> list[int]:
     return terms
 
 
-def crossing_number_bireg(cf: SignedCF) -> int:
-    """Crossing number read off a biregular term sequence.
-
-    Requires a1*a2 > 0, a_{n-1}*a_n > 0 and no two consecutive sign changes;
-    then the crossing number is sum(|ai|) minus the number of sign changes.
-    """
-    terms = list(cf)
-    n = len(terms)
-    if n == 0 or any(t == 0 for t in terms):
-        raise PreconditionError("zero terms are not biregular")
-    changes = [j for j in range(n - 1) if terms[j] * terms[j + 1] < 0]
-    failures = []
-    if n >= 2 and terms[0] * terms[1] < 0:
-        failures.append("first two terms differ in sign")
-    if n >= 2 and terms[-2] * terms[-1] < 0:
-        failures.append("last two terms differ in sign")
-    if any(j + 1 in changes for j in changes):
-        failures.append("two consecutive sign changes")
-    if failures:
-        raise PreconditionError("; ".join(failures))
-    return sum(abs(t) for t in terms) - len(changes)
-
-
 # ---------------------------------------------------------------------------
 # The [1, +-2, ..., +-1, +-2] expansion
 
 
-def _check_1212_shape(terms: Sequence[int]) -> int:
-    """Validate the alternating +-1/+-2 shape; returns half the length."""
-    if not terms or len(terms) % 2:
-        raise ShapeError("expected an even number of terms")
-    for j, t in enumerate(terms):
-        if abs(t) != (2 if j % 2 else 1):
-            raise ShapeError(
-                f"term {t} at position {j + 1} breaks the +-1,+-2 pattern")
-    return len(terms) // 2
-
-
-@dataclass(frozen=True)
-class SignChangeProfile:
-    """Where adjacent terms change sign, in 1-based positions."""
-
-    changes: tuple[int, ...]
-    max_run: int
-    palindromic: bool
-
-
-def sign_change_profile(cf: SignedCF) -> SignChangeProfile:
-    """Sign-change positions, longest run, and palindromicity.
-
-    Position j is a change when term_j * term_{j+1} < 0.  The profile is
-    palindromic when change positions are symmetric under j -> n - j,
-    which for these fractions forces beta^2 = +-2 (mod alpha).
-    """
-    terms = list(cf)
-    _check_1212_shape(terms)
-    n = len(terms)
-    changes = tuple(j for j in range(1, n) if terms[j - 1] * terms[j] < 0)
-    max_run = run = 0
-    prev = None
-    for j in changes:
-        run = run + 1 if prev == j - 1 else 1
-        max_run = max(max_run, run)
-        prev = j
-    changed = set(changes)
-    palindromic = all((k in changed) == ((n - k) in changed)
-                      for k in range(1, n))
-    return SignChangeProfile(changes, max_run, palindromic)
+def _longest_sign_change_run(terms: Sequence[int]) -> int:
+    """The longest run of consecutive positions j with
+    term_j * term_{j+1} < 0."""
+    longest = run = 0
+    for x, y in zip(terms, terms[1:]):
+        run = run + 1 if x * y < 0 else 0
+        longest = max(longest, run)
+    return longest
 
 
 def expand_1212(f: SchubertFraction) -> list[int]:
@@ -310,7 +227,7 @@ def expand_1212(f: SchubertFraction) -> list[int]:
     else:
         raise InternalError(
             f"expansion of {f.alpha}/{f.beta} did not terminate")
-    if evaluate(terms) != f or sign_change_profile(terms).max_run >= 3:
+    if evaluate(terms) != f or _longest_sign_change_run(terms) >= 3:
         raise InternalError(
             f"expansion of {f.alpha}/{f.beta} failed validation")
     return terms
@@ -328,10 +245,6 @@ class FractionCandidate:
     expansion: tuple[int, ...]
     obstructed: bool
 
-    @property
-    def eligible(self) -> bool:
-        return self.passes_beta_sq and not self.obstructed
-
 
 def fraction_candidate(alpha: int, beta: int) -> FractionCandidate:
     """The a = 4 eligibility report of alpha/beta, for odd alpha > 1 and
@@ -342,4 +255,4 @@ def fraction_candidate(alpha: int, beta: int) -> FractionCandidate:
     expansion = tuple(expand_1212(SchubertFraction(alpha, abs(beta) % alpha)))
     return FractionCandidate(beta, sq, sq in (2 % alpha, -2 % alpha),
                              expansion,
-                             sign_change_profile(expansion).max_run >= 2)
+                             _longest_sign_change_run(expansion) >= 2)

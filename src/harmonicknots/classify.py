@@ -15,11 +15,11 @@ from math import gcd
 from .cfrac import (SchubertFraction, evaluate, evaluate_projective,
                     positive_cf, two_bridge_equivalent)
 from .chebgeom import Crossing, HarmonicTriple, enumerate_crossings
-from .diagram import (GaussCode, build_gauss_code, conway_form_h4,
+from .diagram import (ConwayForm, GaussCode, build_gauss_code,
+                      conway_form_h4, diagram_from_conway,
                       read_conway_from_diagram)
 from .errors import InternalError
-from .invariants import (LaurentPoly, alexander, alexander_of_fraction,
-                         factor_square)
+from .invariants import LaurentPoly, alexander, factor_square
 from . import knotnames
 
 
@@ -156,36 +156,25 @@ def canonical_h4(b: int, c: int) -> CanonicalH4:
 # Families with predicted two-bridge forms
 
 
-@dataclass(frozen=True)
-class ExpectedIdentity:
-    """A two-bridge form that a family identity predicts for this curve.
+def predict_family(K: HarmonicTriple) -> tuple[str, ConwayForm] | None:
+    """The two-bridge knot a family identity predicts for K, as a
+    description and a twist sequence, or None.
 
     The prediction is a claim to verify (the analysis checks Alexander
     polynomial and determinant), never a substitute for computing them.
     """
-
-    h4_pair: tuple[int, int] | None = None
-    conway: tuple[int, ...] | None = None
-
-    def describe(self) -> str:
-        if self.h4_pair:
-            return f"two-bridge curve with degrees (4, {self.h4_pair[0]}, {self.h4_pair[1]})"
-        return f"two-bridge form C{tuple(self.conway)}"
-
-
-def predict_family(K: HarmonicTriple) -> ExpectedIdentity | None:
     a, b, c = K.a, K.b, K.c
     if b == a + 1 and c == a + 2 and a % 2 == 1 and a >= 3:
         n = (a + 1) // 2
         pair = (2 * n - 1, 2 * n + 1) if n % 2 else (2 * n + 1, 2 * n - 1)
-        return ExpectedIdentity(h4_pair=pair)
-    if a == 5 and c == b + 1:
-        if b % 5 == 1:
-            n = b // 5
-            return ExpectedIdentity(conway=(2 * n + 1, 2 * n))
-        if b % 5 == 3:
-            n = (b - 3) // 5
-            return ExpectedIdentity(conway=(2 * n + 1, 2 * n + 2))
+        canon = canonical_h4(*pair)
+        return (f"two-bridge curve with degrees (4, {pair[0]}, {pair[1]})",
+                conway_form_h4(canon.b_prime, canon.c_prime))
+    if a == 5 and c == b + 1 and b % 5 in (1, 3):
+        # b = 5n + 1 predicts C(2n+1, 2n), and b = 5n + 3 C(2n+1, 2n+2).
+        n = b // 5
+        form = [2 * n + 1, 2 * n + b % 5 - 1]
+        return f"two-bridge form C{tuple(form)}", form
     return None
 
 
@@ -216,24 +205,18 @@ class AnalysisReport:
     determinant: int
     name: str | None
     starred: bool
-    composite_square_root: LaurentPoly | None
     notes: tuple[str, ...] = field(default=())
 
 
-def _verify_expectation(expect: ExpectedIdentity, delta: LaurentPoly,
-                        det: int) -> str:
+def _verify_expectation(description: str, form: ConwayForm,
+                        delta: LaurentPoly, det: int) -> str:
     """The note of a family prediction; Delta or det refuting it raises."""
-    if expect.h4_pair:
-        b, c = expect.h4_pair
-        other = canonical_h4(b, c)
-        ref_delta = alexander_of_fraction(
-            conway_form_h4(other.b_prime, other.c_prime))
-        ref_det = other.fraction.alpha
-    else:
-        ref_delta = alexander_of_fraction(list(expect.conway))
-        ref_det = abs(evaluate_projective(list(expect.conway)).alpha)
-    claim = f"family prediction: isotopic to {expect.describe()}"
-    if ref_delta != delta or ref_det != det:
+    claim = f"family prediction: isotopic to {description}"
+    # The predicted Delta comes from the standard twist diagram of the
+    # form, which shares no diagram-building code with the Chebyshev
+    # diagram that gave ``delta``; agreement is an independent check.
+    if alexander(diagram_from_conway(form)) != delta \
+            or evaluate_projective(form).alpha != det:
         raise InternalError(f"{claim} fails: Alexander polynomial or "
                             "determinant differs")
     return (f"{claim} (verified: matching Alexander polynomial and "
@@ -298,9 +281,9 @@ def analyze(K: HarmonicTriple) -> AnalysisReport:
     if composite is not None and len(delta.coeffs) > 1:
         notes.append("Alexander polynomial is a perfect square "
                      f"(({composite})^2): candidate connected sum")
-    expect = predict_family(K)
-    if expect is not None:
-        notes.append(_verify_expectation(expect, delta, det))
+    family = predict_family(K)
+    if family is not None:
+        notes.append(_verify_expectation(*family, delta, det))
 
     return AnalysisReport(
         triple=(K.a, K.b, K.c),
@@ -318,7 +301,6 @@ def analyze(K: HarmonicTriple) -> AnalysisReport:
         determinant=det,
         name=record.name if record else None,
         starred=record.starred if record else False,
-        composite_square_root=composite,
         notes=tuple(notes),
     )
 

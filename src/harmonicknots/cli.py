@@ -17,8 +17,8 @@ import os
 import stat
 import sys
 
-from .cfrac import (SchubertFraction, crossing_number_bireg,
-                    fraction_candidate, positive_cf, CFError)
+from .cfrac import (SchubertFraction, fraction_candidate, positive_cf,
+                    CFError)
 from .chebgeom import HarmonicTriple
 from .classify import AnalysisReport, analyze, enumerate_table_triples
 from .errors import InternalError
@@ -165,11 +165,11 @@ def cmd_cf(args) -> int:
         print("unknot: crossing number 0")
         return 0
     # beta and beta mod alpha present the same knot; only the reduced
-    # expansion sums to the crossing number.
+    # expansion, whose terms are all positive, sums to the crossing number.
     rest = abs(beta) % alpha
     pos = positive_cf(SchubertFraction(alpha, rest))
     print(f"positive expansion of {alpha}/{rest}: {pos}"
-          f"  crossing number {crossing_number_bireg([q for q in pos if q])}")
+          f"  crossing number {sum(pos)}")
     for rep in sorted(set(fr.equivalence_class())):
         if rep % 2 == 1:
             continue

@@ -66,17 +66,6 @@ class GaussCode:
         if len(self.entries) != 2 * len(seen):
             raise ValueError("each crossing must be visited exactly twice")
 
-    def reversed(self) -> "GaussCode":
-        """Orientation-reversed traversal (crossing signs are unchanged)."""
-        return GaussCode(tuple(reversed(self.entries)))
-
-    def mirrored(self) -> "GaussCode":
-        """Mirror image: over/under and all signs flip."""
-        flip = {"O": "U", "U": "O"}
-        return GaussCode(tuple(
-            GaussEntry(e.crossing_id, flip[e.passage], -e.sign)
-            for e in self.entries))
-
 
 def build_gauss_code(crossings: Sequence[Crossing]) -> GaussCode:
     """Gauss code of a Chebyshev diagram, traversed by increasing t.

@@ -45,18 +45,7 @@ def _trim(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
-def _padd(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
 def _pmul(p: list[int], q: list[int]) -> list[int]:
-    if not p or not q:
-        return []
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
@@ -84,10 +73,6 @@ class LaurentPoly:
         lead = next(i for i, v in enumerate(c) if v)
         return cls(offset + lead, tuple(c[lead:]))
 
-    @classmethod
-    def constant(cls, n: int) -> "LaurentPoly":
-        return cls.from_coeffs([n])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -108,28 +93,12 @@ class LaurentPoly:
             acc = acc * x + c
         return acc * x ** self.offset
 
-    def __add__(self, other):
-        lo = min(self.offset, other.offset)
-        a = [0] * (self.offset - lo) + list(self.coeffs)
-        b = [0] * (other.offset - lo) + list(other.coeffs)
-        return LaurentPoly.from_coeffs(_padd(a, b), lo)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __neg__(self):
         # From a list, so the tuple is allocated at its final size.  A
         # generator's tuple is taken at a guessed size and resized, so each
         # call would move one block into CPython's free list for the final
         # size, which only a full garbage collection empties.
         return LaurentPoly(self.offset, tuple([-c for c in self.coeffs]))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.constant(other)
-        return LaurentPoly.from_coeffs(
-            _pmul(list(self.coeffs), list(other.coeffs)),
-            self.offset + other.offset)
 
     def normalized(self) -> "LaurentPoly":
         """Unit-normalized form: minimal exponent 0, positive leading
@@ -349,17 +318,6 @@ def alexander(gc: GaussCode) -> LaurentPoly:
 def determinant(gc: GaussCode) -> int:
     """|Delta(-1)|, computed directly by an integer elimination at t = -1."""
     return abs(_det_sparse(_at(_alexander_minor(gc), -1)))
-
-
-def alexander_of_fraction(cf) -> LaurentPoly:
-    """Alexander polynomial of the two-bridge knot C(a1, ..., an).
-
-    Deliberately routed through the standard twist diagram so that it
-    shares no diagram-building code with the Chebyshev pipeline.
-    """
-    from .diagram import diagram_from_conway
-
-    return alexander(diagram_from_conway(cf))
 
 
 def factor_square(p: LaurentPoly) -> LaurentPoly | None:

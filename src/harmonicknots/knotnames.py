@@ -14,6 +14,7 @@ Lookups outside the table report None ("unidentified") rather than guess.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -47,13 +48,15 @@ def _fields(line: str) -> list[str]:
     return [p.strip() for p in line.split("|")]
 
 
-def _load_records() -> tuple[KnotRecord, ...]:
-    records = []
+@functools.cache
+def records() -> tuple[KnotRecord, ...]:
+    """The table's rows, parsed on the first call."""
+    rows = []
     for line in _table_lines():
         if line.startswith("#"):
             continue
         name, starred, cn, det, coeffs, frac, source = _fields(line)
-        records.append(KnotRecord(
+        rows.append(KnotRecord(
             name=name,
             starred=starred == "1",
             crossing_number=int(cn),
@@ -63,17 +66,7 @@ def _load_records() -> tuple[KnotRecord, ...]:
             fraction=None if frac == "-" else _parse_fraction(frac),
             source=source,
         ))
-    return tuple(records)
-
-
-_CACHE: tuple[KnotRecord, ...] | None = None
-
-
-def records() -> tuple[KnotRecord, ...]:
-    global _CACHE
-    if _CACHE is None:
-        _CACHE = _load_records()
-    return _CACHE
+    return tuple(rows)
 
 
 def name_by_fraction(fraction: SchubertFraction) -> KnotRecord | None:

@@ -7,14 +7,20 @@ copy as the oracle and the package's as the artifact under test.
 ``sign_cos`` is the exact cosine sign that the crossing-sign tests compare
 the package against, and ``denominator_family_blocks`` builds the
 expansion of the fractions (2n^2+1)/(2n) from blocks, independently of
-``expand_1212``.
+``expand_1212``.  The helpers after them are oracles for results the
+package itself does not compute: continuant matrices, sign-change
+positions, the biregular crossing-number formula, reversal and mirror of
+a Gauss code, products of polynomials, and the Alexander polynomial of a
+twist sequence.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from harmonicknots.diagram import GaussCode, GaussEntry, diagram_from_conway
 from harmonicknots.exact import sign_sin
+from harmonicknots.invariants import LaurentPoly, alexander
 
 REFERENCE_TABLE = [
     ((3, 4, 5), "3", "3_1", False),
@@ -84,6 +90,78 @@ def denominator_family_blocks(n):
     k = n // 2
     middle = [1, 2] if n % 2 else []
     return tuple([1, 2, -1, 2] * k + middle + [1, -2, 1, 2] * k)
+
+
+def cf_matrix(terms):
+    """(p, q, r, s), the product of the matrices [[ai, 1], [1, 0]]: the
+    map x -> [a1, ..., an, x] = (p*x + q) / (r*x + s)."""
+    p, q, r, s = 1, 0, 0, 1
+    for a in terms:
+        p, q, r, s = p * a + q, p, r * a + s, r
+    return p, q, r, s
+
+
+def sign_changes(terms):
+    """The 1-based positions j with term_j * term_{j+1} < 0, and whether
+    they are symmetric under j -> n - j (palindromic)."""
+    n = len(terms)
+    changes = tuple(j for j in range(1, n) if terms[j - 1] * terms[j] < 0)
+    return changes, all(n - j in changes for j in changes)
+
+
+class PreconditionError(ValueError):
+    """A biregular hypothesis on the term sequence fails."""
+
+
+def crossing_number_bireg(terms):
+    """Crossing number read off a biregular term sequence.
+
+    Requires a1*a2 > 0, a_{n-1}*a_n > 0 and no two consecutive sign changes;
+    then the crossing number is sum(|ai|) minus the number of sign changes.
+    """
+    terms = list(terms)
+    n = len(terms)
+    if n == 0 or any(t == 0 for t in terms):
+        raise PreconditionError("zero terms are not biregular")
+    changes = [j for j in range(n - 1) if terms[j] * terms[j + 1] < 0]
+    failures = []
+    if n >= 2 and terms[0] * terms[1] < 0:
+        failures.append("first two terms differ in sign")
+    if n >= 2 and terms[-2] * terms[-1] < 0:
+        failures.append("last two terms differ in sign")
+    if any(j + 1 in changes for j in changes):
+        failures.append("two consecutive sign changes")
+    if failures:
+        raise PreconditionError("; ".join(failures))
+    return sum(abs(t) for t in terms) - len(changes)
+
+
+def reversed_code(gc):
+    """The Gauss code traversed the other way; crossing signs stay."""
+    return GaussCode(tuple(reversed(gc.entries)))
+
+
+def mirrored_code(gc):
+    """The mirror image: over and under swap, and every sign flips."""
+    flip = {"O": "U", "U": "O"}
+    return GaussCode(tuple(GaussEntry(e.crossing_id, flip[e.passage], -e.sign)
+                           for e in gc.entries))
+
+
+def poly_product(p, q):
+    """p * q for two LaurentPoly values."""
+    out = [0] * (len(p.coeffs) + len(q.coeffs))
+    for i, x in enumerate(p.coeffs):
+        for j, y in enumerate(q.coeffs):
+            out[i + j] += x * y
+    return LaurentPoly.from_coeffs(out, p.offset + q.offset)
+
+
+def alexander_of_fraction(terms):
+    """Alexander polynomial of the two-bridge knot C(a1, ..., an), through
+    the standard twist diagram, which shares no diagram-building code with
+    the Chebyshev pipeline."""
+    return alexander(diagram_from_conway(terms))
 
 
 def parse_fraction(text):

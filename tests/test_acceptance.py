@@ -15,18 +15,19 @@ from math import gcd
 
 
 from harmonicknots.cfrac import (
-    PreconditionError, SchubertFraction, crossing_number_bireg, evaluate,
-    evaluate_projective, expand_1212, cf_matrix, fraction_candidate,
-    positive_cf, sign_change_profile, two_bridge_equivalent)
+    SchubertFraction, _longest_sign_change_run, evaluate, evaluate_projective,
+    expand_1212, fraction_candidate, positive_cf, two_bridge_equivalent)
 from harmonicknots.chebgeom import (HarmonicTriple, crossing_parameters,
                                     enumerate_crossings)
 from harmonicknots.classify import analyze, canonical_h4
 from harmonicknots.cli import main
 from harmonicknots.diagram import build_gauss_code, conway_form_h4
-from harmonicknots.invariants import (alexander, alexander_of_fraction,
-                                      determinant, factor_square)
+from harmonicknots.invariants import alexander, determinant, factor_square
 
-from conftest import REFERENCE_TABLE, denominator_family_blocks, sign_cos
+from conftest import (REFERENCE_TABLE, PreconditionError,
+                      alexander_of_fraction, cf_matrix, crossing_number_bireg,
+                      denominator_family_blocks, poly_product, sign_changes,
+                      sign_cos)
 
 
 class _Criterion:
@@ -95,7 +96,8 @@ def test_criterion_03_h4_fraction_properties():
             alpha, beta = fraction.alpha, fraction.beta
             assert beta % 2 == 0, (b, c)
             assert (beta * beta) % alpha in (2 % alpha, (-2) % alpha), (b, c)
-            assert sign_change_profile(cf).max_run <= 1, (b, c)
+            assert [abs(t) for t in cf] == [1, 2] * (len(cf) // 2), (b, c)
+            assert _longest_sign_change_run(cf) <= 1, (b, c)
             if b > 4:
                 gc = build_gauss_code(
                     enumerate_crossings(HarmonicTriple(4, b, c)))
@@ -146,7 +148,7 @@ def test_criterion_06_composite_detection():
             enumerate_crossings(HarmonicTriple(5, 7, 11))))
         factor = alexander(build_gauss_code(
             enumerate_crossings(HarmonicTriple(3, 5, 7))))
-        assert whole == factor * factor
+        assert whole == poly_product(factor, factor)
         assert factor_square(whole) == factor
 
 
@@ -239,7 +241,8 @@ def test_criterion_09_property_suites():
             r = SchubertFraction(alpha, beta)
             terms = expand_1212(r)
             assert evaluate(terms) == r
-            assert sign_change_profile(terms).max_run < 3
+            assert [abs(t) for t in terms] == [1, 2] * (len(terms) // 2)
+            assert _longest_sign_change_run(terms) < 3
             # Value criterion: above 1 exactly when the second term is +2.
             assert (alpha > beta) == (terms[1] == 2)
 
@@ -256,9 +259,9 @@ def test_criterion_09_property_suites():
             for signs in itertools.product((1, -1), repeat=2 * m):
                 terms = [s if i % 2 == 0 else 2 * s
                          for i, s in enumerate(signs)]
-                if signs[0] == 1 and sign_change_profile(terms).palindromic:
-                    matrix = cf_matrix(terms)
-                    alpha, beta = abs(matrix.a), matrix.c
+                if signs[0] == 1 and sign_changes(terms)[1]:
+                    p, _, beta, _ = cf_matrix(terms)
+                    alpha = abs(p)
                     assert (beta * beta) % alpha in (2 % alpha, (-2) % alpha)
                 try:
                     cn = crossing_number_bireg(terms)

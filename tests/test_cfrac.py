@@ -6,11 +6,12 @@ from math import gcd
 import pytest
 
 from harmonicknots.cfrac import (
-    DivisionByZeroError, MobiusMatrix, NonPositiveError, NotInvertibleError,
-    ParityError, PreconditionError, SchubertFraction, ShapeError,
-    crossing_number_bireg, evaluate, evaluate_projective, expand_1212,
-    cf_matrix, fraction_candidate, positive_cf, sign_change_profile,
-    two_bridge_equivalent)
+    DivisionByZeroError, NonPositiveError, NotInvertibleError, ParityError,
+    SchubertFraction, _longest_sign_change_run, evaluate, evaluate_projective,
+    expand_1212, fraction_candidate, positive_cf, two_bridge_equivalent)
+
+from conftest import (PreconditionError, cf_matrix, crossing_number_bireg,
+                      sign_changes)
 
 
 class TestEvaluate:
@@ -123,8 +124,8 @@ class TestExpand1212:
             terms = expand_1212(r)
             assert evaluate(terms) == r
             assert terms[0] == 1
-            profile = sign_change_profile(terms)
-            assert profile.max_run <= 2
+            assert [abs(t) for t in terms] == [1, 2] * (len(terms) // 2)
+            assert _longest_sign_change_run(terms) <= 2
 
     def test_value_above_one_iff_second_term_positive(self):
         # Both r > 1 and its reciprocal-ish partner alpha/beta < 1 occur.
@@ -144,22 +145,21 @@ class TestFractionCandidate:
     def test_fixtures(self):
         c = fraction_candidate(7, 4)
         assert (c.beta_sq_mod, c.expansion) == (2, (1, 2, -1, -2))
-        assert c.passes_beta_sq and not c.obstructed and c.eligible
+        assert c.passes_beta_sq and not c.obstructed
         c = fraction_candidate(9, 4)
         assert c.expansion == (1, 2, -1, 2, 1, -2, 1, 2)
-        assert c.passes_beta_sq and c.obstructed and not c.eligible
+        assert c.passes_beta_sq and c.obstructed
 
     def test_failed_square_still_expands(self):
         c = fraction_candidate(5, 2)
         assert c.beta_sq_mod == 4 and not c.passes_beta_sq
-        assert c.expansion == (1, 2, -1, 2, 1, -2) and not c.eligible
+        assert c.expansion == (1, 2, -1, 2, 1, -2)
 
 
 class TestPrefixIdentities:
     @pytest.mark.parametrize("prefix", [[1, -2, 1, -2], [2, -1, 2, -1]])
     def test_prefix_is_identity(self, prefix):
-        assert cf_matrix(prefix) in (MobiusMatrix(-1, 0, 0, -1),
-                                     MobiusMatrix(1, 0, 0, 1))
+        assert cf_matrix(prefix) in ((-1, 0, 0, -1), (1, 0, 0, 1))
 
     @pytest.mark.parametrize("prefix", [[1, -2, 1, -2], [2, -1, 2, -1]])
     def test_on_random_tails(self, prefix):
@@ -189,10 +189,10 @@ class TestPalindromicSquareProperty:
                 e = (1,) + signs
                 terms = [e[i] if i % 2 == 0 else 2 * e[i]
                          for i in range(2 * m)]
-                if not sign_change_profile(terms).palindromic:
+                if not sign_changes(terms)[1]:
                     continue
-                matrix = cf_matrix(terms)
-                alpha, beta = abs(matrix.a), matrix.c
+                p, _, beta, _ = cf_matrix(terms)
+                alpha = abs(p)
                 count += 1
                 assert (beta * beta) % alpha in (2 % alpha, (-2) % alpha)
         assert count > 60
@@ -200,18 +200,12 @@ class TestPalindromicSquareProperty:
 
 class TestSignChangeProfile:
     def test_fixtures(self):
-        p = sign_change_profile([1, 2, -1, -2])
-        assert p.changes == (2,) and p.max_run == 1 and p.palindromic
-        p = sign_change_profile([1, 2, 1, 2])
-        assert p.changes == () and p.max_run == 0 and p.palindromic
-        p = sign_change_profile([1, 2, -1, 2, 1, -2, 1, 2])
-        assert p.changes == (2, 3, 5, 6) and p.max_run == 2 and p.palindromic
-
-    def test_shape_enforced(self):
-        with pytest.raises(ShapeError):
-            sign_change_profile([1, 3])
-        with pytest.raises(ShapeError):
-            sign_change_profile([1, 2, 1])
+        for terms, changes, longest in [
+                ([1, 2, -1, -2], (2,), 1),
+                ([1, 2, 1, 2], (), 0),
+                ([1, 2, -1, 2, 1, -2, 1, 2], (2, 3, 5, 6), 2)]:
+            assert sign_changes(terms) == (changes, True)
+            assert _longest_sign_change_run(terms) == longest
 
 
 class TestTwoBridgeEquivalence:
@@ -262,15 +256,19 @@ class TestTwoBridgeEquivalence:
 
 class TestMobius:
     def test_determinants_are_units(self):
+        # So the first column (p, r) is coprime, and the projective value
+        # needs no reduction.
         rng = random.Random(41)
         for _ in range(100):
             terms = [rng.randint(-3, 3) for _ in range(rng.randint(0, 12))]
-            assert cf_matrix(terms).det in (1, -1)
+            p, q, r, s = cf_matrix(terms)
+            assert p * s - q * r in (1, -1)
+            value = evaluate_projective(terms)
+            assert (value.alpha, value.beta) in ((p, r), (-p, -r))
 
     def test_image_of_infinity(self):
-        m = cf_matrix([1, 2])
-        assert m == MobiusMatrix(3, 1, 2, 1)
-        assert m.image_of_infinity() == SchubertFraction(3, 2)
+        assert cf_matrix([1, 2]) == (3, 1, 2, 1)
+        assert evaluate_projective([1, 2]) == SchubertFraction(3, 2)
 
 
 class TestSchubertFraction:

@@ -11,7 +11,7 @@ from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.classify import (
     InvalidInputError, analyze, canonical_h4, enumerate_table_triples,
     predict_family, reduce_c, reduced_triple)
-from harmonicknots.diagram import build_gauss_code
+from harmonicknots.diagram import build_gauss_code, conway_form_h4
 from harmonicknots.invariants import LaurentPoly, alexander, determinant
 
 from conftest import REFERENCE_TABLE, denominator_family_blocks
@@ -233,16 +233,17 @@ class TestCanonicalH4:
 
 class TestPredictFamily:
     def test_consecutive_family(self):
-        e = predict_family(HarmonicTriple(5, 6, 7))
-        assert e.h4_pair == (5, 7)
-        e = predict_family(HarmonicTriple(7, 8, 9))
-        assert e.h4_pair == (9, 7)
+        # The form is that of the canonical pair: (9, 7) swaps to (7, 9).
+        assert predict_family(HarmonicTriple(5, 6, 7)) == (
+            "two-bridge curve with degrees (4, 5, 7)", conway_form_h4(5, 7))
+        assert predict_family(HarmonicTriple(7, 8, 9)) == (
+            "two-bridge curve with degrees (4, 9, 7)", conway_form_h4(7, 9))
 
     def test_degree_five_families(self):
-        e = predict_family(HarmonicTriple(5, 16, 17))
-        assert e.conway == (7, 6)
-        e = predict_family(HarmonicTriple(5, 18, 19))
-        assert e.conway == (7, 8)
+        assert predict_family(HarmonicTriple(5, 16, 17)) == (
+            "two-bridge form C(7, 6)", [7, 6])
+        assert predict_family(HarmonicTriple(5, 18, 19)) == (
+            "two-bridge form C(7, 8)", [7, 8])
 
     def test_no_prediction(self):
         assert predict_family(HarmonicTriple(3, 5, 7)) is None
@@ -263,7 +264,8 @@ class TestTwistKnots:
         # Only the fractions 3/2 (n=1) and 7/4 (n=3) survive both the
         # beta^2 = +-2 test and the sign-change obstruction.
         for n in range(1, 200):
-            eligible = any(c.eligible for c in twist_candidates(n))
+            eligible = any(c.passes_beta_sq and not c.obstructed
+                           for c in twist_candidates(n))
             assert eligible == (n in (1, 3)), n
 
     def test_figure_eight_case(self):
@@ -332,7 +334,8 @@ class TestAnalyze:
     def test_crossing_free_curve(self):
         r = analyze(HarmonicTriple(1, 2, 3))
         assert r.crossings == ()
-        assert r.alexander == LaurentPoly.constant(1) and r.determinant == 1
+        assert r.alexander == LaurentPoly.from_coeffs([1])
+        assert r.determinant == 1
 
     def test_reduction_recorded(self):
         r = analyze(HarmonicTriple(3, 4, 13))

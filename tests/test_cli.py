@@ -15,7 +15,6 @@ from harmonicknots import chebgeom, classify, cli, render
 from harmonicknots.cfrac import (SchubertFraction, fraction_candidate,
                                   positive_cf)
 from harmonicknots.cli import main
-from harmonicknots.invariants import LaurentPoly
 
 from conftest import REFERENCE_TABLE
 
@@ -76,8 +75,10 @@ class TestAnalyzeCommand:
             "determinant)")
 
     def test_failed_family_prediction_exit_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(classify, "alexander_of_fraction",
-                            lambda cf: LaurentPoly.from_coeffs([1]))
+        # The trefoil's twist diagram in place of the predicted 5_2's.
+        real = classify.diagram_from_conway
+        monkeypatch.setattr(classify, "diagram_from_conway",
+                            lambda form: real([3]))
         code, out, err = run(capsys, "analyze", "5", "6", "7")
         assert code == 3
         assert out == ""

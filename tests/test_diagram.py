@@ -48,11 +48,6 @@ class TestGaussCode:
             gc = build_gauss_code(enumerate_crossings(HarmonicTriple(*t)))
             gc.validate()
 
-    def test_reversal_and_mirror_are_involutions(self):
-        gc = build_gauss_code(enumerate_crossings(HarmonicTriple(3, 5, 7)))
-        assert gc.reversed().reversed() == gc
-        assert gc.mirrored().mirrored() == gc
-
     def test_invalid_code_detected(self):
         bad = GaussCode((GaussEntry(1, "O", 1), GaussEntry(1, "O", 1)))
         with pytest.raises(ValueError):

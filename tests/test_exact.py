@@ -2,6 +2,7 @@ import ast
 import importlib
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -139,16 +140,45 @@ def test_float_guard_catches_each_construct():
     assert float_uses("from math import gcd, isqrt\nx = 3 // 2\n") == []
 
 
+def attribute_reads(node):
+    return [n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+
+
+def dead_members(module, tree, reads):
+    """(module, line, "Class.member") for each method, property or
+    classmethod whose name ``reads`` (every attribute read of every
+    module) holds only inside the member's own body.
+
+    It goes by name alone, so a member counts as read when any attribute
+    of its name is: ``GaussCode.mirrored``, since deleted, passed because
+    ``Crossing.mirrored`` has callers.  Dunders are skipped, and with them
+    the operators, which run without an attribute read (``p * q`` calls
+    ``__mul__``)."""
+    return [(module, node.lineno, f"{cls.name}.{node.name}")
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and reads[node.name] == attribute_reads(node).count(node.name)]
+
+
 def dead_names(sources, exported):
     """(module, line, name) for each module-level function, class or
     assignment outside ``exported`` that no other top-level statement of
-    any module loads, by name or as an attribute.  ``sources`` maps module
-    names to their source text; a self-reference inside the definition
-    does not count."""
+    any module loads, by name or as an attribute, and for each class
+    member that ``dead_members`` finds.  ``sources`` maps module names to
+    their source text; a self-reference inside the definition does not
+    count."""
     definitions = []
     loads_by_statement = []
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = Counter(name for tree in trees.values()
+                    for name in attribute_reads(tree))
+    members = [member for module, tree in trees.items()
+               for member in dead_members(module, tree, reads)]
+    for module, tree in trees.items():
+        for node in tree.body:
             loads = {n.attr if isinstance(n, ast.Attribute) else n.id
                      for n in ast.walk(node)
                      if isinstance(n, ast.Attribute)
@@ -167,14 +197,16 @@ def dead_names(sources, exported):
             definitions += [(module, node.lineno, name, loads)
                             for name in names if not name.endswith("__")
                             and name not in exported]
-    return [(module, line, name) for module, line, name, own in definitions
-            if not any(name in loads for loads in loads_by_statement
-                       if loads is not own)]
+    return sorted(members + [
+        (module, line, name) for module, line, name, own in definitions
+        if not any(name in loads for loads in loads_by_statement
+                   if loads is not own)])
 
 
 def test_no_dead_private_helpers():
-    # Covers public names too: a name outside __all__ that no package code
-    # loads is reachable only from tests, and belongs there.
+    # Covers public names and class members too: a name outside __all__, or
+    # a method, that no package code loads is reachable only from tests,
+    # and belongs there.
     package_module = importlib.import_module("harmonicknots")
     package = Path(package_module.__file__).parent
     sources = {path.stem: path.read_text()
@@ -193,12 +225,18 @@ def test_dead_helper_guard_catches_each_definition():
              "__version__ = '0'\n"
              "def public(): pass\n"
              "def listed(): pass\n"
-             "class Called: pass\n"
+             "class Called:\n"
+             "    def used(self): pass\n"
+             "    def dead(self): return self.dead()\n"
+             "    @property\n"
+             "    def unread(self): pass\n"
+             "    def __add__(self, other): pass\n"
              "LIMIT = 5\n",
         "b": "from a import _Imported\n"
              "import a\n"
-             "print(_used(), a._ATTR, _right, a.Called())\n"},
+             "print(_used(), a._ATTR, _right, a.Called().used())\n"},
         exported=("listed",)) == [
         ("a", 2, "_recursive"), ("a", 4, "_annotated"),
         ("a", 5, "_Imported"), ("a", 6, "_left"), ("a", 8, "public"),
-        ("a", 11, "LIMIT")]
+        ("a", 12, "Called.dead"), ("a", 14, "Called.unread"),
+        ("a", 16, "LIMIT")]

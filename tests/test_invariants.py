@@ -1,4 +1,5 @@
 import random
+import sys
 from bisect import bisect_left
 from itertools import permutations
 from math import comb
@@ -6,13 +7,16 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from harmonicknots import invariants
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.classify import enumerate_table_triples
 from harmonicknots.diagram import GaussCode, GaussEntry, build_gauss_code
 from harmonicknots.invariants import (
     LaurentPoly, MalformedCodeError, _alexander_minor, _at, _det_poly,
-    _det_sparse, _kronecker_width, alexander, alexander_of_fraction,
-    determinant, factor_square)
+    _det_sparse, _kronecker_width, alexander, determinant, factor_square)
+
+from conftest import (alexander_of_fraction, mirrored_code, poly_product,
+                      reversed_code)
 
 
 def poly(*coeffs):
@@ -27,12 +31,9 @@ def table_codes():
 
 
 class TestLaurentPoly:
-    def test_arithmetic(self):
+    def test_evaluation(self):
         p = poly(1, -1, 1)
-        q = poly(0, 1)
-        assert p * q == LaurentPoly.from_coeffs([0, 1, -1, 1])
-        assert (p + (-p)).is_zero
-        assert p - q == poly(1, -2, 1)
+        assert -p == poly(-1, 1, -1)
         assert p(2) == 3
         assert poly(1, -3, 1)(-1) == 5
         assert LaurentPoly.from_coeffs([1, 2], offset=2)(-2) == -12
@@ -174,7 +175,7 @@ class TestAlexander:
             poly(1, -3, 1)
         assert alexander(build_gauss_code(
             enumerate_crossings(HarmonicTriple(5, 7, 11)))) == \
-            poly(1, -3, 1) * poly(1, -3, 1)
+            poly_product(poly(1, -3, 1), poly(1, -3, 1))
 
     def test_fraction_oracle_fixtures(self):
         assert alexander_of_fraction([3]) == poly(1, -1, 1)
@@ -197,8 +198,8 @@ class TestAlexander:
         for t in [(3, 5, 7), (4, 5, 7), (5, 6, 7)]:
             gc = build_gauss_code(enumerate_crossings(HarmonicTriple(*t)))
             d = alexander(gc)
-            assert alexander(gc.reversed()) == d
-            assert alexander(gc.mirrored()) == d
+            assert alexander(reversed_code(gc)) == d
+            assert alexander(mirrored_code(gc)) == d
 
     def test_determinant_is_alexander_at_minus_one(self):
         for t in [(3, 4, 5), (3, 5, 7), (4, 7, 9), (5, 6, 7), (5, 7, 9),
@@ -410,6 +411,41 @@ class TestSparseElimination:
             minor = _alexander_minor(gc)
             assert determinant(gc) == abs(det_dense(dense_at(minor, -1))), t
 
+    def test_cached_pivot_is_the_rescanned_pivot(self, table_codes,
+                                                 monkeypatch):
+        # A stale cached key costs speed, not correctness, so no determinant
+        # shows it.  At every step the least cached key must be the key a
+        # full rescan of the live rows finds: least bit length, then the
+        # shorter row, the first row, and the first entry in that row.
+        steps = []
+
+        # ``_det_sparse`` picks its pivot with ``min(best.values())``, and a
+        # ``min`` in the module's namespace shadows the builtin; the
+        # caller's frame holds the live rows.
+        def checked_min(values):
+            caller = sys._getframe(1)
+            if caller.f_code is not _det_sparse.__code__:
+                return min(values)
+            cached = min(values)
+            bits, length, i, _, j = min(
+                (v.bit_length(), len(row), i, position, j)
+                for i, row in caller.f_locals["live"].items()
+                for position, (j, v) in enumerate(row.items()))
+            steps.append(cached == (bits, length, i, j))
+            return cached
+
+        monkeypatch.setattr(invariants, "min", checked_min, raising=False)
+        rows = 0
+        for t, gc in table_codes.items():
+            minor = _alexander_minor(gc)
+            _det_sparse(_at(minor, 1 << _kronecker_width(minor)))
+            _det_sparse(_at(minor, -1))
+            rows += 2 * len(minor)
+        # Every table minor is nonsingular at both points, so each of its
+        # rows is a pivot once.
+        assert len(steps) == rows
+        assert all(steps)
+
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
         st.sampled_from([((2, 3), (3, 4)), ((3, -2), (4, -3)),
                          ((-2, 3), (3, -5))]),
@@ -450,15 +486,16 @@ class TestSparseElimination:
 
 class TestFactorSquare:
     def test_constructed_squares(self):
-        sq = poly(1, -3, 1) * poly(1, -3, 1)
+        sq = poly_product(poly(1, -3, 1), poly(1, -3, 1))
         assert factor_square(sq) == poly(1, -3, 1)
-        sq = poly(1, -1, 1) * poly(1, -1, 1)
+        sq = poly_product(poly(1, -1, 1), poly(1, -1, 1))
         assert factor_square(sq) == poly(1, -1, 1)
 
     def test_non_squares(self):
         assert factor_square(poly(1, -1, 1)) is None
         assert factor_square(poly(1, -3, 1)) is None
-        assert factor_square(poly(1, -1, 1) * poly(1, -3, 1)) is None
+        assert factor_square(poly_product(poly(1, -1, 1),
+                                          poly(1, -3, 1))) is None
 
     def test_random_squares_roundtrip(self):
         rng = random.Random(67)
@@ -468,10 +505,12 @@ class TestFactorSquare:
             q = LaurentPoly.from_coeffs(coeffs)
             if abs(sum(q.coeffs)) != 1:
                 continue
-            got = factor_square(q * q)
-            assert got is not None and got * got == (q * q).normalized()
+            square = poly_product(q, q)
+            got = factor_square(square)
+            assert got is not None and \
+                poly_product(got, got) == square.normalized()
 
     def test_large_coefficients_need_an_exact_root(self):
         n = 10 ** 20 + 12345
         q = poly(n, -(2 * n - 1), n)
-        assert factor_square(q * q) == q
+        assert factor_square(poly_product(q, q)) == q
