@@ -20,26 +20,6 @@ from .errors import InternalError
 SignedCF = Sequence[int]
 
 
-class CFError(ValueError):
-    """Base class for continued-fraction contract violations."""
-
-
-class DivisionByZeroError(CFError):
-    """The fraction is infinite (projective value 1/0) where a finite value is required."""
-
-
-class ParityError(CFError):
-    """alpha/beta does not have the required odd/even parity split."""
-
-
-class NotInvertibleError(CFError):
-    """beta has no inverse modulo alpha."""
-
-
-class NonPositiveError(CFError):
-    """A positive finite fraction was required."""
-
-
 # ---------------------------------------------------------------------------
 # Fractions
 
@@ -59,7 +39,7 @@ class SchubertFraction:
     def __post_init__(self):
         a, b = self.alpha, self.beta
         if a == 0 and b == 0:
-            raise CFError("0/0 is not a fraction")
+            raise ValueError("0/0 is not a fraction")
         g = gcd(abs(a), abs(b))
         if g > 1:
             a //= g
@@ -82,7 +62,7 @@ class SchubertFraction:
             return (0,)
         b = self.beta % a
         if gcd(b, a) != 1:
-            raise NotInvertibleError(f"gcd({self.beta}, {a}) != 1")
+            raise ValueError(f"gcd({self.beta}, {a}) != 1")
         inv = pow(b, -1, a)
         return tuple(sorted({b, inv, a - b, a - inv}))
 
@@ -118,7 +98,7 @@ def two_bridge_equivalent(f: SchubertFraction, g: SchubertFraction,
         return True
     bf, bg = f.beta % a, g.beta % a
     if gcd(bf, a) != 1 or gcd(bg, a) != 1:
-        raise NotInvertibleError("beta not invertible modulo alpha")
+        raise ValueError("beta not invertible modulo alpha")
     inv = pow(bf, -1, a)
     if bg == bf or bg == inv:
         return True
@@ -148,14 +128,14 @@ def evaluate_projective(cf: SignedCF) -> SchubertFraction:
 def evaluate(cf: SignedCF) -> SchubertFraction:
     """Exact value of [a1, ..., an] as a fraction with alpha >= 0.
 
-    The sign of the value is carried by beta.  Raises DivisionByZeroError
+    The sign of the value is carried by beta.  Raises ValueError
     when the value is projectively infinite (e.g. [1, 0] or [1,-2,1,-2]),
     which is exactly when the plain right-to-left folding would hit an
     unresolvable reciprocal of zero.
     """
     value = evaluate_projective(cf)
     if value.beta == 0:
-        raise DivisionByZeroError(f"{list(cf)} evaluates to an infinite value")
+        raise ValueError(f"{list(cf)} evaluates to an infinite value")
     return value
 
 
@@ -168,7 +148,7 @@ def positive_cf(f: SchubertFraction) -> list[int]:
     """
     num, den = f.alpha, f.beta
     if num == 0 or den <= 0:
-        raise NonPositiveError(f"{num}/{den} has no positive expansion")
+        raise ValueError(f"{num}/{den} has no positive expansion")
     terms = []
     while den:
         q, rem = divmod(num, den)
@@ -204,9 +184,9 @@ def expand_1212(f: SchubertFraction) -> list[int]:
     """
     n, d = f.alpha, f.beta
     if n == 0 or d <= 0:
-        raise NonPositiveError(f"cannot expand {n}/{d}, not a positive value")
+        raise ValueError(f"cannot expand {n}/{d}, not a positive value")
     if n % 2 == 0 or d % 2 == 1:
-        raise ParityError(
+        raise ValueError(
             f"{n}/{d} needs an odd numerator and even denominator")
     terms: list[int] = []
     flip = 1

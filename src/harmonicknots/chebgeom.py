@@ -12,15 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import gcd
 
+from .errors import InputError, InternalError
 from .exact import fold, sign_sin
-
-
-class InvalidTripleError(ValueError):
-    """The degrees are not pairwise coprime (or not normally ordered)."""
-
-
-class DegenerateSignError(ValueError):
-    """A sine factor vanished; only possible for non-coprime degrees."""
 
 
 @dataclass(frozen=True)
@@ -34,13 +27,13 @@ class HarmonicTriple:
 
     def __post_init__(self):
         if min(self.a, self.b, self.c) < 1:
-            raise InvalidTripleError("degrees must be positive integers")
+            raise InputError("degrees must be positive integers")
         if self.a >= self.b:
-            raise InvalidTripleError(
+            raise InputError(
                 f"expected a < b, got a={self.a}, b={self.b}")
         for x, y in ((self.a, self.b), (self.a, self.c), (self.b, self.c)):
             if gcd(x, y) != 1:
-                raise InvalidTripleError(f"{x},{y} not coprime")
+                raise InputError(f"{x},{y} not coprime")
 
     @property
     def crossing_count(self) -> int:
@@ -89,7 +82,7 @@ def _sine_signs(K: HarmonicTriple, h: int, k: int) -> tuple[int, int, int, int]:
         sign_sin(b * k, a),
     )
     if 0 in signs:
-        raise DegenerateSignError(
+        raise ValueError(
             f"zero sine at crossing (h={h}, k={k}) of H{(a, b, c)}")
     return signs
 
@@ -147,6 +140,6 @@ def enumerate_crossings(K: HarmonicTriple) -> list[Crossing]:
             x_order=rank, y_level=y_level))
     expected = K.crossing_count
     if len(crossings) != expected:
-        raise DegenerateSignError(
+        raise InternalError(
             f"found {len(crossings)} crossings, expected {expected}")
     return crossings

@@ -23,10 +23,6 @@ from .invariants import LaurentPoly, alexander, factor_square
 from . import knotnames
 
 
-class InvalidInputError(ValueError):
-    """Degrees fail the parity or coprimality requirements."""
-
-
 # ---------------------------------------------------------------------------
 # Degree reduction
 
@@ -121,11 +117,11 @@ def canonical_h4(b: int, c: int) -> CanonicalH4:
     degenerate pair (1, c) describing an unknotted curve.
     """
     if b % 2 == 0 or c % 2 == 0 or b < 1 or c < 1:
-        raise InvalidInputError(f"degrees must be positive odd, got ({b}, {c})")
+        raise ValueError(f"degrees must be positive odd, got ({b}, {c})")
     if gcd(b, c) != 1:
-        raise InvalidInputError(f"{b},{c} not coprime")
+        raise ValueError(f"{b},{c} not coprime")
     if b == c:
-        raise InvalidInputError("degrees must differ")
+        raise ValueError("degrees must differ")
     mirrored = False
     guard = 0
     pair = (b, c)
@@ -200,7 +196,6 @@ class AnalysisReport:
     fraction: SchubertFraction | None
     fraction_source: str | None
     crossing_number: int | None
-    crossing_bound: int
     alexander: LaurentPoly
     determinant: int
     name: str | None
@@ -296,7 +291,6 @@ def analyze(K: HarmonicTriple) -> AnalysisReport:
         fraction=fraction,
         fraction_source=fraction_source,
         crossing_number=crossing_number,
-        crossing_bound=len(crossings),
         alexander=delta,
         determinant=det,
         name=record.name if record else None,

@@ -5,7 +5,9 @@ Subcommands:
   table           the reference table of all small irreducible curves
   cf ALPHA BETA   continued-fraction toolbox for one two-bridge fraction
 
-Exit codes: 0 success, 2 invalid input, 3 broken internal invariant.
+Exit codes: 0 success; 2 invalid input (an InputError: a bad triple,
+fraction or output path); 3 a fault of the toolkit itself (an
+InternalError, or a ValueError from a library call the pipeline made).
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ import os
 import stat
 import sys
 
-from .cfrac import (SchubertFraction, fraction_candidate, positive_cf,
-                    CFError)
+from .cfrac import SchubertFraction, fraction_candidate, positive_cf
 from .chebgeom import HarmonicTriple
 from .classify import AnalysisReport, analyze, enumerate_table_triples
-from .errors import InternalError
+from .errors import InputError, InternalError
 from .render import RenderOptions, render_billiard, render_xy
 
 
@@ -81,7 +82,7 @@ def _print_report(r: AnalysisReport, out) -> None:
     if r.crossing_number is not None:
         print(f"  crossing number: {r.crossing_number}", file=out)
     else:
-        print(f"  crossing number: <= {r.crossing_bound}", file=out)
+        print(f"  crossing number: <= {len(r.crossings)}", file=out)
     print(f"  alexander polynomial: {r.alexander}", file=out)
     print(f"  determinant: {r.determinant}", file=out)
     name = _name_text(r)
@@ -108,7 +109,7 @@ def _write_output(path: str, text: str) -> None:
         finally:
             os.close(fd)
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def cmd_analyze(args) -> int:
@@ -156,10 +157,10 @@ def cmd_table(args) -> int:
 def cmd_cf(args) -> int:
     alpha, beta = args.alpha, args.beta
     if alpha <= 0 or alpha % 2 == 0:
-        raise CFError(f"alpha must be odd and positive, got {alpha}")
+        raise InputError(f"alpha must be odd and positive, got {alpha}")
     fr = SchubertFraction(alpha, beta)
     if fr.alpha != alpha:
-        raise CFError(f"{alpha}/{beta} is not reduced")
+        raise InputError(f"{alpha}/{beta} is not reduced")
     print(f"fraction: {alpha}/{beta} (canonical {fr.display()})")
     if alpha == 1:
         print("unknot: crossing number 0")
@@ -220,10 +221,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InternalError as exc:
+    except (InternalError, ValueError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 3
 

@@ -20,22 +20,6 @@ from .errors import InternalError
 ConwayForm = list[int]
 
 
-class CoprimalityError(ValueError):
-    """The two odd degrees share a factor."""
-
-
-class FormParityError(ValueError):
-    """b = c (mod 4), so the twist-sequence formula does not apply."""
-
-
-class UnsupportedBridgeError(ValueError):
-    """Twist-sequence reading is only defined for a in {3, 4}."""
-
-
-class ZeroTermError(ValueError):
-    """Twist regions must have a nonzero number of crossings."""
-
-
 @dataclass(frozen=True)
 class GaussEntry:
     """One passage through a crossing: 'O' over or 'U' under, with the
@@ -105,11 +89,11 @@ def conway_form_h4(b: int, c: int) -> ConwayForm:
     integer; then e_j is the sign of sin((j-b) * lam/b * pi).
     """
     if b % 2 == 0 or c % 2 == 0:
-        raise FormParityError(f"degrees must both be odd, got ({b}, {c})")
+        raise ValueError(f"degrees must both be odd, got ({b}, {c})")
     if gcd(b, c) != 1:
-        raise CoprimalityError(f"{b},{c} not coprime")
+        raise ValueError(f"{b},{c} not coprime")
     if (b - c) % 4 == 0:
-        raise FormParityError(f"{b} = {c} (mod 4) has no twist sequence")
+        raise ValueError(f"{b} = {c} (mod 4) has no twist sequence")
     lam = (3 * b - c) // 4
     terms = []
     for j in range(1, b):
@@ -134,7 +118,7 @@ def read_conway_from_diagram(K: HarmonicTriple,
     giving the [+-1, +-2, ...] shape; for a = 3 all groups are singletons.
     """
     if K.a not in (3, 4):
-        raise UnsupportedBridgeError(
+        raise ValueError(
             f"twist-sequence reading needs a in {{3, 4}}, got a={K.a}")
     groups: dict[int, list] = {}
     for c in crossings:
@@ -236,9 +220,9 @@ def diagram_from_conway(cf: ConwayForm) -> GaussCode:
     """
     terms = list(cf)
     if not terms:
-        raise ZeroTermError("empty term sequence")
+        raise ValueError("empty term sequence")
     if any(t == 0 for t in terms):
-        raise ZeroTermError(f"zero twist region in {terms}")
+        raise ValueError(f"zero twist region in {terms}")
     word = []
     for i, a in enumerate(terms, start=1):
         if i % 2:

@@ -31,10 +31,6 @@ from .diagram import GaussCode
 from .errors import InternalError
 
 
-class MalformedCodeError(ValueError):
-    """A crossing id lacks an over or an under passage."""
-
-
 # ---------------------------------------------------------------------------
 # Integer Laurent polynomials
 
@@ -147,10 +143,7 @@ def _alexander_minor(gc: GaussCode) -> list[dict[int, tuple[int, int]]]:
     column may be struck, and all such minors agree up to units: the last
     relation goes, and so does arc 0, so arc j is column j - 1.
     """
-    try:
-        gc.validate()
-    except ValueError as exc:
-        raise MalformedCodeError(str(exc)) from exc
+    gc.validate()
     n = gc.crossing_count
     over_arc = {}
     unders = []

@@ -6,7 +6,6 @@ from math import gcd
 import pytest
 
 from harmonicknots.cfrac import (
-    DivisionByZeroError, NonPositiveError, NotInvertibleError, ParityError,
     SchubertFraction, _longest_sign_change_run, evaluate, evaluate_projective,
     expand_1212, fraction_candidate, positive_cf, two_bridge_equivalent)
 
@@ -21,9 +20,9 @@ class TestEvaluate:
         assert evaluate([-1, -2, 1, 2]) == SchubertFraction(7, -4)
 
     def test_infinite_values_raise(self):
-        with pytest.raises(DivisionByZeroError):
+        with pytest.raises(ValueError, match="infinite value"):
             evaluate([1, 0])
-        with pytest.raises(DivisionByZeroError):
+        with pytest.raises(ValueError, match="infinite value"):
             evaluate([1, -2, 1, -2])
         assert evaluate_projective([1, -2, 1, -2]) == SchubertFraction(1, 0)
 
@@ -51,9 +50,9 @@ class TestPositiveCF:
         assert positive_cf(SchubertFraction(43, 6)) == [7, 6]
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(NonPositiveError):
+        with pytest.raises(ValueError, match="no positive expansion"):
             positive_cf(SchubertFraction(0, 1))
-        with pytest.raises(NonPositiveError):
+        with pytest.raises(ValueError, match="no positive expansion"):
             positive_cf(SchubertFraction(-3, 2))
 
     def test_roundtrip(self):
@@ -104,11 +103,11 @@ class TestExpand1212:
         assert expand_1212(SchubertFraction(7, 4)) == [1, 2, -1, -2]
 
     def test_parity_rejected(self):
-        with pytest.raises(ParityError):
+        with pytest.raises(ValueError, match="needs an odd numerator"):
             expand_1212(SchubertFraction(3, 1))
-        with pytest.raises(ParityError):
+        with pytest.raises(ValueError, match="needs an odd numerator"):
             expand_1212(SchubertFraction(4, 3))
-        with pytest.raises(NonPositiveError):
+        with pytest.raises(ValueError, match="not a positive value"):
             expand_1212(SchubertFraction(-3, 2))
 
     def test_roundtrip_random(self):
@@ -172,7 +171,7 @@ class TestPrefixIdentities:
                 pytest.fail(f"prefix changed the value of {tail}")
             try:
                 plain = evaluate(tail)
-            except DivisionByZeroError:
+            except ValueError:
                 continue
             done += 1
             assert evaluate(prefix + tail) == plain
@@ -225,7 +224,7 @@ class TestTwoBridgeEquivalence:
         # reduces), so force the state to check the guard.
         f = SchubertFraction(9, 4)
         object.__setattr__(f, "beta", 3)
-        with pytest.raises(NotInvertibleError):
+        with pytest.raises(ValueError, match="not invertible"):
             two_bridge_equivalent(f, SchubertFraction(9, 4))
 
     def test_equivalence_relation(self):

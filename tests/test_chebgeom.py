@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import pytest
 
 from harmonicknots.chebgeom import (
-    DegenerateSignError, HarmonicTriple, InvalidTripleError, _sine_signs,
-    crossing_parameters, crossing_signs, enumerate_crossings)
+    HarmonicTriple, _sine_signs, crossing_parameters, crossing_signs,
+    enumerate_crossings)
+from harmonicknots.errors import InputError
 from harmonicknots.exact import fold
 
 from conftest import sign_cos
@@ -40,13 +41,13 @@ class TestHarmonicTriple:
         assert HarmonicTriple(5, 7, 11).crossing_count == 12
 
     def test_validation_names_offending_pair(self):
-        with pytest.raises(InvalidTripleError, match="2,4"):
+        with pytest.raises(InputError, match="2,4"):
             HarmonicTriple(2, 4, 5)
-        with pytest.raises(InvalidTripleError, match="3,9"):
+        with pytest.raises(InputError, match="3,9"):
             HarmonicTriple(3, 5, 9)
-        with pytest.raises(InvalidTripleError, match="a < b"):
+        with pytest.raises(InputError, match="a < b"):
             HarmonicTriple(5, 3, 7)
-        with pytest.raises(InvalidTripleError, match="positive"):
+        with pytest.raises(InputError, match="positive"):
             HarmonicTriple(0, 3, 5)
 
 
@@ -131,7 +132,7 @@ class TestSigns:
 
     def test_degenerate_sign_detected(self):
         fake = SimpleNamespace(a=4, b=6, c=2)
-        with pytest.raises(DegenerateSignError):
+        with pytest.raises(ValueError, match="zero sine at crossing"):
             _sine_signs(fake, 3, 2)
 
 

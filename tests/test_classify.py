@@ -9,7 +9,7 @@ from harmonicknots.cfrac import (SchubertFraction, evaluate,
                                  fraction_candidate, two_bridge_equivalent)
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.classify import (
-    InvalidInputError, analyze, canonical_h4, enumerate_table_triples,
+    analyze, canonical_h4, enumerate_table_triples,
     predict_family, reduce_c, reduced_triple)
 from harmonicknots.diagram import build_gauss_code, conway_form_h4
 from harmonicknots.invariants import LaurentPoly, alexander, determinant
@@ -193,12 +193,14 @@ class TestCanonicalH4:
         assert swapped.mirrored != direct.mirrored
 
     def test_invalid_inputs(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValueError, match="must be positive odd"):
             canonical_h4(4, 7)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValueError, match="3,9 not coprime"):
             canonical_h4(3, 9)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValueError, match="5,5 not coprime"):
             canonical_h4(5, 5)
+        with pytest.raises(ValueError, match="must differ"):
+            canonical_h4(1, 1)
 
     def test_idempotent_and_invariants(self):
         for b in range(3, 100, 2):

@@ -9,12 +9,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from harmonicknots import chebgeom, classify, cli, render
 from harmonicknots.cfrac import (SchubertFraction, fraction_candidate,
                                   positive_cf)
 from harmonicknots.cli import main
+from harmonicknots.diagram import GaussCode
 
 from conftest import REFERENCE_TABLE
 
@@ -23,6 +25,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reject_pair(b, c):
+    raise ValueError(f"{b} = {c} (mod 4) has no twist sequence")
 
 
 class TestAnalyzeCommand:
@@ -44,9 +50,13 @@ class TestAnalyzeCommand:
         assert all(e["passage"] in ("O", "U") for e in data["gauss_code"])
 
     def test_invalid_triple_exit_2(self, capsys):
-        code, _, err = run(capsys, "analyze", "2", "3", "4")
-        assert code == 2
-        assert "2,4" in err
+        for triple, message in ((("2", "3", "4"), "2,4 not coprime"),
+                                (("3", "3", "5"),
+                                 "expected a < b, got a=3, b=3"),
+                                (("0", "3", "5"),
+                                 "degrees must be positive integers")):
+            assert run(capsys, "analyze", *triple) == (
+                2, "", f"error: {message}\n"), triple
 
     def test_composite_note(self, capsys):
         code, out, _ = run(capsys, "analyze", "5", "7", "11")
@@ -83,6 +93,24 @@ class TestAnalyzeCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("internal invariant failure: family prediction")
+
+    @pytest.mark.parametrize("module, attr, fake, triple", [
+        (chebgeom, "sign_sin", lambda real: lambda num, den: 0, "3 5 7"),
+        (classify, "conway_form_h4", lambda real: reject_pair, "4 5 7"),
+        (classify, "diagram_from_conway",
+         lambda real: lambda form: real([2]), "5 6 7"),
+        (classify, "build_gauss_code", lambda real: lambda crossings:
+         GaussCode(real(crossings).entries[:-1]), "3 5 7"),
+    ], ids=["zero-sine", "h4-pair-rejected", "family-oracle-link",
+            "truncated-gauss-code"])
+    def test_fault_inside_the_pipeline_exit_3(self, capsys, monkeypatch,
+                                              module, attr, fake, triple):
+        # A library ValueError raised from inside analyze is the toolkit
+        # calling itself wrongly, not bad input.
+        monkeypatch.setattr(module, attr, fake(getattr(module, attr)))
+        code, out, err = run(capsys, "analyze", *triple.split())
+        assert (code, out) == (3, "")
+        assert err.startswith("internal invariant failure: ")
 
     def test_reduction_note(self, capsys):
         code, out, _ = run(capsys, "analyze", "3", "4", "13")
@@ -163,17 +191,16 @@ class TestAnalyzeCommand:
 
     def test_unwritable_output_exit_2(self, capsys, tmp_path):
         bad = str(tmp_path / "missing" / "x.svg")
+        expected = f"error: cannot write {bad}: No such file or directory\n"
         for flag in ("--svg", "--billiard"):
-            code, _, err = run(capsys, "analyze", "3", "5", "7", flag, bad)
-            assert code == 2, flag
-            assert err.startswith("error: ") and bad in err, flag
+            assert run(capsys, "analyze", "3", "5", "7", flag,
+                       bad) == (2, "", expected), flag
 
     def test_directory_output_exit_2(self, capsys, tmp_path):
+        expected = f"error: cannot write {tmp_path}: Is a directory\n"
         for flag in ("--svg", "--billiard"):
-            code, _, err = run(capsys, "analyze", "3", "5", "7", flag,
-                               str(tmp_path))
-            assert code == 2, flag
-            assert err.startswith("error: ") and str(tmp_path) in err, flag
+            assert run(capsys, "analyze", "3", "5", "7", flag,
+                       str(tmp_path)) == (2, "", expected), flag
 
 
 class TestOutputFiles:
@@ -292,6 +319,65 @@ def test_file_writer_guard_catches_each_call():
         (9, "open")]
     assert file_writes("open(p)\n", ("_write_output",)) == [(1, "open")]
     assert file_writes("def f(p):\n    return open(p)\n") == [(2, "open")]
+
+
+def _name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", "")
+
+
+def error_rule_breaches(source, module):
+    """(line, what) for each exception class defined outside ``errors`` and
+    each ``raise InputError`` outside ``HarmonicTriple`` and ``cli``."""
+    found = []
+    stack = [(ast.parse(source), module == "cli")]
+    while stack:
+        node, input_ok = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            if module != "errors" and any(
+                    _name(base).endswith(("Error", "Exception"))
+                    for base in node.bases):
+                found.append((node.lineno, f"class {node.name}"))
+            input_ok = input_ok or node.name == "HarmonicTriple"
+        if isinstance(node, ast.Raise) and not input_ok:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if _name(exc) == "InputError":
+                found.append((node.lineno, "raise InputError"))
+        stack.extend((child, input_ok) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_errors_by_cause():
+    # Invalid input is named only where argv reaches the package; anything
+    # else that raises is the toolkit's own fault (exit 3).
+    package = Path(cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert error_rule_breaches(path.read_text(), path.stem) == [], \
+            path.name
+    tree = ast.parse((package / "errors.py").read_text())
+    assert [node.name for node in tree.body
+            if isinstance(node, ast.ClassDef)] == ["InputError",
+                                                   "InternalError"]
+
+
+def test_error_guard_catches_each_breach():
+    source = (
+        "class BadTriple(ValueError): pass\n"
+        "class Derived(errors.InputError): pass\n"
+        "class Plain: pass\n"
+        "class HarmonicTriple:\n"
+        "    def __post_init__(self):\n"
+        "        raise InputError('bad')\n"
+        "def check(x):\n"
+        "    raise InputError(x)\n"
+        "raise errors.InputError\n"
+        "raise ValueError('x')\n")
+    assert error_rule_breaches(source, "chebgeom") == [
+        (1, "class BadTriple"), (2, "class Derived"),
+        (8, "raise InputError"), (9, "raise InputError")]
+    assert error_rule_breaches(source, "cli") == [
+        (1, "class BadTriple"), (2, "class Derived")]
+    assert error_rule_breaches(source, "errors") == [
+        (8, "raise InputError"), (9, "raise InputError")]
 
 
 class TestTableCommand:
@@ -423,8 +509,12 @@ class TestCfCommand:
             assert shown == evens, alpha
 
     def test_invalid_inputs(self, capsys):
-        assert run(capsys, "cf", "6", "2")[0] == 2
-        assert run(capsys, "cf", "9", "3")[0] == 2
+        odd = "alpha must be odd and positive, got"
+        for pair, message in ((("6", "2"), f"{odd} 6"),
+                              (("4", "3"), f"{odd} 4"),
+                              (("9", "3"), "9/3 is not reduced")):
+            assert run(capsys, "cf", *pair) == (
+                2, "", f"error: {message}\n"), pair
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 499).map(lambda k: 2 * k + 1).flatmap(
