@@ -5,9 +5,11 @@ Subcommands:
   table           the reference table of all small irreducible curves
   cf ALPHA BETA   continued-fraction toolbox for one two-bridge fraction
 
-Exit codes: 0 success; 2 invalid input (an InputError: a bad triple,
-fraction or output path); 3 a fault of the toolkit itself (an
-InternalError, or a ValueError from a library call the pipeline made).
+Exit codes: 0 success; 1 standard output closed early (a broken pipe,
+as in ``table | head -1``), with nothing on stderr; 2 invalid input (an
+InputError: a bad triple, fraction or output path); 3 a fault of the
+toolkit itself (an InternalError, or a ValueError from a library call the
+pipeline made).
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .chebgeom import HarmonicTriple
 from .classify import AnalysisReport, analyze, enumerate_table_triples
 from .errors import InputError, InternalError
 from .render import RenderOptions, render_billiard, render_xy
+
+
+def _triple_text(a: int, b: int, c: int) -> str:
+    return f"H({a},{b},{c})"
 
 
 def _fraction_text(r: AnalysisReport) -> str:
@@ -64,14 +70,13 @@ def _report_json(r: AnalysisReport) -> dict:
 
 
 def _print_report(r: AnalysisReport, out) -> None:
-    a, b, c = r.triple
-    print(f"curve H({a},{b},{c})", file=out)
+    print(f"curve {_triple_text(*r.triple)}", file=out)
     if r.reductions:
         chain = " -> ".join(
             f"c={s.to_c}{' (mirror)' if s.mirrored else ''}"
             for s in r.reductions)
         print(f"  reduces: {chain}; analysis below is for "
-              f"H{r.reduced}"
+              f"{_triple_text(*r.reduced)}"
               f"{' mirrored' if r.mirrored else ''}", file=out)
     print(f"  crossings in diagram: {len(r.crossings)}", file=out)
     if r.conway is not None:
@@ -138,7 +143,7 @@ def cmd_analyze(args) -> int:
     else:
         if swapped:
             print(f"note: degrees reordered to a < b; the curve "
-                  f"H({args.a},{args.b},{c}) is its mirror image")
+                  f"{_triple_text(args.a, args.b, c)} is its mirror image")
         _print_report(report, sys.stdout)
     return 0
 
@@ -148,7 +153,7 @@ def cmd_table(args) -> int:
     print(f"{'curve':<14}{'fraction':<12}name")
     for a, b, c in triples:
         r = analyze(HarmonicTriple(a, b, c))
-        print(f"{f'H({a},{b},{c})':<14}{_fraction_text(r):<12}"
+        print(f"{_triple_text(a, b, c):<14}{_fraction_text(r):<12}"
               f"{_name_text(r)}")
     print(f"{len(triples)} curves")
     return 0
@@ -220,7 +225,19 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush inside the try, so a reader that has gone away raises
+        # here and not at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit, unless it is closed.  Closing
+        # flushes once more, fails the same way, and still closes.
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:
+            pass
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

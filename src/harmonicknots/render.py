@@ -5,9 +5,14 @@ the last sample at exactly 1.0.  The under-passage at u0 hides sample i
 iff abs(u - u0) <= half, a window that stays clear of every other passage.
 Since u rises with i, each under-passage hides one run of indices, found
 by that float test at the run's two ends; the drawing is the visible runs
-of two or more samples, each sampled and formatted as one piece.  Every
-number is printed as ``_fmt`` prints it (four decimals, trailing zeros
-and a bare point dropped), and the tests pin the output byte for byte.
+of two or more samples.  A plotted coordinate depends only on its own
+axis's degree, so ``_column`` formats the x column (degree a) and the
+y column (degree b) once per degree and sign, and a piece is a slice of
+each.  The cache holds at most 32 columns of about 22 KB each (one
+compact string, not a list of per-sample strings), and c never enters
+its key.  Every number is printed as ``_fmt`` prints it (four decimals,
+trailing zeros and a bare point dropped), and the tests pin the output
+byte for byte.
 
 The billiard picture applies F(x) = (2/pi)*arccos(x) - 1, the affine map
 in arccos taking [-1, 1] onto [-1, 1]; under (x, y) -> (b F(x), a F(y))
@@ -21,6 +26,7 @@ under-strand gaps end at half-integers, exact as floats.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import cos, pi
@@ -32,6 +38,7 @@ WIDTH = 520
 STROKE = 2.2
 SAMPLES = 2400
 MARGIN = 0.10
+_COL = 9  # field width of a column entry; no coordinate needs more than 8
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,12 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
+def _polyline_element(points: str) -> str:
+    return (f'<polyline fill="none" stroke="#1a1a1a" '
+            f'stroke-width="{_fmt(STROKE)}" stroke-linecap="round" '
+            f'points="{points}"/>')
+
+
 def _polyline(coords: list[float]) -> str:
     """Polyline through (coords[0], coords[1]), (coords[2], coords[3]), ...
 
@@ -62,13 +75,35 @@ def _polyline(coords: list[float]) -> str:
     for sep in (",", " "):
         text = sep.join([chunk.rstrip("0").rstrip(".")
                          for chunk in text.split("0" + sep)])
-    return (f'<polyline fill="none" stroke="#1a1a1a" '
-            f'stroke-width="{_fmt(STROKE)}" stroke-linecap="round" '
-            f'points="{text[:-1]}"/>')
+    return _polyline_element(text[:-1])
 
 
 # ---------------------------------------------------------------------------
 # The xy diagram
+
+_SCALE = WIDTH / (2 + 2 * MARGIN)
+_OFF = (1 + MARGIN) * _SCALE
+
+
+@functools.lru_cache(maxsize=32)
+def _column(n: int, sign: int) -> str:
+    """``_fmt(_OFF + sign * _SCALE * cos(n u pi))`` for every sample u, in
+    fields of ``_COL`` characters, so samples [lo, hi) are
+    ``col[_COL * lo:_COL * hi].split()``.
+    """
+    last = SAMPLES - 1
+    step = 1 / last
+    us = [i * step for i in range(last)]
+    us.append(1.0)
+    off, s = _OFF, sign * _SCALE
+    # Every field starts with a space, so a space ends each number.  Four
+    # passes blank its trailing zeros one at a time and a fifth a bare
+    # point: ``_fmt``'s rule, keeping the field width.
+    col = (f"%{_COL}.4f" * SAMPLES + " ") % tuple(
+        [off + s * cos(n * u * pi) for u in us])
+    for _ in range(4):
+        col = col.replace("0 ", "  ")
+    return col.replace(". ", "  ")[:-1]
 
 
 def render_xy(K: HarmonicTriple, options: RenderOptions | None = None,
@@ -118,28 +153,23 @@ def render_xy(K: HarmonicTriple, options: RenderOptions | None = None,
             start = hi
     runs.append((start, SAMPLES))
 
-    scale = WIDTH / (2 + 2 * MARGIN)
-    off = (1 + MARGIN) * scale
     a, b = K.a, K.b
+    xcol, ycol = _column(a, 1), _column(b, -1)
     body = []
     for lo, hi in runs:
         if hi - lo < 2:
             continue
-        us = [i * step for i in range(lo, min(hi, last))]
-        if hi == SAMPLES:
-            us.append(1.0)
-        coords = [0.0] * (2 * len(us))
-        coords[::2] = [off + scale * cos(a * u * pi) for u in us]
-        coords[1::2] = [off - scale * cos(b * u * pi) for u in us]
-        body.append(_polyline(coords))
+        xs = xcol[_COL * lo:_COL * hi].split()
+        ys = ycol[_COL * lo:_COL * hi].split()
+        body.append(_polyline_element(" ".join(map(",".join, zip(xs, ys)))))
     if opt.annotate_signs:
         for c in crossings:
             x = cos(pi * (fold(c.t_num, b) / b))
             y = cos(pi * (fold(c.t_num, a) / a))
-            px, py = off + scale * x, off - scale * y
+            px, py = _OFF + _SCALE * x, _OFF - _SCALE * y
             body.append(
                 f'<text x="{_fmt(px + 5)}" y="{_fmt(py - 5)}" '
-                f'font-size="{_fmt(scale * 0.05)}">'
+                f'font-size="{_fmt(_SCALE * 0.05)}">'
                 f'{"+" if c.sign > 0 else chr(0x2212)}</text>')
     return _svg_document(WIDTH, WIDTH, body)
 

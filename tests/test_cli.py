@@ -113,9 +113,13 @@ class TestAnalyzeCommand:
         assert err.startswith("internal invariant failure: ")
 
     def test_reduction_note(self, capsys):
+        # The reduced triple is printed as the input triple is.
         code, out, _ = run(capsys, "analyze", "3", "4", "13")
         assert code == 0
-        assert "H(3, 4, 5)" in out and "3_1" in out
+        assert out.splitlines()[:2] == [
+            "curve H(3,4,13)",
+            "  reduces: c=5 (mirror); analysis below is for H(3,4,5) mirrored"]
+        assert "3_1" in out
 
     def test_degree_swap(self, capsys):
         code, out, _ = run(capsys, "analyze", "4", "3", "5")
@@ -201,6 +205,37 @@ class TestAnalyzeCommand:
         for flag in ("--svg", "--billiard"):
             assert run(capsys, "analyze", "3", "5", "7", flag,
                        str(tmp_path)) == (2, "", expected), flag
+
+
+class TestClosedStdout:
+    """A reader that goes away early (``| head -1``) ends the run with exit
+    1 and nothing on stderr."""
+
+    def cli(self, argv, stdout):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        return subprocess.Popen(
+            [sys.executable, "-m", "harmonicknots.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src), stdout=stdout,
+            stderr=subprocess.PIPE, text=True)
+
+    def test_table_read_one_line(self):
+        with self.cli(["table", "--max-ab", "72"], subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith("curve")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == ""
+
+    def test_analyze_into_a_closed_pipe(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            with self.cli(["analyze", "3", "4", "5"], write_end) as proc:
+                err = proc.stderr.read()
+                assert proc.wait(timeout=60) == 1
+        finally:
+            os.close(write_end)
+        assert err == ""
 
 
 class TestOutputFiles:

@@ -183,6 +183,55 @@ def test_matches_the_reference_drawings(triple, annotate):
         assert billiard == render_billiard(K, options)
 
 
+# ---------------------------------------------------------------------------
+# The column cache: keyed by degree and sign, bounded, and never visible in
+# the drawing.
+
+
+def test_drawing_ignores_the_cache_state():
+    K = HarmonicTriple(5, 9, 1234)
+    options = RenderOptions(annotate_signs=True)
+    render._column.cache_clear()
+    cold = render_xy(K, options)
+    assert render_xy(K, options) == cold
+    for other in [(3, 4, 5), (7, 11, 13), (2, 9, 7)]:
+        render_xy(HarmonicTriple(*other))
+    assert render_xy(K, options) == cold
+    render._column.cache_clear()
+    assert render_xy(K, options) == cold == reference_render_xy(K, options)
+
+
+def test_triples_differing_in_c_share_the_columns():
+    render._column.cache_clear()
+    render_xy(HarmonicTriple(4, 7, 3))
+    render_xy(HarmonicTriple(4, 7, 1000003))
+    info = render._column.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    # One compact string per column, not a list of per-sample strings.
+    assert sys.getsizeof(render._column(4, 1)) < 25_000
+
+
+WIDE_TRIPLES = st.tuples(
+    st.integers(1, 12), st.integers(13, 90), st.integers(1, 10 ** 6)).filter(
+        lambda t: gcd(t[0], t[1]) == 1 and gcd(t[2], t[0] * t[1]) == 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(WIDE_TRIPLES, min_size=1, max_size=4), st.integers(0, 40))
+def test_evicted_columns_redraw_the_reference(triples, spacer):
+    # ``spacer`` other columns fetched between two draws of a triple; from
+    # 31 on they evict its columns.
+    maxsize = render._column.cache_info().maxsize
+    for t in triples:
+        K = HarmonicTriple(*t)
+        first = render_xy(K)
+        assert render._column.cache_info().currsize <= maxsize
+        for n in range(spacer):
+            render._column(200 + n, 1 - 2 * (n % 2))
+            assert render._column.cache_info().currsize <= maxsize
+        assert render_xy(K) == first == reference_render_xy(K)
+
+
 # Coordinates whose four-decimal rounding carries into the integer part
 # or leaves only zeros.
 CARRIES = [99.99995, 9.99996, 999.99996, 0.00004, -0.00004, 0.0, 100.0,
