@@ -219,7 +219,6 @@ class FractionCandidate:
     a = 4 harmonic curve: it must satisfy beta^2 = +-2 (mod alpha) and its
     [1, +-2, ...] expansion must have no two consecutive sign changes."""
 
-    beta: int
     beta_sq_mod: int
     passes_beta_sq: bool
     expansion: tuple[int, ...]
@@ -233,6 +232,5 @@ def fraction_candidate(alpha: int, beta: int) -> FractionCandidate:
     # The expansion of the mirror has the same change positions, so the
     # obstruction may be read off alpha/|beta|.
     expansion = tuple(expand_1212(SchubertFraction(alpha, abs(beta) % alpha)))
-    return FractionCandidate(beta, sq, sq in (2 % alpha, -2 % alpha),
-                             expansion,
+    return FractionCandidate(sq, sq in (2 % alpha, -2 % alpha), expansion,
                              _longest_sign_change_run(expansion) >= 2)

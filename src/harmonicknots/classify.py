@@ -37,8 +37,6 @@ class ReductionStep:
 
     from_c: int
     to_c: int
-    lam: int
-    mu: int
     mirrored: bool
 
 
@@ -78,7 +76,7 @@ def reduce_c(K: HarmonicTriple) -> list[ReductionStep]:
         lam, mu = rep
         new_c = abs(lam * a - mu * b)
         mirrored = not mirrored
-        steps.append(ReductionStep(c, new_c, lam, mu, mirrored))
+        steps.append(ReductionStep(c, new_c, mirrored))
         c = new_c
 
 
@@ -184,6 +182,8 @@ class AnalysisReport:
 
     Diagram-derived fields describe the reduced (irreducible) triple; the
     reductions list records how it was reached, with mirror parity.
+    ``unknotted`` marks a curve proven trivial: a degree 1, a <= 2, or the
+    fraction 1/0.
     """
 
     triple: tuple[int, int, int]
@@ -200,6 +200,7 @@ class AnalysisReport:
     determinant: int
     name: str | None
     starred: bool
+    unknotted: bool
     notes: tuple[str, ...] = field(default=())
 
 
@@ -295,6 +296,7 @@ def analyze(K: HarmonicTriple) -> AnalysisReport:
         determinant=det,
         name=record.name if record else None,
         starred=record.starred if record else False,
+        unknotted=unknotted,
         notes=tuple(notes),
     )
 

@@ -63,7 +63,7 @@ def _report_json(r: AnalysisReport) -> dict:
         "fraction": ({"alpha": r.fraction.alpha, "beta": r.fraction.beta}
                      if r.fraction is not None else None),
         "crossing_number": r.crossing_number,
-        "alexander": r.alexander.coefficient_list(),
+        "alexander": list(r.alexander.coeffs),
         "determinant": r.determinant,
         "name": r.name,
     }
@@ -84,13 +84,15 @@ def _print_report(r: AnalysisReport, out) -> None:
     if r.fraction is not None:
         src = f" [{r.fraction_source}]" if r.fraction_source else ""
         print(f"  two-bridge fraction: {_fraction_text(r)}{src}", file=out)
-    if r.crossing_number is not None:
-        print(f"  crossing number: {r.crossing_number}", file=out)
+    # An unknot's JSON crossing_number and name stay null.
+    crossing_number = 0 if r.unknotted else r.crossing_number
+    if crossing_number is not None:
+        print(f"  crossing number: {crossing_number}", file=out)
     else:
         print(f"  crossing number: <= {len(r.crossings)}", file=out)
     print(f"  alexander polynomial: {r.alexander}", file=out)
     print(f"  determinant: {r.determinant}", file=out)
-    name = _name_text(r)
+    name = "unknot" if r.unknotted else _name_text(r)
     if r.name and r.reduced[0] >= 5:
         name += " (consistent with invariants; not a certified isotopy)"
     print(f"  name: {name}", file=out)

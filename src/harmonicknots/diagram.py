@@ -71,7 +71,7 @@ def build_gauss_code(crossings: Sequence[Crossing]) -> GaussCode:
     # t = cos(num pi / ab) increases as the folded numerator decreases.
     passages.sort(key=lambda p: p[0], reverse=True)
     # From a list, so the tuple is allocated at its final size (see
-    # ``LaurentPoly.__neg__``).
+    # ``LaurentPoly.from_coeffs``).
     entries = tuple([GaussEntry(cid, "O" if over else "U", sign)
                      for _, cid, over, sign in passages])
     return GaussCode(entries)

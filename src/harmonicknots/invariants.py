@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .diagram import GaussCode
-from .errors import InternalError
 
 
 # ---------------------------------------------------------------------------
@@ -52,70 +51,46 @@ def _pmul(p: list[int], q: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class LaurentPoly:
-    """Integer Laurent polynomial sum(coeffs[i] * t**(offset + i)).
+    """A knot polynomial in unit-normalized form, sum(coeffs[i] * t**i):
+    both end coefficients nonzero, the last one positive, and value +-1 at
+    t = 1.
 
-    The coefficient tuple is trimmed at both ends (nonzero endpoints); the
-    zero polynomial is the empty tuple with offset 0.
+    Knot polynomials are defined up to +-t^k, and this form picks one
+    representative; the classical tables print it, e.g. 1 - 3t + t^2 for
+    the figure-eight knot.  ``from_coeffs`` is the constructor.
     """
 
-    offset: int
     coeffs: tuple[int, ...]
 
     @classmethod
-    def from_coeffs(cls, coeffs, offset: int = 0) -> "LaurentPoly":
+    def from_coeffs(cls, coeffs) -> "LaurentPoly":
+        """The normalized form of sum(coeffs[i] * t**i); a polynomial whose
+        value at t = 1 is not +-1, the zero one included, raises
+        ``ValueError``."""
         c = _trim(list(coeffs))
-        if not c:
-            return cls(0, ())
-        lead = next(i for i, v in enumerate(c) if v)
-        return cls(offset + lead, tuple(c[lead:]))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient_map(self) -> dict[int, int]:
-        return {self.offset + i: c for i, c in enumerate(self.coeffs) if c}
-
-    def coefficient_list(self) -> list[int]:
-        """Coefficients from the minimal exponent upward."""
-        return list(self.coeffs)
+        if sum(c) not in (1, -1):
+            raise ValueError(f"value at t=1 is {sum(c)}, not a unit")
+        c = c[next(i for i, v in enumerate(c) if v):]
+        if c[-1] < 0:
+            # From a list, so the tuple is allocated at its final size.  A
+            # generator's tuple is taken at a guessed size and resized, so
+            # each call would move one block into CPython's free list for
+            # the final size, which only a full garbage collection empties.
+            c = [-v for v in c]
+        return cls(tuple(c))
 
     def __call__(self, x: int) -> int:
-        """Value at the integer x by Horner's rule; the offset must be >= 0."""
-        if self.offset < 0:
-            raise ValueError(f"t^{self.offset} has no integer value")
+        """Value at the integer x by Horner's rule."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc * x ** self.offset
-
-    def __neg__(self):
-        # From a list, so the tuple is allocated at its final size.  A
-        # generator's tuple is taken at a guessed size and resized, so each
-        # call would move one block into CPython's free list for the final
-        # size, which only a full garbage collection empties.
-        return LaurentPoly(self.offset, tuple([-c for c in self.coeffs]))
-
-    def normalized(self) -> "LaurentPoly":
-        """Unit-normalized form: minimal exponent 0, positive leading
-        coefficient, and value +-1 at t = 1.
-
-        Knot polynomials determine this form uniquely (they are defined up
-        to +-t^k); the classical tables print it, e.g. 1 - 3t + t^2 for the
-        figure-eight knot.
-        """
-        if self.is_zero:
-            raise InternalError("cannot normalize the zero polynomial")
-        if sum(self.coeffs) not in (1, -1):
-            raise InternalError(
-                f"value at t=1 is {sum(self.coeffs)}, not a unit")
-        return LaurentPoly(0, (self if self.coeffs[-1] > 0 else -self).coeffs)
+        return acc
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
         parts = []
-        for e, c in sorted(self.coefficient_map().items()):
+        for e, c in enumerate(self.coeffs):
+            if not c:
+                continue
             if e == 0:
                 term = str(abs(c))
             else:
@@ -302,10 +277,10 @@ def _det_poly(minor: list[dict[int, tuple[int, int]]]) -> list[int]:
 
 
 def alexander(gc: GaussCode) -> LaurentPoly:
-    """Alexander polynomial of the knot, normalized to minimal exponent 0
-    and value +1 at t = 1."""
-    return LaurentPoly.from_coeffs(
-        _det_poly(_alexander_minor(gc))).normalized()
+    """Alexander polynomial of the knot, unit-normalized.  A code whose
+    minor determinant is not +-1 at t = 1 (a link's is 0) raises
+    ``ValueError``."""
+    return LaurentPoly.from_coeffs(_det_poly(_alexander_minor(gc)))
 
 
 def determinant(gc: GaussCode) -> int:
@@ -319,8 +294,6 @@ def factor_square(p: LaurentPoly) -> LaurentPoly | None:
     The candidate is grown from the trailing coefficient by matching
     coefficients of p = q*q; any mismatch reports absence.
     """
-    if p.is_zero:
-        return None
     coeffs = list(p.coeffs)
     deg = len(coeffs) - 1
     if deg % 2:
@@ -339,4 +312,4 @@ def factor_square(p: LaurentPoly) -> LaurentPoly | None:
         q[k] = num // (2 * q0)
     if _pmul(q, q) != coeffs:
         return None
-    return LaurentPoly.from_coeffs(q).normalized()
+    return LaurentPoly.from_coeffs(q)

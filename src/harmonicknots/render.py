@@ -64,20 +64,6 @@ def _polyline_element(points: str) -> str:
             f'points="{points}"/>')
 
 
-def _polyline(coords: list[float]) -> str:
-    """Polyline through (coords[0], coords[1]), (coords[2], coords[3]), ...
-
-    One ``%`` formats the whole piece to four decimals, each number
-    followed by "," or " ".  A number ending in 0 then ends a chunk of the
-    split on "0," (or "0 "), and ``_fmt``'s rule trims that chunk.
-    """
-    text = ("%.4f,%.4f " * (len(coords) // 2)) % tuple(coords)
-    for sep in (",", " "):
-        text = sep.join([chunk.rstrip("0").rstrip(".")
-                         for chunk in text.split("0" + sep)])
-    return _polyline_element(text[:-1])
-
-
 # ---------------------------------------------------------------------------
 # The xy diagram
 
@@ -227,8 +213,9 @@ def render_billiard(K: HarmonicTriple,
         f'width="{_fmt(2 * scale * b)}" height="{_fmt(2 * scale * a)}" '
         f'fill="none" stroke="#999" stroke-width="1"/>'
     ]
-    body += [_polyline([v for p in piece for v in to_px(p)])
-             for piece in pieces if len(piece) > 1]
+    body += [_polyline_element(" ".join(
+        [f"{_fmt(x)},{_fmt(y)}" for x, y in map(to_px, piece)]))
+        for piece in pieces if len(piece) > 1]
     for c in crossings:
         px, py = to_px(billiard_point(K, c.t_num))
         body.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '

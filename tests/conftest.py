@@ -154,7 +154,7 @@ def poly_product(p, q):
     for i, x in enumerate(p.coeffs):
         for j, y in enumerate(q.coeffs):
             out[i + j] += x * y
-    return LaurentPoly.from_coeffs(out, p.offset + q.offset)
+    return LaurentPoly.from_coeffs(out)
 
 
 def alexander_of_fraction(terms):

@@ -290,7 +290,7 @@ def test_criterion_10_full_pipeline_smoke():
     with _Criterion(10, "full-pipeline trefoil smoke test"):
         report = analyze(HarmonicTriple(3, 4, 5))
         assert report.fraction.alpha == 3
-        assert report.alexander.coefficient_list() == [1, -1, 1]
+        assert report.alexander.coeffs == (1, -1, 1)
         assert report.determinant == 3
         assert report.crossing_number == 3
         assert report.name == "3_1"

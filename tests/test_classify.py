@@ -23,7 +23,8 @@ class TestReduceC:
         assert len(steps) == 1
         s = steps[0]
         assert (s.from_c, s.to_c, s.mirrored) == (13, 5, True)
-        assert s.lam * 3 + s.mu * 4 == 13
+        lam, mu = classify._smallest_reduction(3, 4, 13)
+        assert lam * 3 + mu * 4 == 13 and abs(lam * 3 - mu * 4) == 5
         assert reduce_c(HarmonicTriple(4, 5, 7)) == []
         assert reduce_c(HarmonicTriple(3, 4, 5)) == []
 
@@ -272,9 +273,10 @@ class TestTwistKnots:
 
     def test_figure_eight_case(self):
         # 5/2 and its mirror 5/3 are one class with one even member.
+        assert SchubertFraction(5, 2).equivalence_class() == (2, 3)
         candidates = twist_candidates(2)
-        assert [c.beta for c in candidates] == [2]
-        assert not any(c.passes_beta_sq for c in candidates)
+        assert candidates == [fraction_candidate(5, 2)]
+        assert not candidates[0].passes_beta_sq
 
     def test_six_one_case(self):
         survivor = [c for c in twist_candidates(4) if c.passes_beta_sq]

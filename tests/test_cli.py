@@ -67,14 +67,23 @@ class TestAnalyzeCommand:
     def test_unknotted_curves_are_noted_once(self, capsys):
         # A degree 1 or a <= 2 leaves a coordinate with at most one
         # critical point; H(3,4,10^30+1) reduces to H(3,4,1), whose
-        # fraction 1/0 gave the note before.
-        for triple in (("2", "3", "5"), ("5", "6", "1"), ("1", "2", "3"),
-                       ("3", "4", str(10 ** 30 + 1))):
+        # fraction 1/0 gave the note before.  The text names the unknot;
+        # the JSON keeps both fields null.
+        for triple in (("3", "5", "1"), ("2", "3", "5"), ("5", "6", "1"),
+                       ("1", "2", "3"), ("3", "4", str(10 ** 30 + 1))):
             code, out, _ = run(capsys, "analyze", *triple)
             assert code == 0, triple
             assert out.count("note: unknotted curve") == 1, triple
+            assert out.splitlines()[-5:] == [
+                "  crossing number: 0",
+                "  alexander polynomial: 1",
+                "  determinant: 1",
+                "  name: unknot",
+                "  note: unknotted curve"], triple
+            data = json.loads(run(capsys, "analyze", *triple, "--json")[1])
+            assert data["crossing_number"] is None and data["name"] is None
         code, out, _ = run(capsys, "analyze", "3", "4", "5")
-        assert "unknotted" not in out
+        assert "unknot" not in out
 
     def test_family_prediction(self, capsys):
         code, out, _ = run(capsys, "analyze", "5", "6", "7")

@@ -2,10 +2,10 @@ import random
 import sys
 from bisect import bisect_left
 from itertools import permutations
-from math import comb
+from math import comb, gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from harmonicknots import invariants
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
@@ -30,40 +30,65 @@ def table_codes():
             for t in enumerate_table_triples(72)}
 
 
+# Coefficient lists of value +-1 at t = 1, the zero ones included: the
+# last coefficient makes up the sum, and may itself be 0.
+UNIT_COEFFS = st.lists(st.integers(-50, 50), max_size=8).flatmap(
+    lambda head: st.sampled_from((1, -1)).map(
+        lambda unit: head + [unit - sum(head)]))
+
+
+def assert_normalized(p):
+    c = p.coeffs
+    assert c[0] != 0 and c[-1] > 0 and sum(c) in (1, -1), c
+
+
 class TestLaurentPoly:
     def test_evaluation(self):
-        p = poly(1, -1, 1)
-        assert -p == poly(-1, 1, -1)
-        assert p(2) == 3
+        assert poly(1, -1, 1)(2) == 3
         assert poly(1, -3, 1)(-1) == 5
-        assert LaurentPoly.from_coeffs([1, 2], offset=2)(-2) == -12
-        with pytest.raises(ValueError):
-            LaurentPoly.from_coeffs([1], offset=-1)(2)
+        assert poly(2, -3, 2)(-1) == 7
 
     def test_shifted_and_normalized(self):
-        p = LaurentPoly.from_coeffs([1, -1, 1], offset=-3)
-        assert p.offset == -3
-        n = p.normalized()
-        assert n.offset == 0 and n.coefficient_list() == [1, -1, 1]
-        assert LaurentPoly.from_coeffs([-1, 3, -1]).normalized() \
-            .coefficient_list() == [1, -3, 1]
-
-    def test_coefficient_map(self):
-        p = LaurentPoly.from_coeffs([2, 0, -1], offset=1)
-        assert p.coefficient_map() == {1: 2, 3: -1}
+        # t^3 - t^4 + t^5 is 1 - t + t^2 up to a unit, and so is its
+        # negative; -1 + 3t - t^2 is 1 - 3t + t^2 up to sign.
+        assert LaurentPoly.from_coeffs([0, 0, 0, 1, -1, 1]).coeffs == \
+            (1, -1, 1)
+        assert LaurentPoly.from_coeffs([0, -1, 1, -1]) == poly(1, -1, 1)
+        assert LaurentPoly.from_coeffs([-1, 3, -1]).coeffs == (1, -3, 1)
 
     def test_many_leading_zeros(self):
-        p = LaurentPoly.from_coeffs([0] * 500 + [1, -1, 1, 0, 0], offset=-3)
-        assert p.offset == 497 and p.coeffs == (1, -1, 1)
+        p = LaurentPoly.from_coeffs([0] * 500 + [1, -1, 1, 0, 0])
+        assert p.coeffs == (1, -1, 1)
 
     def test_all_zero_coefficients(self):
-        p = LaurentPoly.from_coeffs([0] * 50, offset=7)
-        assert p.is_zero and p.offset == 0 and p.coeffs == ()
+        for zero in ([], [0] * 50):
+            with pytest.raises(ValueError,
+                               match="value at t=1 is 0, not a unit"):
+                LaurentPoly.from_coeffs(zero)
 
     def test_str(self):
+        assert str(poly(1)) == "1"
         assert str(poly(1, -3, 1)) == "1 - 3t + t^2"
         assert str(poly(2, -3, 2)) == "2 - 3t + 2t^2"
-        assert str(LaurentPoly.from_coeffs([])) == "0"
+        assert str(poly(-1, 0, 2)) == "-1 + 2t^2"
+
+    @given(UNIT_COEFFS, st.integers(0, 20), st.sampled_from((1, -1)))
+    def test_one_normalization_rule(self, p, shift, sign):
+        q = LaurentPoly.from_coeffs(p)
+        assert LaurentPoly.from_coeffs(
+            [0] * shift + [sign * v for v in p]) == q
+        assert_normalized(q)
+        # The same polynomial up to +-t^k: only zero ends and a sign go.
+        core = p[next(i for i, v in enumerate(p) if v):]
+        while not core[-1]:
+            core.pop()
+        assert list(q.coeffs) in (core, [-v for v in core])
+
+    @given(st.lists(st.integers(-50, 50), max_size=8))
+    def test_non_units_raise(self, p):
+        assume(sum(p) not in (1, -1))
+        with pytest.raises(ValueError, match="not a unit"):
+            LaurentPoly.from_coeffs(p)
 
 
 def kink_code(sign=1):
@@ -188,11 +213,19 @@ class TestAlexander:
                   (5, 7, 11), (6, 7, 11)]:
             d = alexander(build_gauss_code(
                 enumerate_crossings(HarmonicTriple(*t))))
-            assert d.offset == 0
-            coeffs = d.coefficient_list()
-            assert coeffs[-1] > 0
-            assert abs(sum(coeffs)) == 1
-            assert coeffs == coeffs[::-1], t
+            assert_normalized(d)
+            assert d.coeffs == d.coeffs[::-1], t
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda b: st.tuples(
+        st.integers(1, b - 1), st.just(b), st.integers(1, 10 ** 6))))
+    def test_random_curves_are_normalized_and_palindromic(self, triple):
+        a, b, c = triple
+        assume(gcd(a, b) == 1 and gcd(c, a * b) == 1)
+        d = alexander(build_gauss_code(
+            enumerate_crossings(HarmonicTriple(a, b, c))))
+        assert_normalized(d)
+        assert d.coeffs == d.coeffs[::-1], triple
 
     def test_invariance_under_reversal_and_mirror(self):
         for t in [(3, 5, 7), (4, 5, 7), (5, 6, 7)]:
@@ -502,13 +535,10 @@ class TestFactorSquare:
         for _ in range(50):
             coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]
             coeffs.append(1)
-            q = LaurentPoly.from_coeffs(coeffs)
-            if abs(sum(q.coeffs)) != 1:
+            if abs(sum(coeffs)) != 1:
                 continue
-            square = poly_product(q, q)
-            got = factor_square(square)
-            assert got is not None and \
-                poly_product(got, got) == square.normalized()
+            q = LaurentPoly.from_coeffs(coeffs)
+            assert factor_square(poly_product(q, q)) == q
 
     def test_large_coefficients_need_an_exact_root(self):
         n = 10 ** 20 + 12345

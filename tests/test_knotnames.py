@@ -32,7 +32,7 @@ def regenerate_table(text):
         delta = alexander(code)
         det = abs(delta(-1))
         assert frac == "-" or parse_fraction(frac).numerator == det, source
-        coeffs = ",".join(str(x) for x in delta.coefficient_list())
+        coeffs = ",".join(str(x) for x in delta.coeffs)
         lines.append(
             f"{name} | {starred} | {_crossing_number_of_name(name)}"
             f" | {det} | {coeffs} | {frac} | {source}")
@@ -74,6 +74,6 @@ def test_same_name_same_polynomial():
     by_name = {}
     for r in records():
         by_name.setdefault(r.name, set()).add(
-            (tuple(r.alexander.coefficient_list()), r.determinant))
+            (r.alexander.coeffs, r.determinant))
     for name, keys in by_name.items():
         assert len(keys) == 1, f"{name} carries inconsistent invariants"

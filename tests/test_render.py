@@ -79,12 +79,6 @@ def reference_render_xy(K, options=None):
     return _svg_document(WIDTH, WIDTH, body)
 
 
-def reference_coords_polyline(coords):
-    """``reference_polyline`` taking the flat list ``render._polyline``
-    takes."""
-    return reference_polyline(list(zip(coords[::2], coords[1::2])))
-
-
 def billiard_polyline(K):
     """Trajectory vertices (reflection points and endpoints), in order.
 
@@ -177,10 +171,6 @@ def test_matches_the_reference_drawings(triple, annotate):
     K = HarmonicTriple(*triple)
     options = RenderOptions(annotate_signs=annotate)
     assert render_xy(K, options) == reference_render_xy(K, options)
-    billiard = render_billiard(K, options)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(render, "_polyline", reference_coords_polyline)
-        assert billiard == render_billiard(K, options)
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +220,6 @@ def test_evicted_columns_redraw_the_reference(triples, spacer):
             render._column(200 + n, 1 - 2 * (n % 2))
             assert render._column.cache_info().currsize <= maxsize
         assert render_xy(K) == first == reference_render_xy(K)
-
-
-# Coordinates whose four-decimal rounding carries into the integer part
-# or leaves only zeros.
-CARRIES = [99.99995, 9.99996, 999.99996, 0.00004, -0.00004, 0.0, 100.0,
-           10.5, 23.6, 496.4]
-COORDS = st.one_of(st.sampled_from(CARRIES),
-                   st.floats(-1e6, 1e6, allow_nan=False),
-                   st.integers(-10 ** 6, 10 ** 6).map(lambda n: n / 10 ** 4))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=20))
-@example(list(zip(CARRIES, reversed(CARRIES))))
-def test_bulk_format_equals_per_number_fmt(points):
-    coords = [v for p in points for v in p]
-    assert render._polyline(coords) == reference_polyline(points)
 
 
 def polylines(svg_text):
