@@ -53,7 +53,7 @@ def _pmul(p: list[int], q: list[int]) -> list[int]:
 class LaurentPoly:
     """A knot polynomial in unit-normalized form, sum(coeffs[i] * t**i):
     both end coefficients nonzero, the last one positive, and value +-1 at
-    t = 1.
+    t = 1; constructing any other tuple raises ``ValueError``.
 
     Knot polynomials are defined up to +-t^k, and this form picks one
     representative; the classical tables print it, e.g. 1 - 3t + t^2 for
@@ -61,6 +61,11 @@ class LaurentPoly:
     """
 
     coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        c = self.coeffs
+        if not (c and c[0] and c[-1] > 0 and sum(c) in (1, -1)):
+            raise ValueError(f"{c!r} is not a unit-normalized polynomial")
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "LaurentPoly":

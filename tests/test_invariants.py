@@ -66,6 +66,15 @@ class TestLaurentPoly:
                                match="value at t=1 is 0, not a unit"):
                 LaurentPoly.from_coeffs(zero)
 
+    def test_only_the_normalized_form_constructs(self):
+        # Zero or negative ends, or a value at t = 1 other than +-1.
+        for coeffs in [(0, -1), (), (0,), (-1,), (1, -1, 0), (-1, 1, -1),
+                       (1, 1), (2, -2, 2)]:
+            with pytest.raises(ValueError, match="not a unit-normalized"):
+                LaurentPoly(coeffs)
+        assert LaurentPoly((1, -3, 1)) == \
+            LaurentPoly.from_coeffs([0, -1, 3, -1])
+
     def test_str(self):
         assert str(poly(1)) == "1"
         assert str(poly(1, -3, 1)) == "1 - 3t + t^2"

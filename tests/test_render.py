@@ -21,7 +21,8 @@ SVG = "{http://www.w3.org/2000/svg}"
 
 # ---------------------------------------------------------------------------
 # Reference drawings: the per-sample sweep and the per-number polyline that
-# the per-piece renderer replaced.  The package's output must match them
+# the per-piece renderer replaced, and the per-coordinate billiard drawing
+# that the per-(a, b) frame replaced.  The package's output must match them
 # byte for byte.
 
 
@@ -77,6 +78,50 @@ def reference_render_xy(K, options=None):
                 f'font-size="{_fmt(scale * 0.05)}">'
                 f'{"+" if c.sign > 0 else chr(0x2212)}</text>')
     return _svg_document(WIDTH, WIDTH, body)
+
+
+def reference_render_billiard(K, options=None):
+    opt = options or RenderOptions()
+    a, b = K.a, K.b
+    crossings = enumerate_crossings(K)
+    cut = {c.s_num if c.over_at_t else c.t_num for c in crossings}
+    grid = [billiard_point(K, m) for m in range(a * b + 1)]
+
+    pieces = [[]]
+    for m, pt in enumerate(grid):
+        if m not in cut:
+            pieces[-1].append(pt)
+            continue
+        before, after = grid[m - 1], grid[m + 1]
+        pieces[-1].append(((pt[0] + before[0]) / 2, (pt[1] + before[1]) / 2))
+        pieces.append([((pt[0] + after[0]) / 2, (pt[1] + after[1]) / 2)])
+
+    pad = 1 + 2 * MARGIN
+    scale = WIDTH / (2 * b * pad)
+    height = int(round(2 * a * pad * scale))
+    offx = WIDTH / 2
+    offy = height / 2
+
+    def to_px(p):
+        return offx + scale * p[0], offy - scale * p[1]
+
+    body = [
+        f'<rect x="{_fmt(offx - scale * b)}" y="{_fmt(offy - scale * a)}" '
+        f'width="{_fmt(2 * scale * b)}" height="{_fmt(2 * scale * a)}" '
+        f'fill="none" stroke="#999" stroke-width="1"/>'
+    ]
+    body += [reference_polyline(map(to_px, piece))
+             for piece in pieces if len(piece) > 1]
+    for c in crossings:
+        px, py = to_px(billiard_point(K, c.t_num))
+        body.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
+                    f'r="{_fmt(STROKE)}" fill="#c22"/>')
+        if opt.annotate_signs:
+            body.append(
+                f'<text x="{_fmt(px + 4)}" y="{_fmt(py - 4)}" '
+                f'font-size="{_fmt(scale * 0.6)}">'
+                f'{"+" if c.sign > 0 else chr(0x2212)}</text>')
+    return _svg_document(WIDTH, height, body)
 
 
 def billiard_polyline(K):
@@ -173,6 +218,19 @@ def test_matches_the_reference_drawings(triple, annotate):
     assert render_xy(K, options) == reference_render_xy(K, options)
 
 
+@settings(max_examples=60, deadline=None)
+@given(TRIPLES, st.booleans())
+@example((1, 2, 3), False)
+@example((11, 40, 999999937), True)
+@example((37, 64, 5), False)
+def test_billiard_matches_the_reference(triple, annotate):
+    a, b, c = triple
+    assume(gcd(a, b) == 1 and gcd(c, a * b) == 1)
+    K = HarmonicTriple(*triple)
+    options = RenderOptions(annotate_signs=annotate)
+    assert render_billiard(K, options) == reference_render_billiard(K, options)
+
+
 # ---------------------------------------------------------------------------
 # The column cache: keyed by degree and sign, bounded, and never visible in
 # the drawing.
@@ -220,6 +278,63 @@ def test_evicted_columns_redraw_the_reference(triples, spacer):
             render._column(200 + n, 1 - 2 * (n % 2))
             assert render._column.cache_info().currsize <= maxsize
         assert render_xy(K) == first == reference_render_xy(K)
+
+
+# ---------------------------------------------------------------------------
+# The billiard frame cache: keyed by (a, b), bounded, and never visible in
+# the drawing.
+
+
+def test_billiard_drawing_ignores_the_frame_cache_state():
+    K = HarmonicTriple(5, 9, 1234)
+    options = RenderOptions(annotate_signs=True)
+    render._billiard_frame.cache_clear()
+    cold = render_billiard(K, options)
+    assert render_billiard(K, options) == cold
+    for other in [(3, 4, 5), (7, 11, 13), (2, 9, 7)]:
+        render_billiard(HarmonicTriple(*other))
+    assert render_billiard(K, options) == cold
+    render._billiard_frame.cache_clear()
+    assert render_billiard(K, options) == cold == \
+        reference_render_billiard(K, options)
+
+
+def test_triples_differing_in_c_share_the_frame():
+    render._billiard_frame.cache_clear()
+    render_billiard(HarmonicTriple(4, 7, 3))
+    render_billiard(HarmonicTriple(4, 7, 1000003))
+    info = render._billiard_frame.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(WIDE_TRIPLES, min_size=1, max_size=4), st.integers(0, 40))
+def test_evicted_frames_redraw_the_reference(triples, spacer):
+    # ``spacer`` frames of other degrees fetched between two draws of a
+    # triple; from 32 on they evict its frame.
+    maxsize = render._billiard_frame.cache_info().maxsize
+    for t in triples:
+        K = HarmonicTriple(*t)
+        first = render_billiard(K)
+        assert render._billiard_frame.cache_info().currsize <= maxsize
+        for n in range(spacer):
+            render._billiard_frame(1, 100 + n)
+            assert render._billiard_frame.cache_info().currsize <= maxsize
+        assert render_billiard(K) == first == reference_render_billiard(K)
+
+
+@pytest.mark.parametrize("triple", [(1, 40, 3), (2, 41, 3), (5, 7, 11)])
+def test_billiard_formats_per_crossing_and_piece(monkeypatch, triple):
+    # With the frame cached, a drawing formats the stroke width of each
+    # piece, and the radius and sign label of each crossing: no vertex.
+    K = HarmonicTriple(*triple)
+    signs = RenderOptions(annotate_signs=True)
+    render_billiard(K, signs)
+    calls = []
+    monkeypatch.setattr(render, "_fmt", lambda x: calls.append(x) or _fmt(x))
+    render_billiard(K, signs)
+    n = K.crossing_count
+    assert len(calls) <= (n + 1) + 4 * n
 
 
 def polylines(svg_text):
