@@ -5,10 +5,18 @@ with k/a + h/b < 1, at parameters t = cos((k/a + h/b)pi) and
 s = cos((k/a - h/b)pi), both integer multiples of pi/(ab).  The
 z-coordinate T_c(t) decides over/under and crossing signs, all computed
 exactly through sine signs of rational angles.
+
+Only the over/under choice at each double point depends on c, and both
+signs follow from it.  So ``_frame`` builds, once per (a, b), every double
+point in x order with its parameters, x rank, y level and both of its
+possible crossings, in a cache bounded to 64 pairs (the crossing table
+has 58), and ``enumerate_crossings`` picks one crossing per double point
+from two sine signs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from math import gcd
 
@@ -40,7 +48,7 @@ class HarmonicTriple:
         return (self.a - 1) * (self.b - 1) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Crossing:
     """One double point of the plane projection.
 
@@ -72,74 +80,65 @@ class Crossing:
                        over_at_t=not self.over_at_t)
 
 
-def _sine_signs(K: HarmonicTriple, h: int, k: int) -> tuple[int, int, int, int]:
-    """Signs of sin(ch/b pi), sin(ck/a pi), sin(ah/b pi), sin(bk/a pi)."""
-    a, b, c = K.a, K.b, K.c
-    signs = (
-        sign_sin(c * h, b),
-        sign_sin(c * k, a),
-        sign_sin(a * h, b),
-        sign_sin(b * k, a),
-    )
-    if 0 in signs:
-        raise ValueError(
-            f"zero sine at crossing (h={h}, k={k}) of H{(a, b, c)}")
-    return signs
+@functools.lru_cache(maxsize=64)
+def _frame(a: int, b: int) -> tuple[tuple[Crossing, Crossing], ...]:
+    """Both possible crossings of each double point of (T_a, T_b), in x
+    order: the one with z(t) > z(s), and its mirror.
 
-
-def crossing_signs(K: HarmonicTriple, h: int,
-                   k: int) -> tuple[int, int, bool]:
-    """(twist sign, oriented sign, over_at_t) of the crossing (h, k).
-
-    z(t) - z(s) has the sign of -sin(ch/b pi) sin(ck/a pi), and the strand
-    at t passes over iff it is positive.  The twist sign is +1 iff
+    Everything here depends on (a, b) alone.  The strand at t passes over
+    iff z(t) - z(s) > 0.  The twist sign is +1 iff
     D = (z(t)-z(s)) x'(t) y'(t) > 0, where x'(t) y'(t) carries the sign
     (-1)^(h+k) sin(ah/b pi) sin(bk/a pi).  The oriented sign (writhe
     contribution) is the twist sign times the sign of sin((k/a - h/b)pi),
     which is the sign of kb - ha; the extra factor converts the
     same-parameter derivative product in D into the cross product of the
-    two tangents.
+    two tangents.  Ties in x (symmetric partners, only for even a) are
+    broken by the folded y angle, so the order is deterministic.
     """
-    s_chb, s_cka, s_ahb, s_bka = _sine_signs(K, h, k)
-    zdiff = -s_chb * s_cka
-    sign = zdiff * (-1 if (h + k) % 2 else 1) * s_ahb * s_bka
-    return sign, sign * (1 if k * K.b > h * K.a else -1), zdiff > 0
-
-
-def crossing_parameters(K: HarmonicTriple) -> list[tuple[int, int]]:
-    """All (h, k) with h, k >= 1 and k/a + h/b < 1, i.e. kb + ha < ab."""
-    a, b = K.a, K.b
-    return [(h, k) for h in range(1, b) for k in range(1, a)
-            if k * b + h * a < a * b]
-
-
-def enumerate_crossings(K: HarmonicTriple) -> list[Crossing]:
-    """All crossings, sorted by decreasing x-coordinate.
-
-    Ties in x (symmetric partners, only for even a) are broken by the
-    folded y angle, so the output order is deterministic.
-    """
-    a, b = K.a, K.b
     records = []
-    for h, k in crossing_parameters(K):
-        t_num = k * b + h * a
-        # x = cos((t_num / b) pi), y = cos((t_num / a) pi)
-        records.append((fold(t_num, b), fold(t_num, a), h, k, t_num))
+    for h in range(1, b):
+        for k in range(1, a):
+            t_num = k * b + h * a
+            if t_num < a * b:
+                # x = cos((t_num / b) pi), y = cos((t_num / a) pi)
+                records.append((fold(t_num, b), fold(t_num, a), h, k, t_num))
     records.sort()
-    crossings = []
+    frame = []
     rank = -1
     last_fold = None
     for x_fold, y_level, h, k, t_num in records:
         if x_fold != last_fold:
             rank += 1
             last_fold = x_fold
-        sign, oriented, over = crossing_signs(K, h, k)
-        crossings.append(Crossing(
+        derivatives = sign_sin(a * h, b) * sign_sin(b * k, a)
+        if derivatives == 0:
+            raise ValueError(
+                f"zero sine at crossing (h={h}, k={k}) of T{(a, b)}")
+        sign = derivatives * (-1 if (h + k) % 2 else 1)
+        over = Crossing(
             h=h, k=k, t_num=t_num, s_num=abs(k * b - h * a), sign=sign,
-            oriented_sign=oriented, over_at_t=over,
-            x_order=rank, y_level=y_level))
-    expected = K.crossing_count
-    if len(crossings) != expected:
+            oriented_sign=sign if k * b > h * a else -sign, over_at_t=True,
+            x_order=rank, y_level=y_level)
+        frame.append((over, over.mirrored()))
+    expected = (a - 1) * (b - 1) // 2
+    if len(frame) != expected:
         raise InternalError(
-            f"found {len(crossings)} crossings, expected {expected}")
+            f"found {len(frame)} crossings, expected {expected}")
+    return tuple(frame)
+
+
+def enumerate_crossings(K: HarmonicTriple) -> list[Crossing]:
+    """All crossings, sorted by decreasing x-coordinate.
+
+    z(t) - z(s) has the sign of -sin(ch/b pi) sin(ck/a pi), which picks
+    one of the two crossings ``_frame`` holds for each double point.
+    """
+    a, b, c = K.a, K.b, K.c
+    crossings = []
+    for over, under in _frame(a, b):
+        sines = sign_sin(c * over.h, b) * sign_sin(c * over.k, a)
+        if sines == 0:
+            raise ValueError(f"zero sine at crossing (h={over.h}, "
+                             f"k={over.k}) of H{(a, b, c)}")
+        crossings.append(over if sines < 0 else under)
     return crossings

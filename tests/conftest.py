@@ -5,7 +5,12 @@ fractions and knot names (triple, fraction or None, name, starred).  It
 deliberately duplicates the package's embedded data: the tests treat this
 copy as the oracle and the package's as the artifact under test.
 ``sign_cos`` is the exact cosine sign that the crossing-sign tests compare
-the package against, and ``denominator_family_blocks`` builds the
+the package against.  ``crossing_signs`` and ``reference_crossings``
+compute each crossing's signs and the whole crossing list one double
+point at a time, the oracle for the per-(a, b) frame behind
+``enumerate_crossings``.  ``assert_same_text`` compares two long texts,
+such as SVG drawings, and reports where they first differ.
+``denominator_family_blocks`` builds the
 expansion of the fractions (2n^2+1)/(2n) from blocks, independently of
 ``expand_1212``.  The helpers after them are oracles for results the
 package itself does not compute: continuant matrices, sign-change
@@ -14,12 +19,14 @@ a Gauss code, products of polynomials, and the Alexander polynomial of a
 twist sequence.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from harmonicknots.chebgeom import Crossing
 from harmonicknots.diagram import GaussCode, GaussEntry, diagram_from_conway
-from harmonicknots.exact import sign_sin
+from harmonicknots.exact import fold, sign_sin
 from harmonicknots.invariants import LaurentPoly, alexander
 
 REFERENCE_TABLE = [
@@ -80,6 +87,83 @@ REFERENCE_TABLE = [
 def sign_cos(p, q):
     """Sign of cos((p/q)*pi), via the complementary angle (1/2 - p/q)*pi."""
     return sign_sin(q - 2 * p, 2 * q)
+
+
+def assert_same_text(got, want):
+    """Fail unless two texts (both str or both bytes) are equal, reporting
+    their lengths and the first differing offset with 40 characters of
+    context on each side.  pytest's own report of a failing ``==`` diffs
+    the whole of both texts, which takes seconds to minutes for an SVG."""
+    def digest(text):
+        return hashlib.sha256(
+            text.encode() if isinstance(text, str) else text).digest()
+
+    assert type(got) is type(want), (type(got), type(want))
+    if digest(got) == digest(want):
+        return
+    at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y),
+              min(len(got), len(want)))
+    lo = max(at - 40, 0)
+    pytest.fail(f"texts differ: lengths {len(got)} and {len(want)}, first "
+                f"difference at offset {at}\n"
+                f" got[{lo}:{at + 40}]: {got[lo:at + 40]!r}\n"
+                f"want[{lo}:{at + 40}]: {want[lo:at + 40]!r}", pytrace=False)
+
+
+def sine_signs(K, h, k):
+    """Signs of sin(ch/b pi), sin(ck/a pi), sin(ah/b pi), sin(bk/a pi)."""
+    a, b, c = K.a, K.b, K.c
+    signs = (
+        sign_sin(c * h, b),
+        sign_sin(c * k, a),
+        sign_sin(a * h, b),
+        sign_sin(b * k, a),
+    )
+    if 0 in signs:
+        raise ValueError(
+            f"zero sine at crossing (h={h}, k={k}) of H{(a, b, c)}")
+    return signs
+
+
+def crossing_signs(K, h, k):
+    """(twist sign, oriented sign, over_at_t) of the crossing (h, k).
+
+    z(t) - z(s) has the sign of -sin(ch/b pi) sin(ck/a pi), and the strand
+    at t passes over iff it is positive.  The twist sign is +1 iff
+    D = (z(t)-z(s)) x'(t) y'(t) > 0, where x'(t) y'(t) carries the sign
+    (-1)^(h+k) sin(ah/b pi) sin(bk/a pi).  The oriented sign is the twist
+    sign times the sign of kb - ha.
+    """
+    s_chb, s_cka, s_ahb, s_bka = sine_signs(K, h, k)
+    zdiff = -s_chb * s_cka
+    sign = zdiff * (-1 if (h + k) % 2 else 1) * s_ahb * s_bka
+    return sign, sign * (1 if k * K.b > h * K.a else -1), zdiff > 0
+
+
+def crossing_parameters(K):
+    """All (h, k) with h, k >= 1 and k/a + h/b < 1, i.e. kb + ha < ab."""
+    a, b = K.a, K.b
+    return [(h, k) for h in range(1, b) for k in range(1, a)
+            if k * b + h * a < a * b]
+
+
+def reference_crossings(K):
+    """``enumerate_crossings(K)`` computed crossing by crossing from the
+    three oracles above, with no per-(a, b) frame: sorted by folded x
+    numerator, then folded y numerator."""
+    a, b = K.a, K.b
+    records = sorted((fold(k * b + h * a, b), fold(k * b + h * a, a), h, k)
+                     for h, k in crossing_parameters(K))
+    ranks = {x_fold: rank for rank, x_fold
+             in enumerate(sorted({r[0] for r in records}))}
+    crossings = []
+    for x_fold, y_level, h, k in records:
+        sign, oriented, over = crossing_signs(K, h, k)
+        crossings.append(Crossing(
+            h=h, k=k, t_num=k * b + h * a, s_num=abs(k * b - h * a),
+            sign=sign, oriented_sign=oriented, over_at_t=over,
+            x_order=ranks[x_fold], y_level=y_level))
+    return crossings
 
 
 def denominator_family_blocks(n):

@@ -17,8 +17,7 @@ from math import gcd
 from harmonicknots.cfrac import (
     SchubertFraction, _longest_sign_change_run, evaluate, evaluate_projective,
     expand_1212, fraction_candidate, positive_cf, two_bridge_equivalent)
-from harmonicknots.chebgeom import (HarmonicTriple, crossing_parameters,
-                                    enumerate_crossings)
+from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.classify import analyze, canonical_h4
 from harmonicknots.cli import main
 from harmonicknots.diagram import build_gauss_code, conway_form_h4
@@ -26,6 +25,7 @@ from harmonicknots.invariants import alexander, determinant, factor_square
 
 from conftest import (REFERENCE_TABLE, PreconditionError,
                       alexander_of_fraction, cf_matrix, crossing_number_bireg,
+                      crossing_parameters, crossing_signs,
                       denominator_family_blocks, poly_product, sign_changes,
                       sign_cos)
 
@@ -275,7 +275,6 @@ def test_criterion_09_property_suites():
         # Sign shortcuts for consecutive degrees.
         for n in (2, 3, 4):
             K = HarmonicTriple(2 * n - 1, 2 * n, 2 * n + 1)
-            from harmonicknots.chebgeom import crossing_signs
             for h, k in crossing_parameters(K):
                 y_sign = sign_cos(k * K.b + h * K.a, K.a)
                 sign, _, over_at_t = crossing_signs(K, h, k)

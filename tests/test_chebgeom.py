@@ -1,16 +1,19 @@
 import random
+from dataclasses import astuple
 from math import gcd
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from harmonicknots.chebgeom import (
-    HarmonicTriple, _sine_signs, crossing_parameters, crossing_signs,
-    enumerate_crossings)
+from harmonicknots import chebgeom
+from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
+from harmonicknots.classify import enumerate_table_triples
 from harmonicknots.errors import InputError
 from harmonicknots.exact import fold
 
-from conftest import sign_cos
+from conftest import (crossing_parameters, crossing_signs,
+                      reference_crossings, sign_cos)
 
 
 def twist_sign(K, h, k):
@@ -131,9 +134,11 @@ class TestSigns:
                 assert zdiff_sign(K, h, k) == -y_sign
 
     def test_degenerate_sign_detected(self):
-        fake = SimpleNamespace(a=4, b=6, c=2)
-        with pytest.raises(ValueError, match="zero sine at crossing"):
-            _sine_signs(fake, 3, 2)
+        # gcd(c, b) = 2: sin(ch/b pi) vanishes at h = 2.
+        fake = SimpleNamespace(a=3, b=4, c=2)
+        with pytest.raises(ValueError, match=r"zero sine at crossing "
+                           r"\(h=2, k=1\) of H\(3, 4, 2\)"):
+            enumerate_crossings(fake)
 
 
 def mirror_partner_c(a, b, c):
@@ -161,3 +166,56 @@ class TestMirrorRule:
                 sign_p, _, over_p = crossing_signs(Kp, h, k)
                 assert sign_p == -sign
                 assert over_p == (not over)
+
+
+# ---------------------------------------------------------------------------
+# The per-(a, b) frame: the crossing list it builds is the one the
+# per-crossing oracle builds, whatever the cache holds.
+
+# Pairwise coprime degrees a < b, a <= 12, b <= 40, c up to 10^9 (c < b
+# allowed).
+TRIPLES = st.integers(2, 40).flatmap(lambda b: st.tuples(
+    st.integers(1, min(b - 1, 12)), st.just(b),
+    st.integers(1, 10 ** 9))).filter(
+        lambda t: gcd(t[0], t[1]) == 1 and gcd(t[2], t[0] * t[1]) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TRIPLES)
+@example((3, 4, 5))
+@example((1, 2, 3))
+@example((6, 7, 1))
+@example((11, 40, 999999937))
+def test_frame_matches_the_per_crossing_oracle(triple):
+    K = HarmonicTriple(*triple)
+    got = enumerate_crossings(K)
+    assert [astuple(c) for c in got] == \
+        [astuple(c) for c in reference_crossings(K)]
+    # A fresh list each call, of the frame's shared crossings.
+    again = enumerate_crossings(K)
+    assert again is not got
+    assert all(x is y for x, y in zip(again, got))
+
+
+@pytest.mark.parametrize("triple", [(4, 7, 3), (5, 9, 1000003),
+                                    (11, 40, 999999937)])
+def test_evicted_frames_enumerate_the_reference(triple):
+    # Enough frames of other degrees to evict the triple's frame between
+    # two enumerations.
+    K = HarmonicTriple(*triple)
+    first = enumerate_crossings(K)
+    assert first == reference_crossings(K)
+    maxsize = chebgeom._frame.cache_info().maxsize
+    for n in range(maxsize + 1):
+        chebgeom._frame(1, 100 + n)
+    info = chebgeom._frame.cache_info()
+    assert info.currsize == maxsize
+    assert enumerate_crossings(K) == first
+    assert chebgeom._frame.cache_info().misses == info.misses + 1
+
+
+def test_frame_cache_holds_the_crossing_table():
+    # A sweep of ``table --max-ab 72`` finds each pair's frame cached.
+    pairs = {(a, b) for a, b, _ in enumerate_table_triples(72)}
+    assert len(pairs) == 58
+    assert chebgeom._frame.cache_info().maxsize >= len(pairs)

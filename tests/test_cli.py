@@ -18,7 +18,7 @@ from harmonicknots.cfrac import (SchubertFraction, fraction_candidate,
 from harmonicknots.cli import main
 from harmonicknots.diagram import GaussCode
 
-from conftest import REFERENCE_TABLE
+from conftest import REFERENCE_TABLE, assert_same_text
 
 
 def run(capsys, *argv):
@@ -171,8 +171,9 @@ class TestAnalyzeCommand:
             assert run(capsys, "analyze", "3", "4", c, "--svg", str(xy),
                        "--billiard", str(bil))[0] == 0
             K = chebgeom.HarmonicTriple(3, 4, int(c))
-            assert xy.read_text() == render.render_xy(K, options)
-            assert bil.read_text() == render.render_billiard(K, options)
+            assert_same_text(xy.read_text(), render.render_xy(K, options))
+            assert_same_text(bil.read_text(),
+                             render.render_billiard(K, options))
 
     def test_huge_degree_finishes(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -257,6 +258,10 @@ class TestOutputFiles:
         return (render.render_xy(K, self.OPTIONS).encode("utf-8"),
                 render.render_billiard(K, self.OPTIONS).encode("utf-8"))
 
+    def assert_drawings(self, xy, bil, triple):
+        for path, want in zip((xy, bil), self.expected(*triple)):
+            assert_same_text(path.read_bytes(), want)
+
     def test_longer_file_is_cut_to_the_drawing(self, capsys, tmp_path):
         xy, bil = tmp_path / "xy.svg", tmp_path / "billiard.svg"
         for path in (xy, bil):
@@ -264,7 +269,7 @@ class TestOutputFiles:
         code, _, _ = run(capsys, "analyze", "3", "5", "7", "--svg", str(xy),
                          "--billiard", str(bil))
         assert code == 0
-        assert (xy.read_bytes(), bil.read_bytes()) == self.expected(3, 5, 7)
+        self.assert_drawings(xy, bil, (3, 5, 7))
 
     def test_null_device(self, capsys):
         code, _, _ = run(capsys, "analyze", "3", "5", "7", "--svg",
@@ -278,7 +283,7 @@ class TestOutputFiles:
         assert run(capsys, "analyze", "3", "5", "7",
                    "--svg", str(link))[0] == 0
         assert link.is_symlink()
-        assert target.read_bytes() == self.expected(3, 5, 7)[0]
+        assert_same_text(target.read_bytes(), self.expected(3, 5, 7)[0])
 
     def test_existing_file_keeps_its_mode(self, capsys, tmp_path):
         xy = tmp_path / "xy.svg"
@@ -287,7 +292,7 @@ class TestOutputFiles:
         assert run(capsys, "analyze", "3", "5", "7",
                    "--svg", str(xy))[0] == 0
         assert xy.stat().st_mode & 0o777 == 0o604
-        assert xy.read_bytes() == self.expected(3, 5, 7)[0]
+        assert_same_text(xy.read_bytes(), self.expected(3, 5, 7)[0])
 
     def cli_in(self, cwd, *argv, **env):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -303,8 +308,8 @@ class TestOutputFiles:
                            LC_ALL="C", PYTHONUTF8="0",
                            PYTHONCOERCECLOCALE="0")
         assert done.returncode == 0, done.stderr
-        assert ((tmp_path / "out.svg").read_bytes(),
-                (tmp_path / "bil.svg").read_bytes()) == self.expected(3, 5, 7)
+        self.assert_drawings(tmp_path / "out.svg", tmp_path / "bil.svg",
+                             (3, 5, 7))
 
     def test_stdout_pipe_gets_the_drawing(self, tmp_path):
         # /proc/self/fd/1 is where /dev/stdout points; unlike /dev/stdout
@@ -313,7 +318,7 @@ class TestOutputFiles:
                            "--svg", "/proc/self/fd/1")
         assert done.returncode == 0, done.stderr
         drawing = self.expected(3, 5, 7)[0]
-        assert done.stdout.startswith(drawing)
+        assert_same_text(done.stdout[:len(drawing)], drawing)
         assert json.loads(done.stdout[len(drawing):])["name"] == "4_1"
 
 

@@ -3,18 +3,21 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from math import cos, gcd, pi
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from harmonicknots import render
+from harmonicknots import chebgeom, render
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.exact import fold
 from harmonicknots.render import (MARGIN, SAMPLES, STROKE, WIDTH,
                                   RenderOptions, _fmt, _svg_document,
                                   billiard_point, render_billiard, render_xy)
+
+from conftest import assert_same_text
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -215,7 +218,7 @@ def test_matches_the_reference_drawings(triple, annotate):
     assume(gcd(a, b) == 1 and gcd(c, a * b) == 1)
     K = HarmonicTriple(*triple)
     options = RenderOptions(annotate_signs=annotate)
-    assert render_xy(K, options) == reference_render_xy(K, options)
+    assert_same_text(render_xy(K, options), reference_render_xy(K, options))
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,35 +231,43 @@ def test_billiard_matches_the_reference(triple, annotate):
     assume(gcd(a, b) == 1 and gcd(c, a * b) == 1)
     K = HarmonicTriple(*triple)
     options = RenderOptions(annotate_signs=annotate)
-    assert render_billiard(K, options) == reference_render_billiard(K, options)
+    assert_same_text(render_billiard(K, options),
+                     reference_render_billiard(K, options))
 
 
 # ---------------------------------------------------------------------------
-# The column cache: keyed by degree and sign, bounded, and never visible in
-# the drawing.
+# The frame caches: keyed by (a, b), bounded, and never visible in the
+# drawing.
 
 
 def test_drawing_ignores_the_cache_state():
     K = HarmonicTriple(5, 9, 1234)
     options = RenderOptions(annotate_signs=True)
-    render._column.cache_clear()
+    render._xy_frame.cache_clear()
     cold = render_xy(K, options)
-    assert render_xy(K, options) == cold
+    assert_same_text(render_xy(K, options), cold)
     for other in [(3, 4, 5), (7, 11, 13), (2, 9, 7)]:
         render_xy(HarmonicTriple(*other))
-    assert render_xy(K, options) == cold
-    render._column.cache_clear()
-    assert render_xy(K, options) == cold == reference_render_xy(K, options)
+    assert_same_text(render_xy(K, options), cold)
+    render._xy_frame.cache_clear()
+    assert_same_text(render_xy(K, options), cold)
+    assert_same_text(cold, reference_render_xy(K, options))
 
 
-def test_triples_differing_in_c_share_the_columns():
-    render._column.cache_clear()
-    render_xy(HarmonicTriple(4, 7, 3))
-    render_xy(HarmonicTriple(4, 7, 1000003))
-    info = render._column.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
-    # One compact string per column, not a list of per-sample strings.
-    assert sys.getsizeof(render._column(4, 1)) < 25_000
+def test_triples_differing_in_c_share_the_xy_frame():
+    caches = (chebgeom._frame, render._xy_frame, render._billiard_frame)
+    for cache in caches:
+        cache.cache_clear()
+    for c in (3, 1000003):
+        K = HarmonicTriple(4, 7, c)
+        render_xy(K)
+        render_billiard(K)
+    assert [cache.cache_info().misses for cache in caches] == [1, 1, 1]
+    # One compact text and eight bytes per passage numerator, not a list
+    # of per-sample strings.
+    text, runs, _ = render._xy_frame(4, 7)
+    assert sys.getsizeof(text) < 45_000
+    assert runs.nbytes == 8 * 4 * 7
 
 
 WIDE_TRIPLES = st.tuples(
@@ -264,25 +275,23 @@ WIDE_TRIPLES = st.tuples(
         lambda t: gcd(t[0], t[1]) == 1 and gcd(t[2], t[0] * t[1]) == 1)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.lists(WIDE_TRIPLES, min_size=1, max_size=4), st.integers(0, 40))
-def test_evicted_columns_redraw_the_reference(triples, spacer):
-    # ``spacer`` other columns fetched between two draws of a triple; from
-    # 31 on they evict its columns.
-    maxsize = render._column.cache_info().maxsize
-    for t in triples:
-        K = HarmonicTriple(*t)
-        first = render_xy(K)
-        assert render._column.cache_info().currsize <= maxsize
-        for n in range(spacer):
-            render._column(200 + n, 1 - 2 * (n % 2))
-            assert render._column.cache_info().currsize <= maxsize
-        assert render_xy(K) == first == reference_render_xy(K)
-
-
-# ---------------------------------------------------------------------------
-# The billiard frame cache: keyed by (a, b), bounded, and never visible in
-# the drawing.
+@pytest.mark.parametrize("triple", [(4, 7, 3), (5, 9, 1000003),
+                                    (11, 89, 999983)])
+def test_evicted_xy_frames_redraw_the_reference(triple):
+    # Enough frames of other degrees to evict the triple's frame between
+    # two draws.  Fixed inputs: a wrong drawing fails in a second, where a
+    # shrinking search over wide triples took half a minute.
+    K = HarmonicTriple(*triple)
+    first = render_xy(K)
+    assert_same_text(first, reference_render_xy(K))
+    maxsize = render._xy_frame.cache_info().maxsize
+    for n in range(maxsize + 1):
+        render._xy_frame(1, 100 + n)
+    info = render._xy_frame.cache_info()
+    assert info.currsize == maxsize
+    misses = info.misses
+    assert_same_text(render_xy(K), first)
+    assert render._xy_frame.cache_info().misses == misses + 1
 
 
 def test_billiard_drawing_ignores_the_frame_cache_state():
@@ -290,13 +299,13 @@ def test_billiard_drawing_ignores_the_frame_cache_state():
     options = RenderOptions(annotate_signs=True)
     render._billiard_frame.cache_clear()
     cold = render_billiard(K, options)
-    assert render_billiard(K, options) == cold
+    assert_same_text(render_billiard(K, options), cold)
     for other in [(3, 4, 5), (7, 11, 13), (2, 9, 7)]:
         render_billiard(HarmonicTriple(*other))
-    assert render_billiard(K, options) == cold
+    assert_same_text(render_billiard(K, options), cold)
     render._billiard_frame.cache_clear()
-    assert render_billiard(K, options) == cold == \
-        reference_render_billiard(K, options)
+    assert_same_text(render_billiard(K, options), cold)
+    assert_same_text(cold, reference_render_billiard(K, options))
 
 
 def test_triples_differing_in_c_share_the_frame():
@@ -316,25 +325,42 @@ def test_evicted_frames_redraw_the_reference(triples, spacer):
     for t in triples:
         K = HarmonicTriple(*t)
         first = render_billiard(K)
+        # Checked first, so that a wrong drawing fails before the spacer.
+        assert_same_text(first, reference_render_billiard(K))
         assert render._billiard_frame.cache_info().currsize <= maxsize
         for n in range(spacer):
             render._billiard_frame(1, 100 + n)
             assert render._billiard_frame.cache_info().currsize <= maxsize
-        assert render_billiard(K) == first == reference_render_billiard(K)
+        assert_same_text(render_billiard(K), first)
 
 
 @pytest.mark.parametrize("triple", [(1, 40, 3), (2, 41, 3), (5, 7, 11)])
 def test_billiard_formats_per_crossing_and_piece(monkeypatch, triple):
-    # With the frame cached, a drawing formats the stroke width of each
-    # piece, and the radius and sign label of each crossing: no vertex.
+    # With the frames cached, neither drawing formats a number: every
+    # coordinate, stroke width and label position is ready text.
     K = HarmonicTriple(*triple)
     signs = RenderOptions(annotate_signs=True)
+    render_xy(K, signs)
     render_billiard(K, signs)
     calls = []
     monkeypatch.setattr(render, "_fmt", lambda x: calls.append(x) or _fmt(x))
+    render_xy(K, signs)
     render_billiard(K, signs)
-    n = K.crossing_count
-    assert len(calls) <= (n + 1) + 4 * n
+    assert calls == []
+
+
+@pytest.mark.parametrize("draw", [render_xy, render_billiard])
+def test_crossings_of_another_curve_raise(draw):
+    K = HarmonicTriple(4, 7, 3)
+    crossings = enumerate_crossings(K)
+    # A double point of another (a, b), and one passage moved.
+    for wrong in (enumerate_crossings(HarmonicTriple(4, 9, 5)),
+                  [*crossings[:-1], replace(crossings[-1],
+                                            s_num=crossings[-1].s_num + 1)]):
+        with pytest.raises(ValueError, match=r"Crossing\(h=.* is not a "
+                           r"crossing of H\(4, 7, 3\)"):
+            draw(K, None, wrong)
+    assert_same_text(draw(K, None, crossings), draw(K))
 
 
 def polylines(svg_text):
