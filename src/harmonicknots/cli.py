@@ -22,7 +22,7 @@ import stat
 import sys
 
 from .cfrac import SchubertFraction, fraction_candidate, positive_cf
-from .chebgeom import HarmonicTriple
+from .chebgeom import HarmonicTriple, enumerate_crossings
 from .classify import AnalysisReport, analyze, enumerate_table_triples
 from .errors import InputError, InternalError
 from .render import RenderOptions, render_billiard, render_xy
@@ -100,11 +100,15 @@ def _print_report(r: AnalysisReport, out) -> None:
         print(f"  note: {note}", file=out)
 
 
-def _write_output(path: str, text: str) -> None:
+# The report is a fresh tree of dicts and lists, so it holds no cycle for
+# the encoder to check for.
+_JSON = json.JSONEncoder(check_circular=False)
+
+
+def _write_output(path: str, data: bytes) -> None:
     # Overwrite in place and then cut the tail: a file truncated to zero
     # on open is flushed to disk when it is closed (ext4, XFS).  A pipe,
     # tty or device cannot be truncated and gets a plain stream.
-    data = text.encode("utf-8")
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
@@ -131,17 +135,17 @@ def cmd_analyze(args) -> int:
         # The drawings show K itself; the report's crossings are those of
         # the reduced triple.  A degree reduction keeps every double point
         # and mirrors the diagram crossing by crossing, so K's crossings
-        # are the report's, flipped when the reductions mirrored.
-        crossings = [c.mirrored() for c in report.crossings] \
-            if report.mirrored else report.crossings
+        # are the report's unless the reductions mirrored.
+        crossings = enumerate_crossings(K) if report.mirrored \
+            else report.crossings
         options = RenderOptions(annotate_signs=True)
         if args.svg:
             _write_output(args.svg, render_xy(K, options, crossings))
         if args.billiard:
             _write_output(args.billiard,
-                          render_billiard(K, options, crossings))
+                          render_billiard(K, options, crossings).encode())
     if args.json:
-        print(json.dumps(_report_json(report)))
+        print(_JSON.encode(_report_json(report)))
     else:
         if swapped:
             print(f"note: degrees reordered to a < b; the curve "

@@ -1,5 +1,15 @@
 """SVG drawings: the xy plane diagram and the billiard representation.
 
+Both frames hold ASCII bytes, a drawing is one ``bytes.join`` over
+slices of that text and a few fixed tags, and the one non-ASCII
+character, the U+2212 of a negative sign label, comes from a two-entry
+table already encoded.  ``render_xy`` returns the document as UTF-8
+``bytes``, which the CLI writes as they are: one U+2212 would widen its
+34 KB of point text to a 2-byte ``str``, which takes about 45 us to
+encode back.  ``render_billiard`` still returns ``str``, as its callers
+read it as text; its document is a few KB (3.6 KB for H(5,7,9)), and
+decoding it takes about 1 us.
+
 The xy diagram samples the curve at u = i * step, step = 1 / (SAMPLES - 1),
 the last sample at exactly 1.0.  The under-passage at u0 hides sample i
 iff abs(u - u0) <= half, a window that stays clear of every other passage.
@@ -27,10 +37,10 @@ t = cos(m pi / ab) maps to the lattice point (2 fold(m, b) - b,
 2 fold(m, a) - a).  Consecutive points differ by 2 in each coordinate,
 so vertices, crossing positions and the midpoints where the under-strand
 gaps end all have integer coordinates.  All of this depends on (a, b)
-alone, so ``_billiard_frame`` formats every integer coordinate, each
-lattice point and each crossing's dot and label position once per
-(a, b), in a cache bounded to 32 frames, and a drawing joins strings
-from its tables.
+alone, so ``_billiard_frame`` formats, once per (a, b), the text of every
+lattice point with its offsets, the two gap ends of each passage and each
+crossing's dot and label tag, in a cache bounded to 32 frames; a drawing
+slices the point text between its under-passages.
 """
 
 from __future__ import annotations
@@ -64,21 +74,20 @@ def _fmt(x: float) -> str:
 
 _STROKE_WIDTH = _fmt(STROKE)
 
-
-def _svg_document(width: int, height: int, body: list[str]) -> str:
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">')
-    return "\n".join([head, *body, "</svg>"]) + "\n"
-
-
-def _polyline_element(points: str) -> str:
-    return (f'<polyline fill="none" stroke="#1a1a1a" '
-            f'stroke-width="{_STROKE_WIDTH}" stroke-linecap="round" '
-            f'points="{points}"/>')
+# The fixed parts of a document.  Every element starts on a new line, so
+# each tag that opens an element starts with "\n".
+_POLY_OPEN = (f'\n<polyline fill="none" stroke="#1a1a1a" '
+              f'stroke-width="{_STROKE_WIDTH}" stroke-linecap="round" '
+              f'points="').encode()
+_POLY_CLOSE = b'"/>'
+_LABEL_CLOSE = b"</text>"
+_END = b"\n</svg>\n"
+_GLYPH = {1: b"+", -1: "\u2212".encode()}
 
 
-def _sign_label(tag: str, sign: int) -> str:
-    return f'{tag}{"+" if sign > 0 else chr(0x2212)}</text>'
+def _svg_head(width: int, height: int) -> bytes:
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}" viewBox="0 0 {width} {height}">').encode()
 
 
 def _per_crossing(table: dict[int, tuple], K: HarmonicTriple,
@@ -101,10 +110,20 @@ def _per_crossing(table: dict[int, tuple], K: HarmonicTriple,
 
 _SCALE = WIDTH / (2 + 2 * MARGIN)
 _OFF = (1 + MARGIN) * _SCALE
+_XY_HEAD = _svg_head(WIDTH, WIDTH)
 _REC = 2 * _COL + 2  # one interleaved sample: x "," y ";"
 # Record ends become the spaces between points; ``translate``'s delete
 # argument drops the padding.
 _UNPAD = bytes.maketrans(b";", b" ")
+
+
+def _trim_fields(fields: bytes) -> bytes:
+    """``_fmt``'s rule on fixed-width fields of ``"%.4f"`` text, each
+    number followed by a space: four passes blank its trailing zeros one
+    at a time and a fifth a bare point, keeping every field's width."""
+    for _ in range(4):
+        fields = fields.replace(b"0 ", b"  ")
+    return fields.replace(b". ", b"  ")
 
 
 def _column(n: int, sign: int) -> bytes:
@@ -115,27 +134,25 @@ def _column(n: int, sign: int) -> bytes:
     off, s = _OFF, sign * _SCALE
     values = [off + s * cos(n * (i * step) * pi) for i in range(last)]
     values.append(off + s * cos(n * pi))  # the last sample, u = 1.0
-    # Every field starts with a space, so a space ends each number.  Four
-    # passes blank its trailing zeros one at a time and a fifth a bare
-    # point: ``_fmt``'s rule, keeping the field width.
+    # Every field starts with a space, so a space ends each number; the
+    # extra one ends the last, and goes after the trim.
     col = ((b"%%%d.4f" % _COL) * SAMPLES + b" ") % tuple(values)
-    for _ in range(4):
-        col = col.replace(b"0 ", b"  ")
-    return col.replace(b". ", b"  ")[:-1]
+    return _trim_fields(col)[:-1]
 
 
 @functools.lru_cache(maxsize=32)
-def _xy_frame(a: int, b: int) -> tuple[str, memoryview,
-                                       dict[int, tuple[int, str]]]:
+def _xy_frame(a: int, b: int) -> tuple[bytes, memoryview,
+                                       dict[int, tuple[int, bytes]]]:
     """(text, runs, labels): the part of an xy drawing that depends on
     (a, b) alone.
 
-    ``text`` is every sample's "x,y", each followed by a space.  For each
-    of the 2N passage numerators m, ``runs[4 * m:4 * m + 4]`` holds the run
-    [lo, hi) of samples that an under-passage at u = m / ab hides and the
-    offsets in ``text`` where samples lo and hi start; two bytes per
-    number, since ``text`` has fewer than 2^16 chars.  ``labels[t_num]`` is
-    (s_num, the opening tag of the sign label) of the crossing at t_num.
+    ``text`` is every sample's "x,y", each followed by a space, in ASCII.
+    For each of the 2N passage numerators m, ``runs[4 * m:4 * m + 4]``
+    holds the run [lo, hi) of samples that an under-passage at u = m / ab
+    hides and the offsets in ``text`` where samples lo and hi start; two
+    bytes per number, since ``text`` has fewer than 2^16 bytes.
+    ``labels[t_num]`` is (s_num, the opening tag of the sign label) of the
+    crossing at t_num.
     """
     buf = bytearray(_REC * SAMPLES)
     for col, at in ((_column(a, 1), 0), (_column(b, -1), _COL + 1)):
@@ -143,10 +160,10 @@ def _xy_frame(a: int, b: int) -> tuple[str, memoryview,
             buf[at + p::_REC] = col[p::_COL]
     buf[_COL::_REC] = b"," * SAMPLES
     buf[_REC - 1::_REC] = b";" * SAMPLES
-    text = buf.translate(_UNPAD, b" ").decode()
+    text = bytes(buf.translate(_UNPAD, b" "))
     starts = memoryview(bytearray(2 * (SAMPLES + 1))).cast("H")
     for i in range(SAMPLES):
-        starts[i + 1] = text.index(" ", starts[i]) + 1
+        starts[i + 1] = text.index(b" ", starts[i]) + 1
 
     # The hidden run of each passage (module docstring): abs(u - u0) <=
     # half split into its two signed halves, each end walked from a guess
@@ -184,15 +201,17 @@ def _xy_frame(a: int, b: int) -> tuple[str, memoryview,
         x = cos(pi * (fold(c.t_num, b) / b))
         y = cos(pi * (fold(c.t_num, a) / a))
         px, py = _OFF + _SCALE * x, _OFF - _SCALE * y
-        labels[c.t_num] = (c.s_num, f'<text x="{_fmt(px + 5)}" '
+        labels[c.t_num] = (c.s_num, f'\n<text x="{_fmt(px + 5)}" '
                                     f'y="{_fmt(py - 5)}" '
-                                    f'font-size="{_fmt(_SCALE * 0.05)}">')
+                                    f'font-size="{_fmt(_SCALE * 0.05)}">'
+                                    .encode())
     return text, runs, labels
 
 
 def render_xy(K: HarmonicTriple, options: RenderOptions | None = None,
-              crossings: Sequence[Crossing] | None = None) -> str:
-    """Plane diagram with the under-strand broken at every crossing.
+              crossings: Sequence[Crossing] | None = None) -> bytes:
+    """Plane diagram with the under-strand broken at every crossing, as
+    the UTF-8 bytes of an SVG document.
 
     The curve is sampled as (cos(a u), cos(b u)) for u in [0, pi]; each
     under-passage removes a parameter window around its crossing, so the
@@ -205,21 +224,25 @@ def render_xy(K: HarmonicTriple, options: RenderOptions | None = None,
         crossings = enumerate_crossings(K)
     text, runs, tags = _xy_frame(K.a, K.b)
     labels = _per_crossing(tags, K, crossings)
-    # Visible pieces: (first sample, end sample, their offsets in text).
-    pieces = []
+    view = memoryview(text)
+    parts = [_XY_HEAD]
+    # The visible piece [start, lo) ends at each hidden run [lo, hi); a
+    # piece of one sample is not drawn.  Each piece's text ends with a
+    # space, which the slice leaves out.
     start = start_at = 0
     for m in sorted([c.s_num if c.over_at_t else c.t_num for c in crossings]):
         lo, hi, lo_at, hi_at = runs[4 * m:4 * m + 4]
         if lo < hi:
-            pieces.append((start, lo, start_at, lo_at))
+            if lo - start > 1:
+                parts += (_POLY_OPEN, view[start_at:lo_at - 1], _POLY_CLOSE)
             start, start_at = hi, hi_at
-    pieces.append((start, SAMPLES, start_at, len(text)))
-    body = [_polyline_element(text[i:j - 1])
-            for lo, hi, i, j in pieces if hi - lo > 1]
+    if SAMPLES - start > 1:
+        parts += (_POLY_OPEN, view[start_at:-1], _POLY_CLOSE)
     if opt.annotate_signs:
-        body += [_sign_label(tag, c.sign)
-                 for c, (_, tag) in zip(crossings, labels)]
-    return _svg_document(WIDTH, WIDTH, body)
+        for c, (_, tag) in zip(crossings, labels):
+            parts += (tag, _GLYPH[c.sign], _LABEL_CLOSE)
+    parts.append(_END)
+    return b"".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +257,25 @@ def billiard_point(K: HarmonicTriple, m: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Frame:
-    """The part of a billiard drawing that depends on (a, b) alone.
+    """The part of a billiard drawing that depends on (a, b) alone, in
+    ASCII bytes.
 
-    ``xt[x + b]`` and ``yt[y + a]`` are the ``_fmt`` text of the pixel
-    coordinates of the integer abscissa x and ordinate y, ``points[m]`` is
-    the "x,y" text of ``billiard_point(K, m)``, and ``marks[t_num]`` is
-    (s_num, the ``<circle>`` element, the opening tag of the sign label)
-    of the crossing at t_num.
+    ``head`` is the ``<svg>`` tag and the rectangle.  ``text`` is the
+    "x,y" pixel text of ``billiard_point(K, m)`` for m = 0, ..., ab, each
+    followed by a space, and point m starts at ``text[starts[m]]``; four
+    bytes per offset, since the text of a wide (a, b) can pass 2^16 bytes.
+    ``gaps[m]`` is, for each passage numerator m, the text of the two
+    lattice midpoints where an under-passage at m cuts the trajectory:
+    the end of the piece before it and the start of the piece after it.
+    ``marks[t_num]`` is (s_num, the ``<circle>`` element, the opening tag
+    of the sign label) of the crossing at t_num.
     """
 
-    height: int
-    rect: str
-    xt: tuple[str, ...]
-    yt: tuple[str, ...]
-    points: tuple[str, ...]
-    marks: dict[int, tuple[int, str, str]]
+    head: bytes
+    text: bytes
+    starts: memoryview
+    gaps: dict[int, tuple[bytes, bytes]]
+    marks: dict[int, tuple[int, bytes, bytes]]
 
 
 @functools.lru_cache(maxsize=32)
@@ -258,10 +285,10 @@ def _billiard_frame(a: int, b: int) -> _Frame:
     height = int(round(2 * a * pad * scale))
     offx = WIDTH / 2
     offy = height / 2
-    rect = (f'<rect x="{_fmt(offx - scale * b)}" '
+    rect = (f'\n<rect x="{_fmt(offx - scale * b)}" '
             f'y="{_fmt(offy - scale * a)}" '
             f'width="{_fmt(2 * scale * b)}" height="{_fmt(2 * scale * a)}" '
-            f'fill="none" stroke="#999" stroke-width="1"/>')
+            f'fill="none" stroke="#999" stroke-width="1"/>').encode()
     # Every point drawn has integer billiard coordinates (module
     # docstring), so these are all the pixel coordinates a drawing needs.
     xs = [offx + scale * x for x in range(-b, b + 1)]
@@ -270,23 +297,37 @@ def _billiard_frame(a: int, b: int) -> _Frame:
     yt = tuple(map(_fmt, ys))
     K = HarmonicTriple(a, b, 1)  # billiard_point reads only a and b
     lattice = [billiard_point(K, m) for m in range(a * b + 1)]
-    points = tuple(f"{xt[x + b]},{yt[y + a]}" for x, y in lattice)
+    points = [f"{xt[x + b]},{yt[y + a]} ".encode() for x, y in lattice]
+    starts = memoryview(bytearray(4 * (len(points) + 1))).cast("I")
+    for m, point in enumerate(points):
+        starts[m + 1] = starts[m] + len(point)
+
+    def midpoint(m: int, n: int) -> str:
+        # Of the lattice points m and n: abscissa fold(m, b) + fold(n, b) - b.
+        return f"{xt[fold(m, b) + fold(n, b)]},{yt[fold(m, a) + fold(n, a)]}"
+
+    gaps = {}
     marks = {}
     for c, _ in _crossing_frame(a, b):
+        for m in (c.t_num, c.s_num):
+            gaps[m] = (midpoint(m, m - 1).encode(),
+                       f"{midpoint(m, m + 1)} ".encode())
         x, y = lattice[c.t_num]
         marks[c.t_num] = (
             c.s_num,
-            f'<circle cx="{xt[x + b]}" cy="{yt[y + a]}" r="{_STROKE_WIDTH}" '
-            f'fill="#c22"/>',
-            f'<text x="{_fmt(xs[x + b] + 4)}" y="{_fmt(ys[y + a] - 4)}" '
-            f'font-size="{_fmt(scale * 0.6)}">')
-    return _Frame(height, rect, xt, yt, points, marks)
+            f'\n<circle cx="{xt[x + b]}" cy="{yt[y + a]}" '
+            f'r="{_STROKE_WIDTH}" fill="#c22"/>'.encode(),
+            f'\n<text x="{_fmt(xs[x + b] + 4)}" y="{_fmt(ys[y + a] - 4)}" '
+            f'font-size="{_fmt(scale * 0.6)}">'.encode())
+    return _Frame(_svg_head(WIDTH, height) + rect, b"".join(points), starts,
+                  gaps, marks)
 
 
 def render_billiard(K: HarmonicTriple,
                     options: RenderOptions | None = None,
                     crossings: Sequence[Crossing] | None = None) -> str:
-    """Billiard trajectory in the (-b, b) x (-a, a) rectangle.
+    """Billiard trajectory in the (-b, b) x (-a, a) rectangle, as the
+    text of an SVG document.
 
     The under-strand is broken by removing half a lattice step of the
     trajectory on each side of every under-passage; crossings are marked
@@ -299,25 +340,21 @@ def render_billiard(K: HarmonicTriple,
         crossings = enumerate_crossings(K)
     frame = _billiard_frame(K.a, K.b)
     marks = _per_crossing(frame.marks, K, crossings)
-    a, b, xt, yt = K.a, K.b, frame.xt, frame.yt
-
-    def midpoint(m: int, n: int) -> str:
-        # Of the lattice points m and n: abscissa fold(m, b) + fold(n, b) - b.
-        return f"{xt[fold(m, b) + fold(n, b)]},{yt[fold(m, a) + fold(n, a)]}"
-
+    text, starts, gaps = memoryview(frame.text), frame.starts, frame.gaps
     # The window edges are the midpoints of the two segments adjacent to
-    # an under-passage, half a lattice step from it.
-    body = [frame.rect]
-    head: list[str] = []
+    # an under-passage, half a lattice step from it.  A piece holds the
+    # points between two under-passages, each followed by a space.
+    parts = [frame.head, _POLY_OPEN]
     start = 0
     for m in sorted({c.s_num if c.over_at_t else c.t_num for c in crossings}):
-        body.append(_polyline_element(" ".join(
-            [*head, *frame.points[start:m], midpoint(m, m - 1)])))
-        head, start = [midpoint(m, m + 1)], m + 1
-    body.append(_polyline_element(" ".join(
-        [*head, *frame.points[start:]])))
+        end, restart = gaps[m]
+        parts += (text[starts[start]:starts[m]], end, _POLY_CLOSE,
+                  _POLY_OPEN, restart)
+        start = m + 1
+    parts += (text[starts[start]:-1], _POLY_CLOSE)
     for c, (_, circle, tag) in zip(crossings, marks):
-        body.append(circle)
+        parts.append(circle)
         if opt.annotate_signs:
-            body.append(_sign_label(tag, c.sign))
-    return _svg_document(WIDTH, frame.height, body)
+            parts += (tag, _GLYPH[c.sign], _LABEL_CLOSE)
+    parts.append(_END)
+    return b"".join(parts).decode()

@@ -171,9 +171,23 @@ class TestAnalyzeCommand:
             assert run(capsys, "analyze", "3", "4", c, "--svg", str(xy),
                        "--billiard", str(bil))[0] == 0
             K = chebgeom.HarmonicTriple(3, 4, int(c))
-            assert_same_text(xy.read_text(), render.render_xy(K, options))
-            assert_same_text(bil.read_text(),
+            assert_same_text(xy.read_bytes(), render.render_xy(K, options))
+            assert_same_text(bil.read_text(encoding="utf-8"),
                              render.render_billiard(K, options))
+
+    def test_json_is_the_plain_dump(self, capsys):
+        # The CLI's encoder skips the cycle check; its text must be what
+        # json.dumps prints.  Mixed: a table curve, swapped degrees, a
+        # reduction with and without mirror, an unknot, a large c.
+        for a, b, c in [(3, 5, 7), (5, 4, 7), (3, 4, 13), (3, 4, 19),
+                        (2, 5, 7), (5, 7, 11), (4, 9, 1000003),
+                        (5, 13, 1000003)]:
+            code, out, _ = run(capsys, "analyze", str(a), str(b), str(c),
+                               "--json")
+            K = chebgeom.HarmonicTriple(min(a, b), max(a, b), c)
+            assert code == 0
+            assert out == json.dumps(
+                cli._report_json(classify.analyze(K))) + "\n", (a, b, c)
 
     def test_huge_degree_finishes(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -255,7 +269,7 @@ class TestOutputFiles:
 
     def expected(self, a, b, c):
         K = chebgeom.HarmonicTriple(a, b, c)
-        return (render.render_xy(K, self.OPTIONS).encode("utf-8"),
+        return (render.render_xy(K, self.OPTIONS),
                 render.render_billiard(K, self.OPTIONS).encode("utf-8"))
 
     def assert_drawings(self, xy, bil, triple):
