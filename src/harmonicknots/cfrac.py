@@ -10,9 +10,8 @@ Every routine works on the integer pair (alpha, beta); nothing divides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalError
 
@@ -24,8 +23,12 @@ SignedCF = Sequence[int]
 # Fractions
 
 
-@dataclass(frozen=True)
-class SchubertFraction:
+class _FractionFields(NamedTuple):
+    alpha: int
+    beta: int
+
+
+class SchubertFraction(_FractionFields):
     """A two-bridge fraction alpha/beta with alpha >= 0 and gcd reduced.
 
     The sign lives on beta (alpha/(-beta) is the mirror image).  Two special
@@ -33,11 +36,10 @@ class SchubertFraction:
     (the two-component unlink).  Knot fractions have odd alpha.
     """
 
-    alpha: int
-    beta: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b = self.alpha, self.beta
+    def __new__(cls, alpha: int, beta: int):
+        a, b = alpha, beta
         if a == 0 and b == 0:
             raise ValueError("0/0 is not a fraction")
         g = gcd(abs(a), abs(b))
@@ -48,8 +50,7 @@ class SchubertFraction:
             a, b = -a, -b
         elif a == 0:
             b = 1
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
+        return tuple.__new__(cls, (a, b))
 
     def equivalence_class(self) -> tuple[int, ...]:
         """Residues {beta, beta^-1, -beta, -beta^-1} mod alpha, sorted.
@@ -213,8 +214,7 @@ def expand_1212(f: SchubertFraction) -> list[int]:
     return terms
 
 
-@dataclass(frozen=True)
-class FractionCandidate:
+class FractionCandidate(NamedTuple):
     """Whether alpha/beta (odd alpha, even beta) can be the fraction of an
     a = 4 harmonic curve: it must satisfy beta^2 = +-2 (mod alpha) and its
     [1, +-2, ...] expansion must have no two consecutive sign changes."""

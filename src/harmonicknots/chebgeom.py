@@ -17,39 +17,41 @@ from two sine signs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InputError, InternalError
 from .exact import fold, sign_sin
 
 
-@dataclass(frozen=True)
-class HarmonicTriple:
-    """Pairwise coprime degrees (a, b, c) of the space curve
-    (T_a(t), T_b(t), T_c(t)), with a < b.  c is unconstrained."""
-
+class _TripleFields(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self):
-        if min(self.a, self.b, self.c) < 1:
+
+class HarmonicTriple(_TripleFields):
+    """Pairwise coprime degrees (a, b, c) of the space curve
+    (T_a(t), T_b(t), T_c(t)), with a < b.  c is unconstrained."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int):
+        if min(a, b, c) < 1:
             raise InputError("degrees must be positive integers")
-        if self.a >= self.b:
-            raise InputError(
-                f"expected a < b, got a={self.a}, b={self.b}")
-        for x, y in ((self.a, self.b), (self.a, self.c), (self.b, self.c)):
+        if a >= b:
+            raise InputError(f"expected a < b, got a={a}, b={b}")
+        for x, y in ((a, b), (a, c), (b, c)):
             if gcd(x, y) != 1:
                 raise InputError(f"{x},{y} not coprime")
+        return tuple.__new__(cls, (a, b, c))
 
     @property
     def crossing_count(self) -> int:
         return (self.a - 1) * (self.b - 1) // 2
 
 
-@dataclass(frozen=True, slots=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One double point of the plane projection.
 
     ``sign`` is the twist sign (+1 for a right twist, i.e. D > 0 for
@@ -75,9 +77,9 @@ class Crossing:
     def mirrored(self) -> "Crossing":
         """The same double point of the mirror image: over/under and both
         signs flip."""
-        return replace(self, sign=-self.sign,
-                       oriented_sign=-self.oriented_sign,
-                       over_at_t=not self.over_at_t)
+        return self._replace(sign=-self.sign,
+                             oriented_sign=-self.oriented_sign,
+                             over_at_t=not self.over_at_t)
 
 
 @functools.lru_cache(maxsize=64)

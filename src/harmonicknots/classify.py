@@ -9,8 +9,8 @@ triple into a full report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .cfrac import (SchubertFraction, evaluate, evaluate_projective,
                     positive_cf, two_bridge_equivalent)
@@ -27,8 +27,7 @@ from . import knotnames
 # Degree reduction
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One application of c = lam*a + mu*b -> c' = |lam*a - mu*b|.
 
     ``mirrored`` is the cumulative mirror parity after this step (every
@@ -93,8 +92,7 @@ def reduced_triple(K: HarmonicTriple,
 # Canonical parameters for the two-bridge family a = 4
 
 
-@dataclass(frozen=True)
-class CanonicalH4:
+class CanonicalH4(NamedTuple):
     """Canonical odd pair b' < c' < 3b', b' != c' (mod 4), with the fraction
     and crossing number of the curve with degrees (4, b', c')."""
 
@@ -176,8 +174,7 @@ def predict_family(K: HarmonicTriple) -> tuple[str, ConwayForm] | None:
 # Full analysis
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Everything the toolkit can say about one degree triple.
 
     Diagram-derived fields describe the reduced (irreducible) triple; the
@@ -201,7 +198,7 @@ class AnalysisReport:
     name: str | None
     starred: bool
     unknotted: bool
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
 
 def _verify_expectation(description: str, form: ConwayForm,

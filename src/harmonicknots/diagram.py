@@ -10,9 +10,8 @@ the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .chebgeom import Crossing, HarmonicTriple
 from .errors import InternalError
@@ -20,8 +19,7 @@ from .errors import InternalError
 ConwayForm = list[int]
 
 
-@dataclass(frozen=True)
-class GaussEntry:
+class GaussEntry(NamedTuple):
     """One passage through a crossing: 'O' over or 'U' under, with the
     oriented crossing sign."""
 
@@ -30,8 +28,7 @@ class GaussEntry:
     sign: int
 
 
-@dataclass(frozen=True)
-class GaussCode:
+class GaussCode(NamedTuple):
     """Passages in traversal order around the closed curve."""
 
     entries: tuple[GaussEntry, ...]

@@ -2,30 +2,46 @@
 
 The route is classical (Fox): free differential calculus on the Wirtinger
 relations, one per crossing, and the determinant of an (n-1) x (n-1)
-minor.  The Fox rows are read straight from the Gauss code, with no
-presentation object in between.  All arithmetic is exact integer
-arithmetic.  Every Fox entry is linear in t, so the minor is built once,
-as sparse rows that map a column to the pair (c0, c1) of its entry
-c0 + c1*t.  The minor determinant has one route: Kronecker substitution.
-Every entry is evaluated at t = 2**B, one fraction-free (Bareiss)
-elimination computes the integer determinant, and its balanced base-2**B
-digits are the coefficients.  B comes from an integer bound: by Parseval
-and Hadamard's inequality no coefficient exceeds the product of the rows'
-l2 norms on |t| = 1, which is at most sqrt(6) for a Fox row.
+minor, with the last relation and arc 0 struck.  The relations are read
+straight from the Gauss code, with no presentation object in between,
+and all arithmetic is exact integer arithmetic.  Every Fox coefficient is
+linear in t, and on a relation's incoming and outgoing arc it is a unit,
++-1 or +-t.  Delta comes by Kronecker substitution: at t = T = 2**B the
+minor's determinant is an integer whose balanced base-T digits are the
+coefficients.  B comes from an integer bound: by Parseval and Hadamard's
+inequality no coefficient exceeds the product of the rows' l2 norms on
+|t| = 1, which is at most sqrt(6) for a Fox row (``_kronecker_width``).
 
-The elimination (``_det_sparse``, which ``determinant`` also runs, at
-t = -1) is sparse: rows hold only their nonzero entries, and a Fox row has
-at most three, one of them a unit.  Each step pivots on the live entry of
-smallest bit length, ties going to the shortest row; only the rows with an
-entry in the pivot column are eliminated, and the others are at most
-rescaled.  Each row's best candidate is cached, so a step rescans only the
-rows it rewrote.
+The determinant comes from a sweep of the relations by decreasing
+crossing id: by increasing x for a ``build_gauss_code`` code, whose ids
+go by decreasing x, and against word order for a ``diagram_from_conway``
+one.  Each relation is solved for its first arc that is not yet
+expressed and has a unit coefficient, so a pivot is +-1 or +-T.  Its
+other unexpressed arcs become free, and a relation with no such arc
+becomes a row of the final system in the free arcs.  A vertical line
+meets few arcs, so the system is small: k <= 5 on the crossing table,
+k = (a - 1)/2 on H(a, a+2, a+4) and k <= 2 on twist codes.  The order
+only sets k; any order gives the same Delta.
+
+Nothing is divided.  An expressed arc is stored as v / T**q, integers v
+over the free arcs and its own power q, and a pivot of +-T raises q by
+one.  The sweep is Gaussian elimination on unit pivots, so the minor's
+determinant is a unit times the system's, and multiplying a system row
+by its power of T changes only a unit.  Before the last elimination the
+common power of T leaves each row and then each column, which again
+changes only a unit and keeps the entries, and so the elimination, small.
+The value is thus T**e det(minor(T)) up to sign, for some integer e, and
+its balanced digits are those of det(minor(T)), shifted.  When e < 0,
+T**(-e) divides det(minor(T)), whose digits are all below T/2 in size,
+so its lowest -e digits are 0.  The digits are the minor's coefficients
+either way, so B stays the width the whole minor needs.  ``determinant``
+runs the same sweep at t = -1, where every pivot is +-1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .diagram import GaussCode
 
@@ -49,8 +65,11 @@ def _pmul(p: list[int], q: list[int]) -> list[int]:
     return _trim(out)
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class _PolyFields(NamedTuple):
+    coeffs: tuple[int, ...]
+
+
+class LaurentPoly(_PolyFields):
     """A knot polynomial in unit-normalized form, sum(coeffs[i] * t**i):
     both end coefficients nonzero, the last one positive, and value +-1 at
     t = 1; constructing any other tuple raises ``ValueError``.
@@ -60,12 +79,13 @@ class LaurentPoly:
     the figure-eight knot.  ``from_coeffs`` is the constructor.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = self.coeffs
-        if not (c and c[0] and c[-1] > 0 and sum(c) in (1, -1)):
-            raise ValueError(f"{c!r} is not a unit-normalized polynomial")
+    def __new__(cls, coeffs: tuple[int, ...]):
+        if not (coeffs and coeffs[0] and coeffs[-1] > 0
+                and sum(coeffs) in (1, -1)):
+            raise ValueError(f"{coeffs!r} is not a unit-normalized polynomial")
+        return tuple.__new__(cls, (coeffs,))
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "LaurentPoly":
@@ -107,11 +127,20 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# The Fox minor
+# The Fox relations and the sweep
 
 
-def _alexander_minor(gc: GaussCode) -> list[dict[int, tuple[int, int]]]:
-    """The Fox minor: row i maps column j to (c0, c1), the entry c0 + c1*t.
+# The Fox coefficients of a negative and of a positive crossing on (over,
+# in, out), then on (in, out) when the over arc is the incoming one, and on
+# (in, out) when it is the outgoing one.
+_FOX = (((-1, 1), (1, 0), (0, -1), (0, 1), (-1, 0)),
+        ((1, -1), (0, 1), (-1, 0), (1, 0), (0, -1)))
+
+
+def _fox_rows(gc: GaussCode) -> list[dict[int, tuple[int, int]]]:
+    """The Fox relations but the last, by decreasing crossing id: each
+    maps an arc to (c0, c1), its coefficient c0 + c1*t, and arc 0 is
+    struck.
 
     Arc j starts just after the j-th under-passage, so the k-th one has
     incoming arc k - 1 (mod n) and outgoing arc k, and an over-passage lies
@@ -119,9 +148,9 @@ def _alexander_minor(gc: GaussCode) -> list[dict[int, tuple[int, int]]]:
     of the relation out = over^e * in * over^{-e}, abelianized, are linear:
     a positive crossing contributes (1-t, t, -1) on (over, in, out), a
     negative one (t-1, 1, -t) (scaled by t to stay polynomial), and
-    coincident arcs add up.  Any one relation is redundant and any one
-    column may be struck, and all such minors agree up to units: the last
-    relation goes, and so does arc 0, so arc j is column j - 1.
+    coincident arcs add up, to a unit again.  Any one relation is
+    redundant and any one arc may be struck, and all such minors agree up
+    to units: the last relation goes, and so does arc 0.
     """
     gc.validate()
     n = gc.crossing_count
@@ -132,144 +161,126 @@ def _alexander_minor(gc: GaussCode) -> list[dict[int, tuple[int, int]]]:
             over_arc[e.crossing_id] = (len(unders) - 1) % n
         else:
             unders.append(e)
-    minor = []
+    relations = []
     for k, e in enumerate(unders[:-1]):
         over, into = over_arc[e.crossing_id], (k - 1) % n
-        contribs = (((over, 1, -1), (into, 0, 1), (k, -1, 0)) if e.sign > 0
-                    else ((over, -1, 1), (into, 1, 0), (k, 0, -1)))
-        row: dict[int, tuple[int, int]] = {}
-        for arc, c0, c1 in contribs:
-            if arc:
-                d0, d1 = row.get(arc - 1, (0, 0))
-                row[arc - 1] = (c0 + d0, c1 + d1)
-        minor.append(row)
-    return minor
+        a, b, c, a_b, a_c = _FOX[e.sign > 0]
+        if over == into:
+            row = {into: a_b, k: c}
+        elif over == k:
+            row = {into: b, k: a_c}
+        else:
+            row = {over: a, into: b, k: c}
+        row.pop(0, None)
+        relations.append((e.crossing_id, row))
+    relations.sort(key=lambda r: r[0], reverse=True)
+    return [row for _, row in relations]
 
 
-# ---------------------------------------------------------------------------
-# Exact determinants
-
-
-def _det_sparse(rows: list[dict[int, int]]) -> int:
-    """Determinant of the square integer matrix whose nonzero entries are
-    ``rows[i][j]``; zeros are not stored, and the rows are consumed.
-
-    Fraction-free (Bareiss) elimination in a dynamic pivot order.  After k
-    pivots every live entry is the (k+1)-minor on the pivot rows and
-    columns plus its own row and column, and ``prev`` is the k-minor on
-    the pivots alone, so each division is exact in any order.  With pivot
-    p in column c, a row holding a there becomes (v*p - a*w) / prev on the
-    union of its keys and the pivot row's w; any other row is rescaled,
-    v*p / prev, and left alone when p == prev.  A negative pivot's row is
-    negated, flipping the sign, which makes p == prev common; when prev
-    divides p, v*p / prev is v times the quotient, and when p == prev an
-    eliminated row is updated in place, dropping the entries that cancel.
-
-    The pivot is the live entry of least bit length, ties going to the
-    shorter row, then to the first row and the first entry in it.  Each
-    row's best entry is cached as the key (bit length, row length, row
-    index, column); the live rows keep their index order, so the least key
-    is that pivot.  A step refreshes the keys of the rows it rewrites,
-    eliminated or rescaled, and no other key can change.
-    """
-    live = dict(enumerate(rows))
-    best = {}
-    for i, row in live.items():
-        if not row:
-            return 0
-        best[i] = _best_entry(i, row)
-    col_of: dict[int, int] = {}
-    sign = 1
-    prev = 1
-    while live:
-        _, _, r, c = min(best.values())
-        del best[r]
-        pivot_row = live.pop(r)
-        p = pivot_row.pop(c)
-        col_of[r] = c
-        if p < 0:
-            p, sign = -p, -sign
-            pivot_row = {j: -w for j, w in pivot_row.items()}
-        q, rem = divmod(p, prev)
-        for i, row in live.items():
-            a = row.pop(c, 0)
-            if rem:
-                new = {j: v * p for j, v in row.items()}
-                if a:
-                    for j, w in pivot_row.items():
-                        new[j] = new.get(j, 0) - a * w
-                new = {j: v // prev for j, v in new.items() if v}
-            elif a or q != 1:
-                new = row if q == 1 else {j: v * q for j, v in row.items()}
-                if a:
-                    for j, w in pivot_row.items():
-                        v = new.get(j, 0) - a * w // prev
-                        if v:
-                            new[j] = v
-                        else:
-                            del new[j]
-            else:
-                continue
-            if not new:
-                return 0
-            live[i] = new
-            best[i] = _best_entry(i, new)
-        prev = p
-    # The last pivot is the determinant with rows and columns in pivot
-    # order.  Convert by the sign of r -> col_of[r]: a cycle of length L
-    # is L - 1 transpositions.
-    while col_of:
-        r, c = col_of.popitem()
-        while c != r:
-            c = col_of.pop(c)
-            sign = -sign
-    return sign * prev
-
-
-def _best_entry(i: int, row: dict[int, int]) -> tuple[int, int, int, int]:
-    """The pivot key of row i: its first entry of least bit length."""
-    least = None
-    for j, v in row.items():
-        bits = v.bit_length()
-        if least is None or bits < least:
-            least, col = bits, j
-    return least, len(row), i, col
-
-
-def _at(minor: list[dict[int, tuple[int, int]]],
-        x: int) -> list[dict[int, int]]:
-    """The integer matrix minor(x), holding only its nonzero entries."""
-    return [{j: v for j, (c0, c1) in row.items() if (v := c0 + c1 * x)}
-            for row in minor]
-
-
-def _kronecker_width(minor: list[dict[int, tuple[int, int]]]) -> int:
-    """The B of ``_det_poly``: 2**(B-1) exceeds every coefficient of
-    det(minor)."""
+def _kronecker_width(rows) -> int:
+    """The B of ``alexander``: 2**(B-1) exceeds every coefficient of the
+    determinant of the rows, dicts of (c0, c1) entries."""
     squares = 1
-    for row in minor:
-        squares *= sum((abs(c0) + abs(c1)) ** 2 for c0, c1 in row.values())
+    for row in rows:
+        squares *= sum([(abs(c0) + abs(c1)) ** 2 for c0, c1 in row.values()])
     return isqrt(squares).bit_length() + 1
 
 
-def _det_poly(minor: list[dict[int, tuple[int, int]]]) -> list[int]:
-    """Exact determinant over Z[t] by Kronecker substitution.
+def _sweep(rows: list[dict[int, tuple[int, int]]], t: int) -> int:
+    """The determinant of the Fox minor at t = -1 or t = 2**B, times a
+    sign and a power of t.
 
-    On the unit circle the coefficients of D(t) = det(minor(t)) are its
-    Fourier coefficients, so by Parseval none exceeds, in absolute value,
-    max |D(t)| over |t| = 1.  By Hadamard's inequality |D(t)| is at most
-    the product of the rows' l2 norms, and an entry has
-    |c0 + c1*t| <= |c0| + |c1| there, so no coefficient exceeds the square
-    root of S = prod_i sum_j (|c0| + |c1|)**2.  The coefficients are
-    integers, so none exceeds isqrt(S) either.  With 2**(B-1) above
-    isqrt(S) (``_kronecker_width``), the integer det(minor(2**B)) holds the
-    coefficients as balanced base-2**B digits, each in
-    [-2**(B-1), 2**(B-1)), so one integer elimination recovers them.  A Fox
-    row contributes sqrt(6) to the bound where its l1 norm is 4.
+    Each row is solved for its first unexpressed arc with a unit
+    coefficient; its other unexpressed arcs become free, and a row with
+    no such arc joins the system.  An expressed arc is a pair (v, q), its
+    value v / t**q with v a dict of integers over the free arcs, so a
+    pivot of +-t raises q instead of dividing.
     """
-    width = _kronecker_width(minor)
-    value = _det_sparse(_at(minor, 1 << width))
+    shift = t.bit_length() - 1  # t = 2**shift; at t = -1 every q is 0
+    expressed: dict[int, tuple[dict[int, int], int]] = {}
+    system = []
+    free = 0
+    for row in rows:
+        pivot = None
+        terms = []
+        top = 0
+        for arc, pair in row.items():
+            known = expressed.get(arc)
+            if known is None:
+                if pivot is None and 0 in pair:
+                    pivot = arc
+                    continue
+                known = expressed[arc] = ({free: 1}, 0)
+                free += 1
+            terms.append((known, pair))
+            if known[1] > top:
+                top = known[1]
+        # unit * x + sum(c * v / t**q) = 0, where the unit is +-1 or +-t,
+        # gives x = -sum(c * v * t**(top - q)) / (unit * t**top).
+        sign = -1
+        if pivot is not None:
+            c0, c1 = row[pivot]
+            unit = c0 + c1 * t
+            if unit < 0:
+                sign = 1
+        value: dict[int, int] = {}
+        for (vec, q), (c0, c1) in terms:
+            c = sign * (c0 + c1 * t)
+            if q != top:
+                c <<= shift * (top - q)
+            for f, v in vec.items():
+                value[f] = value.get(f, 0) + c * v
+        if pivot is None:
+            system.append(value)
+        else:
+            expressed[pivot] = (value, top + (unit not in (1, -1)))
+    return _det([[row.get(f, 0) for f in range(free)] for row in system],
+                shift)
+
+
+def _det(m: list[list[int]], shift: int) -> int:
+    """det(m) up to sign, and up to a power of 2**shift when shift > 0:
+    the common powers of 2**shift leave every row and column first.
+
+    Fraction-free (Bareiss) elimination, pivoting on the entry of least
+    bit length: after each step every live entry is a minor of m, and
+    ``prev``, the one on the pivots alone, divides the next step exactly.
+    """
+    if shift:
+        for _ in range(2):
+            for i, row in enumerate(m):
+                low = min(((v & -v).bit_length() for v in row if v),
+                          default=0)
+                if not low:
+                    return 0
+                power = (low - 1) // shift * shift
+                if power:
+                    m[i] = [v >> power for v in row]
+            m = [list(col) for col in zip(*m)]
+    prev = 1
+    while m:
+        pivot = min(((v.bit_length(), r, c) for r, row in enumerate(m)
+                     for c, v in enumerate(row) if v), default=None)
+        if pivot is None:
+            return 0
+        _, r, c = pivot
+        pivot_row = m.pop(r)
+        p = pivot_row[c]
+        for i, row in enumerate(m):
+            a = row[c]
+            m[i] = [(v * p - a * w) // prev for v, w in zip(row, pivot_row)]
+        prev = p
+    return prev
+
+
+def alexander(gc: GaussCode) -> LaurentPoly:
+    """Alexander polynomial of the knot, unit-normalized.  A code whose
+    minor determinant is not +-1 at t = 1 (a link's is 0) raises
+    ``ValueError``."""
+    rows = _fox_rows(gc)
+    width = _kronecker_width(rows)
     base = 1 << width
+    value = _sweep(rows, base)
     half = base >> 1
     coeffs = []
     while value:
@@ -278,19 +289,12 @@ def _det_poly(minor: list[dict[int, tuple[int, int]]]) -> list[int]:
             digit -= base
         coeffs.append(digit)
         value = (value - digit) >> width
-    return coeffs
-
-
-def alexander(gc: GaussCode) -> LaurentPoly:
-    """Alexander polynomial of the knot, unit-normalized.  A code whose
-    minor determinant is not +-1 at t = 1 (a link's is 0) raises
-    ``ValueError``."""
-    return LaurentPoly.from_coeffs(_det_poly(_alexander_minor(gc)))
+    return LaurentPoly.from_coeffs(coeffs)
 
 
 def determinant(gc: GaussCode) -> int:
-    """|Delta(-1)|, computed directly by an integer elimination at t = -1."""
-    return abs(_det_sparse(_at(_alexander_minor(gc), -1)))
+    """|Delta(-1)|, computed directly by the sweep at t = -1."""
+    return abs(_sweep(_fox_rows(gc), -1))
 
 
 def factor_square(p: LaurentPoly) -> LaurentPoly | None:

@@ -15,14 +15,13 @@ Lookups outside the table report None ("unidentified") rather than guess.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .cfrac import SchubertFraction, two_bridge_equivalent
 from .invariants import LaurentPoly
 
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(NamedTuple):
     name: str
     starred: bool
     crossing_number: int

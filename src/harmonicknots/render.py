@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import cos, pi
+from typing import NamedTuple
 
 from .chebgeom import (Crossing, HarmonicTriple, _frame as _crossing_frame,
                        enumerate_crossings)
@@ -61,8 +61,7 @@ MARGIN = 0.10
 _COL = 9  # field width of a column entry; no coordinate needs more than 8
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(NamedTuple):
     """``annotate_signs`` writes each crossing's twist sign next to it."""
 
     annotate_signs: bool = False
@@ -255,8 +254,7 @@ def billiard_point(K: HarmonicTriple, m: int) -> tuple[int, int]:
     return 2 * fold(m, K.b) - K.b, 2 * fold(m, K.a) - K.a
 
 
-@dataclass(frozen=True)
-class _Frame:
+class _Frame(NamedTuple):
     """The part of a billiard drawing that depends on (a, b) alone, in
     ASCII bytes.
 

@@ -16,7 +16,9 @@ expansion of the fractions (2n^2+1)/(2n) from blocks, independently of
 package itself does not compute: continuant matrices, sign-change
 positions, the biregular crossing-number formula, reversal and mirror of
 a Gauss code, products of polynomials, and the Alexander polynomial of a
-twist sequence.
+twist sequence and, by Hartley's formula, of a two-bridge fraction.  The
+Fox elimination that ``alexander`` replaced is the oracle in
+``fox_oracle.py``.
 """
 
 import hashlib
@@ -246,6 +248,27 @@ def alexander_of_fraction(terms):
     the standard twist diagram, which shares no diagram-building code with
     the Chebyshev pipeline."""
     return alexander(diagram_from_conway(terms))
+
+
+def hartley_alexander(alpha, beta):
+    """Alexander polynomial of the two-bridge knot alpha/beta (odd alpha)
+    by Hartley's formula, "Identifying non-invertible knots", Topology 22
+    (1983): with beta made odd by adding alpha, the sum over i < alpha of
+    (-1)^i t^(e_1 + ... + e_i), where e_j = (-1)^floor(j beta / alpha).
+    It reads no diagram at all."""
+    if beta % 2 == 0:
+        beta += alpha
+    coeffs = {}
+    exponent = 0
+    for i in range(alpha):
+        if i:
+            exponent += -1 if i * beta // alpha % 2 else 1
+        coeffs[exponent] = coeffs.get(exponent, 0) + (-1) ** i
+    low = min(coeffs)
+    dense = [0] * (max(coeffs) - low + 1)
+    for e, c in coeffs.items():
+        dense[e - low] = c
+    return LaurentPoly.from_coeffs(dense)
 
 
 def parse_fraction(text):

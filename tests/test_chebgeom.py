@@ -1,5 +1,4 @@
 import random
-from dataclasses import astuple
 from math import gcd
 from types import SimpleNamespace
 
@@ -189,8 +188,8 @@ TRIPLES = st.integers(2, 40).flatmap(lambda b: st.tuples(
 def test_frame_matches_the_per_crossing_oracle(triple):
     K = HarmonicTriple(*triple)
     got = enumerate_crossings(K)
-    assert [astuple(c) for c in got] == \
-        [astuple(c) for c in reference_crossings(K)]
+    assert [tuple(c) for c in got] == \
+        [tuple(c) for c in reference_crossings(K)]
     # A fresh list each call, of the frame's shared crossings.
     again = enumerate_crossings(K)
     assert again is not got

@@ -217,6 +217,24 @@ class TestAnalyzeCommand:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
 
+    def test_dataclasses_never_load(self, tmp_path):
+        # The value types are named tuples; ``dataclasses`` would bring
+        # ``inspect`` with it, for memory and import time that nothing uses.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        script = (
+            "import sys\n"
+            "from harmonicknots.cli import main\n"
+            f"main(['analyze', '5', '7', '9', '--json', '--svg', "
+            f"{str(tmp_path / 'xy.svg')!r}, '--billiard', "
+            f"{str(tmp_path / 'billiard.svg')!r}])\n"
+            "main(['cf', '9', '4'])\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_unwritable_output_exit_2(self, capsys, tmp_path):
         bad = str(tmp_path / "missing" / "x.svg")
         expected = f"error: cannot write {bad}: No such file or directory\n"

@@ -8,15 +8,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from harmonicknots import invariants
+from harmonicknots.cfrac import SchubertFraction, positive_cf
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.classify import enumerate_table_triples
-from harmonicknots.diagram import GaussCode, GaussEntry, build_gauss_code
+from harmonicknots.diagram import (GaussCode, GaussEntry, build_gauss_code,
+                                   diagram_from_conway)
 from harmonicknots.invariants import (
-    LaurentPoly, _alexander_minor, _at, _det_poly,
-    _det_sparse, _kronecker_width, alexander, determinant, factor_square)
+    LaurentPoly, _det, _fox_rows, _kronecker_width, alexander, determinant,
+    factor_square)
 
-from conftest import (alexander_of_fraction, mirrored_code, poly_product,
-                      reversed_code)
+import fox_oracle
+from conftest import (alexander_of_fraction, hartley_alexander,
+                      mirrored_code, poly_product, reversed_code)
+from fox_oracle import (_alexander_minor, _at, _det_poly, _det_sparse,
+                        oracle_alexander, oracle_determinant)
 
 
 def poly(*coeffs):
@@ -462,7 +467,7 @@ class TestSparseElimination:
         steps = []
 
         # ``_det_sparse`` picks its pivot with ``min(best.values())``, and a
-        # ``min`` in the module's namespace shadows the builtin; the
+        # ``min`` in the oracle module's namespace shadows the builtin; the
         # caller's frame holds the live rows.
         def checked_min(values):
             caller = sys._getframe(1)
@@ -476,7 +481,7 @@ class TestSparseElimination:
             steps.append(cached == (bits, length, i, j))
             return cached
 
-        monkeypatch.setattr(invariants, "min", checked_min, raising=False)
+        monkeypatch.setattr(fox_oracle, "min", checked_min, raising=False)
         rows = 0
         for t, gc in table_codes.items():
             minor = _alexander_minor(gc)
@@ -524,6 +529,169 @@ class TestSparseElimination:
         m = [[0 if i in zero_rows or j in zero_cols else v
               for j, v in enumerate(row)] for i, row in enumerate(m)]
         assert _det_sparse(sparse(m)) == det_dense(m)
+
+
+def relabelled(gc, seed):
+    """The same code with its crossing ids permuted by a seeded shuffle, so
+    the sweep, which goes by decreasing id, meets its relations in a random
+    order."""
+    ids = sorted({e.crossing_id for e in gc.entries})
+    shuffled = ids[:]
+    random.Random(seed).shuffle(shuffled)
+    new_id = dict(zip(ids, shuffled))
+    return GaussCode(tuple(GaussEntry(new_id[e.crossing_id], e.passage,
+                                      e.sign) for e in gc.entries))
+
+
+def system_sizes(monkeypatch):
+    """A list that collects k, the size of each k x k system the sweep
+    leaves to ``_det``."""
+    sizes = []
+
+    def spy(m, shift):
+        sizes.append(len(m))
+        return _det(m, shift)
+
+    monkeypatch.setattr(invariants, "_det", spy)
+    return sizes
+
+
+def outcome(route, gc):
+    """route(gc), or the exception type it raises."""
+    try:
+        return route(gc)
+    except ValueError as exc:
+        return type(exc)
+
+
+def twist_code(alpha, beta):
+    return diagram_from_conway(positive_cf(SchubertFraction(alpha, beta)))
+
+
+# Every fraction alpha/beta of a two-bridge knot with alpha < 200.
+TWIST_FRACTIONS = [(alpha, beta) for alpha in range(3, 200, 2)
+                   for beta in range(1, alpha) if gcd(alpha, beta) == 1]
+
+
+class TestSweep:
+    def test_rows_are_the_oracle_minor(self, table_codes):
+        # The same Fox rows, ordered by crossing id instead of by
+        # under-passage, and keyed by arc j instead of column j - 1; so
+        # the same width B.
+        for t, gc in table_codes.items():
+            rows, minor = _fox_rows(gc), _alexander_minor(gc)
+            assert sorted(sorted((arc - 1, pair) for arc, pair in row.items())
+                          for row in rows) == \
+                sorted(sorted(row.items()) for row in minor), t
+            assert _kronecker_width(rows) == _kronecker_width(minor), t
+
+    def test_table_matches_the_oracle(self, table_codes, monkeypatch):
+        sizes = system_sizes(monkeypatch)
+        for t, gc in table_codes.items():
+            assert alexander(gc) == oracle_alexander(gc), t
+            assert determinant(gc) == oracle_determinant(gc), t
+        # In x order a vertical line meets few arcs, so few become free.
+        assert len(sizes) == 2 * 431 and max(sizes) == 5
+
+    def test_ladder_matches_the_oracle(self, monkeypatch):
+        sizes = system_sizes(monkeypatch)
+        # H(a, a+2, a+4) has N = (a^2 - 1) / 2 crossings, up to 180.
+        for a in range(3, 20, 2):
+            gc = build_gauss_code(enumerate_crossings(
+                HarmonicTriple(a, a + 2, a + 4)))
+            assert alexander(gc) == oracle_alexander(gc), a
+        assert gc.crossing_count == 180
+        assert sizes == [(a - 1) // 2 for a in range(3, 20, 2)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda b: st.tuples(
+        st.integers(1, b - 1), st.just(b), st.integers(1, 10 ** 6))))
+    def test_random_curves_match_the_oracle(self, triple):
+        a, b, c = triple
+        assume(gcd(a, b) == 1 and gcd(c, a * b) == 1)
+        gc = build_gauss_code(enumerate_crossings(HarmonicTriple(a, b, c)))
+        assert alexander(gc) == oracle_alexander(gc), triple
+        assert determinant(gc) == oracle_determinant(gc), triple
+
+    @given(valid_codes())
+    def test_random_codes_match_the_oracle(self, gc):
+        # Codes of no knot diagram, in any crossing order: a polynomial
+        # that is not +-1 at t = 1 raises on both routes.
+        assert outcome(alexander, gc) == outcome(oracle_alexander, gc)
+        assert determinant(gc) == oracle_determinant(gc)
+
+    def test_twist_codes_match_hartley(self, monkeypatch):
+        # The twist diagram's crossing ids go in word order.
+        sizes = system_sizes(monkeypatch)
+        assert len(TWIST_FRACTIONS) == 8150
+        for alpha, beta in TWIST_FRACTIONS:
+            assert alexander(twist_code(alpha, beta)) == \
+                hartley_alexander(alpha, beta), (alpha, beta)
+        assert max(sizes) == 2
+
+    def test_twist_codes_match_the_oracle(self):
+        # The rest of TWIST_FRACTIONS, against the oracle, is a CI step.
+        for alpha, beta in TWIST_FRACTIONS:
+            if alpha > 45:
+                break
+            gc = twist_code(alpha, beta)
+            assert alexander(gc) == oracle_alexander(gc), (alpha, beta)
+            assert determinant(gc) == oracle_determinant(gc) == alpha
+
+    def test_order_is_only_a_speed_hint(self, table_codes, monkeypatch):
+        sizes = system_sizes(monkeypatch)
+        for seed, gc in enumerate(table_codes.values()):
+            shuffled = relabelled(gc, seed)
+            assert alexander(shuffled) == alexander(gc), seed
+            assert determinant(shuffled) == determinant(gc), seed
+        for seed, (alpha, beta) in enumerate(TWIST_FRACTIONS[::40]):
+            gc = twist_code(alpha, beta)
+            assert alexander(relabelled(gc, seed)) == alexander(gc)
+        # Out of x order, many more arcs are needed before they are
+        # expressed.
+        assert max(sizes) > 10
+
+    def test_the_strip_changes_only_a_unit(self, table_codes, monkeypatch):
+        pairs = []
+
+        def both(m, shift):
+            plain = _det([row[:] for row in m], 0)
+            stripped = _det(m, shift)
+            pairs.append((plain, stripped, shift))
+            return stripped
+
+        monkeypatch.setattr(invariants, "_det", both)
+        for gc in table_codes.values():
+            alexander(gc)
+        for plain, stripped, width in pairs:
+            assert LaurentPoly.from_coeffs(balanced_digits(plain, width)) == \
+                LaurentPoly.from_coeffs(balanced_digits(stripped, width))
+        # Most of the 431 systems had a power of T to strip.
+        assert sum(abs(plain) > abs(stripped) for plain, stripped, _ in pairs) \
+            > 350
+
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.integers(1, 4))))
+    def test_det_up_to_sign_and_powers(self, case):
+        # Rows and columns scaled by powers of T = 2**shift: without the
+        # strip the value is +-det, with it +-det / T^j.
+        m, row_powers, col_powers, shift = case
+        scaled = [[v << shift * (r + c) for v, c in zip(row, col_powers)]
+                  for row, r in zip(m, row_powers)]
+        want = det_dense(scaled)
+        assert abs(_det([row[:] for row in scaled], 0)) == abs(want)
+        got = abs(_det(scaled, shift))
+        if want == 0:
+            assert got == 0
+        else:
+            assert abs(want) % got == 0
+            ratio = abs(want) // got
+            assert ratio & (ratio - 1) == 0
+            assert (ratio.bit_length() - 1) % shift == 0
 
 
 class TestFactorSquare:

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from math import cos, gcd, pi
 from pathlib import Path
 
@@ -381,8 +380,8 @@ def test_crossings_of_another_curve_raise(draw):
     crossings = enumerate_crossings(K)
     # A double point of another (a, b), and one passage moved.
     for wrong in (enumerate_crossings(HarmonicTriple(4, 9, 5)),
-                  [*crossings[:-1], replace(crossings[-1],
-                                            s_num=crossings[-1].s_num + 1)]):
+                  [*crossings[:-1], crossings[-1]._replace(
+                      s_num=crossings[-1].s_num + 1)]):
         with pytest.raises(ValueError, match=r"Crossing\(h=.* is not a "
                            r"crossing of H\(4, 7, 3\)"):
             draw(K, None, wrong)
