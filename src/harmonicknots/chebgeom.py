@@ -76,10 +76,11 @@ class Crossing(NamedTuple):
 
     def mirrored(self) -> "Crossing":
         """The same double point of the mirror image: over/under and both
-        signs flip."""
-        return self._replace(sign=-self.sign,
-                             oriented_sign=-self.oriented_sign,
-                             over_at_t=not self.over_at_t)
+        signs flip.  Built by the constructor: ``_replace`` leaves a
+        9-item tuple in the interpreter's free list per call."""
+        return Crossing(self.h, self.k, self.t_num, self.s_num, -self.sign,
+                        -self.oriented_sign, not self.over_at_t,
+                        self.x_order, self.y_level)
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,6 +1,18 @@
 """SVG drawings: the xy plane diagram and the billiard representation.
 
-Both frames hold ASCII bytes, a drawing is one ``bytes.join`` over
+A drawing of H(a, b, c) depends on c only through each crossing's
+over/under choice and sign, so ``_frame`` builds the rest of both
+drawings once per (a, b), in one pass over the crossing frame, and keeps
+it in a cache bounded to 32 pairs: the text of the xy samples and of the
+billiard lattice path, each passage's hidden xy run and billiard gap
+ends, and each crossing's tags.  A drawing sorts its N under-passages
+and slices that text between them, so it runs no Python code per sample
+or vertex.  A frame takes 46 to 56 KB for a <= 5 and N <= 16, 41 KB of
+it the xy text.  ``chebgeom._frame`` stays a cache of its own: ``table``
+sweeps 58 pairs and draws none, a drawing frame is about eight times the
+6 KB of a geometry frame, and the geometry knows nothing of drawings.
+
+The frame holds ASCII bytes, a drawing is one ``bytes.join`` over
 slices of that text and a few fixed tags, and the one non-ASCII
 character, the U+2212 of a negative sign label, comes from a two-entry
 table already encoded.  ``render_xy`` returns the document as UTF-8
@@ -15,18 +27,11 @@ the last sample at exactly 1.0.  The under-passage at u0 hides sample i
 iff abs(u - u0) <= half, a window that stays clear of every other passage.
 Since u rises with i, each under-passage hides one run of indices, found
 by that float test at the run's two ends; the drawing is the visible runs
-of two or more samples.  Only the under-passages and the signs depend on
-c, so ``_xy_frame`` builds the rest once per (a, b): the text of every
-sample's point, the hidden run of each of the 2N passages with its
-offsets in that text, and the opening tag of each crossing's sign label.
-It formats each axis as one column of fixed-width ASCII fields,
-interleaves the two columns by strided byte copies and deletes the
-padding.  A drawing sorts its N under-passages and slices the text
-between their runs, so it runs no Python code per sample.  A frame takes
-about 45 KB for a <= 5, 41 KB of it the text, and the cache holds at
-most 32 frames.  Every number is printed as ``_fmt`` prints it (four
-decimals, trailing zeros and a bare point dropped), and the tests pin
-the output byte for byte.
+of two or more samples.  The frame formats each axis as one column of
+fixed-width ASCII fields, interleaves the two columns by strided byte
+copies and deletes the padding.  Every number is printed as ``_fmt``
+prints it (four decimals, trailing zeros and a bare point dropped), and
+the tests pin the output byte for byte.
 
 The billiard picture applies F(x) = (2/pi)*arccos(x) - 1, the affine map
 in arccos taking [-1, 1] onto [-1, 1]; under (x, y) -> (b F(x), a F(y))
@@ -36,11 +41,7 @@ vertices on the integer lattice.  The curve point of parameter
 t = cos(m pi / ab) maps to the lattice point (2 fold(m, b) - b,
 2 fold(m, a) - a).  Consecutive points differ by 2 in each coordinate,
 so vertices, crossing positions and the midpoints where the under-strand
-gaps end all have integer coordinates.  All of this depends on (a, b)
-alone, so ``_billiard_frame`` formats, once per (a, b), the text of every
-lattice point with its offsets, the two gap ends of each passage and each
-crossing's dot and label tag, in a cache bounded to 32 frames; a drawing
-slices the point text between its under-passages.
+gaps end all have integer coordinates, and the frame formats each once.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _per_crossing(table: dict[int, tuple], K: HarmonicTriple,
 
 
 # ---------------------------------------------------------------------------
-# The xy diagram
+# The frame
 
 _SCALE = WIDTH / (2 + 2 * MARGIN)
 _OFF = (1 + MARGIN) * _SCALE
@@ -139,20 +140,45 @@ def _column(n: int, sign: int) -> bytes:
     return _trim_fields(col)[:-1]
 
 
-@functools.lru_cache(maxsize=32)
-def _xy_frame(a: int, b: int) -> tuple[bytes, memoryview,
-                                       dict[int, tuple[int, bytes]]]:
-    """(text, runs, labels): the part of an xy drawing that depends on
-    (a, b) alone.
+def billiard_point(K: HarmonicTriple, m: int) -> tuple[int, int]:
+    """Lattice point of the curve point of parameter t = cos(m pi / ab)
+    in billiard coordinates."""
+    return 2 * fold(m, K.b) - K.b, 2 * fold(m, K.a) - K.a
 
-    ``text`` is every sample's "x,y", each followed by a space, in ASCII.
-    For each of the 2N passage numerators m, ``runs[4 * m:4 * m + 4]``
-    holds the run [lo, hi) of samples that an under-passage at u = m / ab
-    hides and the offsets in ``text`` where samples lo and hi start; two
-    bytes per number, since ``text`` has fewer than 2^16 bytes.
-    ``labels[t_num]`` is (s_num, the opening tag of the sign label) of the
-    crossing at t_num.
+
+class _Frame(NamedTuple):
+    """The part of both drawings that depends on (a, b) alone, in ASCII
+    bytes.
+
+    ``text`` is every xy sample's "x,y", each followed by a space.  For
+    each of the 2N passage numerators m, ``runs[4 * m:4 * m + 4]`` holds
+    the run [lo, hi) of samples that an under-passage at u = m / ab hides
+    and the offsets in ``text`` where samples lo and hi start; two bytes
+    per number, since ``text`` has fewer than 2^16 bytes.
+
+    ``head`` is the billiard's ``<svg>`` tag and rectangle.  ``lattice``
+    is the pixel text of ``billiard_point(K, m)`` for m = 0, ..., ab, each
+    followed by a space, and point m starts at ``lattice[starts[m]]``;
+    four bytes per offset, since the text of a wide (a, b) can pass 2^16
+    bytes.  ``gaps[m]`` is the text of the two lattice midpoints where an
+    under-passage at m cuts the trajectory: the end of the piece before it
+    and the start of the piece after it.
+
+    ``marks[t_num]`` is (s_num, the xy label tag, the billiard
+    ``<circle>``, the billiard label tag) of the crossing at t_num.
     """
+
+    text: bytes
+    runs: memoryview
+    head: bytes
+    lattice: bytes
+    starts: memoryview
+    gaps: dict[int, tuple[bytes, bytes]]
+    marks: dict[int, tuple[int, bytes, bytes, bytes]]
+
+
+@functools.lru_cache(maxsize=32)
+def _frame(a: int, b: int) -> _Frame:
     buf = bytearray(_REC * SAMPLES)
     for col, at in ((_column(a, 1), 0), (_column(b, -1), _COL + 1)):
         for p in range(_COL):
@@ -160,13 +186,35 @@ def _xy_frame(a: int, b: int) -> tuple[bytes, memoryview,
     buf[_COL::_REC] = b"," * SAMPLES
     buf[_REC - 1::_REC] = b";" * SAMPLES
     text = bytes(buf.translate(_UNPAD, b" "))
-    starts = memoryview(bytearray(2 * (SAMPLES + 1))).cast("H")
+    sample_at = memoryview(bytearray(2 * (SAMPLES + 1))).cast("H")
     for i in range(SAMPLES):
-        starts[i + 1] = text.index(b" ", starts[i]) + 1
+        sample_at[i + 1] = text.index(b" ", sample_at[i]) + 1
 
-    # The hidden run of each passage (module docstring): abs(u - u0) <=
-    # half split into its two signed halves, each end walked from a guess
-    # at most a step or two away.  The window half-width stays clear of
+    pad = 1 + 2 * MARGIN
+    scale = WIDTH / (2 * b * pad)
+    height = int(round(2 * a * pad * scale))
+    offx = WIDTH / 2
+    offy = height / 2
+    rect = (f'\n<rect x="{_fmt(offx - scale * b)}" '
+            f'y="{_fmt(offy - scale * a)}" '
+            f'width="{_fmt(2 * scale * b)}" height="{_fmt(2 * scale * a)}" '
+            f'fill="none" stroke="#999" stroke-width="1"/>').encode()
+    # Every billiard point drawn has integer coordinates (module
+    # docstring), so these are all the pixel coordinates a drawing needs.
+    xs = [offx + scale * x for x in range(-b, b + 1)]
+    ys = [offy - scale * y for y in range(-a, a + 1)]
+    xt = tuple(map(_fmt, xs))
+    yt = tuple(map(_fmt, ys))
+    K = HarmonicTriple(a, b, 1)  # billiard_point reads only a and b
+    lattice = [billiard_point(K, m) for m in range(a * b + 1)]
+    points = [f"{xt[x + b]},{yt[y + a]} ".encode() for x, y in lattice]
+    starts = memoryview(bytearray(4 * (len(points) + 1))).cast("I")
+    for m, point in enumerate(points):
+        starts[m + 1] = starts[m] + len(point)
+
+    # Each passage's hidden xy run (module docstring): abs(u - u0) <= half
+    # split into its two signed halves, each end walked from a guess at
+    # most a step or two away.  The window half-width stays clear of
     # neighbouring passages.
     last = SAMPLES - 1
     step = 1 / last
@@ -179,32 +227,47 @@ def _xy_frame(a: int, b: int) -> tuple[bytes, memoryview,
     def u_at(i: int) -> float:
         return i * step if i < last else 1.0
 
-    runs = memoryview(bytearray(8 * ab)).cast("H")
-    for m in nums:
-        u0 = m / ab
-        lo = max(int((u0 - half) * last), 0)
-        while lo > 0 and u_at(lo - 1) - u0 >= -half:
-            lo -= 1
-        while lo < SAMPLES and u_at(lo) - u0 < -half:
-            lo += 1
-        hi = max(int((u0 + half) * last), lo)
-        while hi > lo and u_at(hi - 1) - u0 > half:
-            hi -= 1
-        while hi < SAMPLES and u_at(hi) - u0 <= half:
-            hi += 1
-        runs[4 * m], runs[4 * m + 1] = lo, hi
-        runs[4 * m + 2], runs[4 * m + 3] = starts[lo], starts[hi]
+    def midpoint(m: int, n: int) -> str:
+        # Of the lattice points m and n: abscissa fold(m, b) + fold(n, b) - b.
+        return f"{xt[fold(m, b) + fold(n, b)]},{yt[fold(m, a) + fold(n, a)]}"
 
-    labels = {}
+    runs = memoryview(bytearray(8 * ab)).cast("H")
+    gaps = {}
+    marks = {}
     for c in crossings:
-        x = cos(pi * (fold(c.t_num, b) / b))
-        y = cos(pi * (fold(c.t_num, a) / a))
-        px, py = _OFF + _SCALE * x, _OFF - _SCALE * y
-        labels[c.t_num] = (c.s_num, f'\n<text x="{_fmt(px + 5)}" '
-                                    f'y="{_fmt(py - 5)}" '
-                                    f'font-size="{_fmt(_SCALE * 0.05)}">'
-                                    .encode())
-    return text, runs, labels
+        for m in (c.t_num, c.s_num):
+            u0 = m / ab
+            lo = max(int((u0 - half) * last), 0)
+            while lo > 0 and u_at(lo - 1) - u0 >= -half:
+                lo -= 1
+            while lo < SAMPLES and u_at(lo) - u0 < -half:
+                lo += 1
+            hi = max(int((u0 + half) * last), lo)
+            while hi > lo and u_at(hi - 1) - u0 > half:
+                hi -= 1
+            while hi < SAMPLES and u_at(hi) - u0 <= half:
+                hi += 1
+            runs[4 * m], runs[4 * m + 1] = lo, hi
+            runs[4 * m + 2], runs[4 * m + 3] = sample_at[lo], sample_at[hi]
+            gaps[m] = (midpoint(m, m - 1).encode(),
+                       f"{midpoint(m, m + 1)} ".encode())
+        px = _OFF + _SCALE * cos(pi * (fold(c.t_num, b) / b))
+        py = _OFF - _SCALE * cos(pi * (fold(c.t_num, a) / a))
+        x, y = lattice[c.t_num]
+        marks[c.t_num] = (
+            c.s_num,
+            f'\n<text x="{_fmt(px + 5)}" y="{_fmt(py - 5)}" '
+            f'font-size="{_fmt(_SCALE * 0.05)}">'.encode(),
+            f'\n<circle cx="{xt[x + b]}" cy="{yt[y + a]}" '
+            f'r="{_STROKE_WIDTH}" fill="#c22"/>'.encode(),
+            f'\n<text x="{_fmt(xs[x + b] + 4)}" y="{_fmt(ys[y + a] - 4)}" '
+            f'font-size="{_fmt(scale * 0.6)}">'.encode())
+    return _Frame(text, runs, _svg_head(WIDTH, height) + rect,
+                  b"".join(points), starts, gaps, marks)
+
+
+# ---------------------------------------------------------------------------
+# The drawings
 
 
 def render_xy(K: HarmonicTriple, options: RenderOptions | None = None,
@@ -221,9 +284,9 @@ def render_xy(K: HarmonicTriple, options: RenderOptions | None = None,
     opt = options or RenderOptions()
     if crossings is None:
         crossings = enumerate_crossings(K)
-    text, runs, tags = _xy_frame(K.a, K.b)
-    labels = _per_crossing(tags, K, crossings)
-    view = memoryview(text)
+    frame = _frame(K.a, K.b)
+    marks = _per_crossing(frame.marks, K, crossings)
+    view, runs = memoryview(frame.text), frame.runs
     parts = [_XY_HEAD]
     # The visible piece [start, lo) ends at each hidden run [lo, hi); a
     # piece of one sample is not drawn.  Each piece's text ends with a
@@ -238,87 +301,11 @@ def render_xy(K: HarmonicTriple, options: RenderOptions | None = None,
     if SAMPLES - start > 1:
         parts += (_POLY_OPEN, view[start_at:-1], _POLY_CLOSE)
     if opt.annotate_signs:
-        for c, (_, tag) in zip(crossings, labels):
+        for c, (_, tag, _, _) in zip(crossings, marks):
             parts += (tag, _GLYPH[c.sign], _LABEL_CLOSE)
     parts.append(_END)
     return b"".join(parts)
 
-
-# ---------------------------------------------------------------------------
-# The billiard representation
-
-
-def billiard_point(K: HarmonicTriple, m: int) -> tuple[int, int]:
-    """Lattice point of the curve point of parameter t = cos(m pi / ab)
-    in billiard coordinates."""
-    return 2 * fold(m, K.b) - K.b, 2 * fold(m, K.a) - K.a
-
-
-class _Frame(NamedTuple):
-    """The part of a billiard drawing that depends on (a, b) alone, in
-    ASCII bytes.
-
-    ``head`` is the ``<svg>`` tag and the rectangle.  ``text`` is the
-    "x,y" pixel text of ``billiard_point(K, m)`` for m = 0, ..., ab, each
-    followed by a space, and point m starts at ``text[starts[m]]``; four
-    bytes per offset, since the text of a wide (a, b) can pass 2^16 bytes.
-    ``gaps[m]`` is, for each passage numerator m, the text of the two
-    lattice midpoints where an under-passage at m cuts the trajectory:
-    the end of the piece before it and the start of the piece after it.
-    ``marks[t_num]`` is (s_num, the ``<circle>`` element, the opening tag
-    of the sign label) of the crossing at t_num.
-    """
-
-    head: bytes
-    text: bytes
-    starts: memoryview
-    gaps: dict[int, tuple[bytes, bytes]]
-    marks: dict[int, tuple[int, bytes, bytes]]
-
-
-@functools.lru_cache(maxsize=32)
-def _billiard_frame(a: int, b: int) -> _Frame:
-    pad = 1 + 2 * MARGIN
-    scale = WIDTH / (2 * b * pad)
-    height = int(round(2 * a * pad * scale))
-    offx = WIDTH / 2
-    offy = height / 2
-    rect = (f'\n<rect x="{_fmt(offx - scale * b)}" '
-            f'y="{_fmt(offy - scale * a)}" '
-            f'width="{_fmt(2 * scale * b)}" height="{_fmt(2 * scale * a)}" '
-            f'fill="none" stroke="#999" stroke-width="1"/>').encode()
-    # Every point drawn has integer billiard coordinates (module
-    # docstring), so these are all the pixel coordinates a drawing needs.
-    xs = [offx + scale * x for x in range(-b, b + 1)]
-    ys = [offy - scale * y for y in range(-a, a + 1)]
-    xt = tuple(map(_fmt, xs))
-    yt = tuple(map(_fmt, ys))
-    K = HarmonicTriple(a, b, 1)  # billiard_point reads only a and b
-    lattice = [billiard_point(K, m) for m in range(a * b + 1)]
-    points = [f"{xt[x + b]},{yt[y + a]} ".encode() for x, y in lattice]
-    starts = memoryview(bytearray(4 * (len(points) + 1))).cast("I")
-    for m, point in enumerate(points):
-        starts[m + 1] = starts[m] + len(point)
-
-    def midpoint(m: int, n: int) -> str:
-        # Of the lattice points m and n: abscissa fold(m, b) + fold(n, b) - b.
-        return f"{xt[fold(m, b) + fold(n, b)]},{yt[fold(m, a) + fold(n, a)]}"
-
-    gaps = {}
-    marks = {}
-    for c, _ in _crossing_frame(a, b):
-        for m in (c.t_num, c.s_num):
-            gaps[m] = (midpoint(m, m - 1).encode(),
-                       f"{midpoint(m, m + 1)} ".encode())
-        x, y = lattice[c.t_num]
-        marks[c.t_num] = (
-            c.s_num,
-            f'\n<circle cx="{xt[x + b]}" cy="{yt[y + a]}" '
-            f'r="{_STROKE_WIDTH}" fill="#c22"/>'.encode(),
-            f'\n<text x="{_fmt(xs[x + b] + 4)}" y="{_fmt(ys[y + a] - 4)}" '
-            f'font-size="{_fmt(scale * 0.6)}">'.encode())
-    return _Frame(_svg_head(WIDTH, height) + rect, b"".join(points), starts,
-                  gaps, marks)
 
 
 def render_billiard(K: HarmonicTriple,
@@ -336,9 +323,9 @@ def render_billiard(K: HarmonicTriple,
     opt = options or RenderOptions()
     if crossings is None:
         crossings = enumerate_crossings(K)
-    frame = _billiard_frame(K.a, K.b)
+    frame = _frame(K.a, K.b)
     marks = _per_crossing(frame.marks, K, crossings)
-    text, starts, gaps = memoryview(frame.text), frame.starts, frame.gaps
+    text, starts, gaps = memoryview(frame.lattice), frame.starts, frame.gaps
     # The window edges are the midpoints of the two segments adjacent to
     # an under-passage, half a lattice step from it.  A piece holds the
     # points between two under-passages, each followed by a space.
@@ -350,7 +337,7 @@ def render_billiard(K: HarmonicTriple,
                   _POLY_OPEN, restart)
         start = m + 1
     parts += (text[starts[start]:-1], _POLY_CLOSE)
-    for c, (_, circle, tag) in zip(crossings, marks):
+    for c, (_, _, circle, tag) in zip(crossings, marks):
         parts.append(circle)
         if opt.annotate_signs:
             parts += (tag, _GLYPH[c.sign], _LABEL_CLOSE)

@@ -267,96 +267,90 @@ def test_trim_fields_prints_as_fmt(values):
 
 
 # ---------------------------------------------------------------------------
-# The frame caches: keyed by (a, b), bounded, and never visible in the
-# drawing.
+# The frame cache: keyed by (a, b), bounded, shared by both drawings, and
+# never visible in them.
+
+DRAWINGS = pytest.mark.parametrize(
+    "draw, reference", [(render_xy, reference_render_xy),
+                        (render_billiard, reference_render_billiard)],
+    ids=["xy", "billiard"])
 
 
-def test_drawing_ignores_the_cache_state():
+@DRAWINGS
+def test_drawing_ignores_the_cache_state(draw, reference):
     K = HarmonicTriple(5, 9, 1234)
     options = RenderOptions(annotate_signs=True)
-    render._xy_frame.cache_clear()
-    cold = render_xy(K, options)
-    assert_same_text(render_xy(K, options), cold)
+    render._frame.cache_clear()
+    cold = draw(K, options)
+    assert_same_text(draw(K, options), cold)
     for other in [(3, 4, 5), (7, 11, 13), (2, 9, 7)]:
-        render_xy(HarmonicTriple(*other))
-    assert_same_text(render_xy(K, options), cold)
-    render._xy_frame.cache_clear()
-    assert_same_text(render_xy(K, options), cold)
-    assert_same_text(cold, reference_render_xy(K, options))
+        draw(HarmonicTriple(*other))
+    assert_same_text(draw(K, options), cold)
+    render._frame.cache_clear()
+    assert_same_text(draw(K, options), cold)
+    assert_same_text(cold, reference(K, options))
 
 
-def test_triples_differing_in_c_share_the_xy_frame():
-    caches = (chebgeom._frame, render._xy_frame, render._billiard_frame)
+@DRAWINGS
+def test_triples_differing_in_c_share_the_frame(draw, reference):
+    caches = (chebgeom._frame, render._frame)
     for cache in caches:
         cache.cache_clear()
-    for c in (3, 1000003):
-        K = HarmonicTriple(4, 7, c)
-        render_xy(K)
-        render_billiard(K)
-    assert [cache.cache_info().misses for cache in caches] == [1, 1, 1]
+    draw(HarmonicTriple(4, 7, 3))
+    draw(HarmonicTriple(4, 7, 1000003))
+    assert [cache.cache_info().misses for cache in caches] == [1, 1]
+    info = render._frame.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
     # One compact text and eight bytes per passage numerator, not a list
     # of per-sample strings.
-    text, runs, _ = render._xy_frame(4, 7)
-    assert sys.getsizeof(text) < 45_000
-    assert runs.nbytes == 8 * 4 * 7
+    frame = render._frame(4, 7)
+    assert sys.getsizeof(frame.text) < 45_000
+    assert frame.runs.nbytes == 8 * 4 * 7
+
+
+@pytest.mark.parametrize("first, second", [(render_billiard, render_xy),
+                                           (render_xy, render_billiard)],
+                         ids=["billiard-first", "xy-first"])
+def test_one_frame_serves_both_drawings(first, second):
+    # A caller that draws one kind builds the other kind's part too, and
+    # the next drawing of either kind reads it.
+    K = HarmonicTriple(5, 9, 1234)
+    options = RenderOptions(annotate_signs=True)
+    render._frame.cache_clear()
+    drawings = {draw: draw(K, options) for draw in (first, second)}
+    assert render._frame.cache_info().misses == 1
+    assert_same_text(drawings[render_xy], reference_render_xy(K, options))
+    assert_same_text(drawings[render_billiard],
+                     reference_render_billiard(K, options))
+
+
+def test_frame_cache_holds_the_drawn_pairs():
+    # Drawing curves of three to five strands and at most 16 crossings
+    # finds each pair's frame cached.
+    pairs = {(a, b) for a in (3, 4, 5) for b in range(a + 1, 40)
+             if gcd(a, b) == 1 and (a - 1) * (b - 1) // 2 <= 16}
+    assert len(pairs) == 18
+    assert render._frame.cache_info().maxsize >= len(pairs)
 
 
 @pytest.mark.parametrize("triple", [(4, 7, 3), (5, 9, 1000003),
                                     (11, 89, 999983)])
-def test_evicted_xy_frames_redraw_the_reference(triple):
+@DRAWINGS
+def test_evicted_frames_redraw_the_reference(draw, reference, triple):
     # Enough frames of other degrees to evict the triple's frame between
     # two draws.  Fixed inputs: a wrong drawing fails in a second, where a
     # shrinking search over wide triples took half a minute.
     K = HarmonicTriple(*triple)
-    first = render_xy(K)
-    assert_same_text(first, reference_render_xy(K))
-    maxsize = render._xy_frame.cache_info().maxsize
+    first = draw(K)
+    assert_same_text(first, reference(K))
+    maxsize = render._frame.cache_info().maxsize
     for n in range(maxsize + 1):
-        render._xy_frame(1, 100 + n)
-    info = render._xy_frame.cache_info()
+        render._frame(1, 100 + n)
+    info = render._frame.cache_info()
     assert info.currsize == maxsize
     misses = info.misses
-    assert_same_text(render_xy(K), first)
-    assert render._xy_frame.cache_info().misses == misses + 1
-
-
-def test_billiard_drawing_ignores_the_frame_cache_state():
-    K = HarmonicTriple(5, 9, 1234)
-    options = RenderOptions(annotate_signs=True)
-    render._billiard_frame.cache_clear()
-    cold = render_billiard(K, options)
-    assert_same_text(render_billiard(K, options), cold)
-    for other in [(3, 4, 5), (7, 11, 13), (2, 9, 7)]:
-        render_billiard(HarmonicTriple(*other))
-    assert_same_text(render_billiard(K, options), cold)
-    render._billiard_frame.cache_clear()
-    assert_same_text(render_billiard(K, options), cold)
-    assert_same_text(cold, reference_render_billiard(K, options))
-
-
-def test_triples_differing_in_c_share_the_frame():
-    render._billiard_frame.cache_clear()
-    render_billiard(HarmonicTriple(4, 7, 3))
-    render_billiard(HarmonicTriple(4, 7, 1000003))
-    info = render._billiard_frame.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-
-
-@pytest.mark.parametrize("triple", [(4, 7, 3), (5, 9, 1000003),
-                                    (11, 89, 999983)])
-def test_evicted_frames_redraw_the_reference(triple):
-    # The billiard twin of the xy test above, with the same fixed inputs.
-    K = HarmonicTriple(*triple)
-    first = render_billiard(K)
-    assert_same_text(first, reference_render_billiard(K))
-    maxsize = render._billiard_frame.cache_info().maxsize
-    for n in range(maxsize + 1):
-        render._billiard_frame(1, 100 + n)
-    info = render._billiard_frame.cache_info()
-    assert info.currsize == maxsize
-    misses = info.misses
-    assert_same_text(render_billiard(K), first)
-    assert render._billiard_frame.cache_info().misses == misses + 1
+    assert_same_text(draw(K), first)
+    assert render._frame.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("triple", [(1, 40, 3), (2, 41, 3), (5, 7, 11)])
