@@ -25,13 +25,12 @@ decoding it takes about 1 us.
 The xy diagram samples the curve at u = i * step, step = 1 / (SAMPLES - 1),
 the last sample at exactly 1.0.  The under-passage at u0 hides sample i
 iff abs(u - u0) <= half, a window that stays clear of every other passage.
-Since u rises with i, each under-passage hides one run of indices, found
-by that float test at the run's two ends; the drawing is the visible runs
-of two or more samples.  The frame formats each axis as one column of
-fixed-width ASCII fields, interleaves the two columns by strided byte
-copies and deletes the padding.  Every number is printed as ``_fmt``
-prints it (four decimals, trailing zeros and a bare point dropped), and
-the tests pin the output byte for byte.
+Since u - u0 never decreases as u rises, each under-passage hides one run
+of indices, whose ends the frame finds by bisection on the two halves of
+that float test; the drawing is the visible runs of two or more samples.
+The frame prints each sample's "x,y" with ``_fmt`` (four decimals,
+trailing zeros and a bare point dropped), as it prints the billiard
+lattice points, and the tests pin the output byte for byte.
 
 The billiard picture applies F(x) = (2/pi)*arccos(x) - 1, the affine map
 in arccos taking [-1, 1] onto [-1, 1]; under (x, y) -> (b F(x), a F(y))
@@ -47,6 +46,7 @@ gaps end all have integer coordinates, and the frame formats each once.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from collections.abc import Sequence
 from math import cos, pi
 from typing import NamedTuple
@@ -59,7 +59,6 @@ WIDTH = 520
 STROKE = 2.2
 SAMPLES = 2400
 MARGIN = 0.10
-_COL = 9  # field width of a column entry; no coordinate needs more than 8
 
 
 class RenderOptions(NamedTuple):
@@ -111,33 +110,15 @@ def _per_crossing(table: dict[int, tuple], K: HarmonicTriple,
 _SCALE = WIDTH / (2 + 2 * MARGIN)
 _OFF = (1 + MARGIN) * _SCALE
 _XY_HEAD = _svg_head(WIDTH, WIDTH)
-_REC = 2 * _COL + 2  # one interleaved sample: x "," y ";"
-# Record ends become the spaces between points; ``translate``'s delete
-# argument drops the padding.
-_UNPAD = bytes.maketrans(b";", b" ")
 
 
-def _trim_fields(fields: bytes) -> bytes:
-    """``_fmt``'s rule on fixed-width fields of ``"%.4f"`` text, each
-    number followed by a space: four passes blank its trailing zeros one
-    at a time and a fifth a bare point, keeping every field's width."""
-    for _ in range(4):
-        fields = fields.replace(b"0 ", b"  ")
-    return fields.replace(b". ", b"  ")
-
-
-def _column(n: int, sign: int) -> bytes:
-    """``_fmt(_OFF + sign * _SCALE * cos(n u pi))`` for every sample u,
-    in fields of ``_COL`` bytes."""
-    last = SAMPLES - 1
-    step = 1 / last
-    off, s = _OFF, sign * _SCALE
-    values = [off + s * cos(n * (i * step) * pi) for i in range(last)]
-    values.append(off + s * cos(n * pi))  # the last sample, u = 1.0
-    # Every field starts with a space, so a space ends each number; the
-    # extra one ends the last, and goes after the trim.
-    col = ((b"%%%d.4f" % _COL) * SAMPLES + b" ") % tuple(values)
-    return _trim_fields(col)[:-1]
+def _joined(points: list[str]) -> tuple[bytes, memoryview]:
+    """The ASCII text of ``points``, joined, and the offset where each
+    point starts, followed by the text's length, four bytes each."""
+    starts = memoryview(bytearray(4 * (len(points) + 1))).cast("I")
+    for i, point in enumerate(points):
+        starts[i + 1] = starts[i] + len(point)
+    return "".join(points).encode(), starts
 
 
 def billiard_point(K: HarmonicTriple, m: int) -> tuple[int, int]:
@@ -179,16 +160,13 @@ class _Frame(NamedTuple):
 
 @functools.lru_cache(maxsize=32)
 def _frame(a: int, b: int) -> _Frame:
-    buf = bytearray(_REC * SAMPLES)
-    for col, at in ((_column(a, 1), 0), (_column(b, -1), _COL + 1)):
-        for p in range(_COL):
-            buf[at + p::_REC] = col[p::_COL]
-    buf[_COL::_REC] = b"," * SAMPLES
-    buf[_REC - 1::_REC] = b";" * SAMPLES
-    text = bytes(buf.translate(_UNPAD, b" "))
-    sample_at = memoryview(bytearray(2 * (SAMPLES + 1))).cast("H")
-    for i in range(SAMPLES):
-        sample_at[i + 1] = text.index(b" ", sample_at[i]) + 1
+    last = SAMPLES - 1
+    step = 1 / last
+    us = [i * step for i in range(last)]
+    us.append(1.0)  # the last sample, exactly
+    text, sample_at = _joined([
+        f"{_fmt(_OFF + _SCALE * cos(a * u * pi))},"
+        f"{_fmt(_OFF - _SCALE * cos(b * u * pi))} " for u in us])
 
     pad = 1 + 2 * MARGIN
     scale = WIDTH / (2 * b * pad)
@@ -207,25 +185,17 @@ def _frame(a: int, b: int) -> _Frame:
     yt = tuple(map(_fmt, ys))
     K = HarmonicTriple(a, b, 1)  # billiard_point reads only a and b
     lattice = [billiard_point(K, m) for m in range(a * b + 1)]
-    points = [f"{xt[x + b]},{yt[y + a]} ".encode() for x, y in lattice]
-    starts = memoryview(bytearray(4 * (len(points) + 1))).cast("I")
-    for m, point in enumerate(points):
-        starts[m + 1] = starts[m] + len(point)
+    points, starts = _joined([f"{xt[x + b]},{yt[y + a]} "
+                              for x, y in lattice])
 
-    # Each passage's hidden xy run (module docstring): abs(u - u0) <= half
-    # split into its two signed halves, each end walked from a guess at
-    # most a step or two away.  The window half-width stays clear of
-    # neighbouring passages.
-    last = SAMPLES - 1
-    step = 1 / last
+    # Each passage's hidden xy run [lo, hi) (module docstring): the first
+    # sample inside the window and the first past it.  The window
+    # half-width stays clear of neighbouring passages.
     ab = a * b
     crossings = [over for over, _ in _crossing_frame(a, b)]
     nums = sorted({c.t_num for c in crossings} | {c.s_num for c in crossings})
     min_sep = min((n - m for m, n in zip(nums, nums[1:])), default=ab) / ab
     half = min(0.012, 0.35 * min_sep)
-
-    def u_at(i: int) -> float:
-        return i * step if i < last else 1.0
 
     def midpoint(m: int, n: int) -> str:
         # Of the lattice points m and n: abscissa fold(m, b) + fold(n, b) - b.
@@ -237,16 +207,8 @@ def _frame(a: int, b: int) -> _Frame:
     for c in crossings:
         for m in (c.t_num, c.s_num):
             u0 = m / ab
-            lo = max(int((u0 - half) * last), 0)
-            while lo > 0 and u_at(lo - 1) - u0 >= -half:
-                lo -= 1
-            while lo < SAMPLES and u_at(lo) - u0 < -half:
-                lo += 1
-            hi = max(int((u0 + half) * last), lo)
-            while hi > lo and u_at(hi - 1) - u0 > half:
-                hi -= 1
-            while hi < SAMPLES and u_at(hi) - u0 <= half:
-                hi += 1
+            lo = bisect_left(us, True, key=lambda u: u - u0 >= -half)
+            hi = bisect_left(us, True, lo, key=lambda u: u - u0 > half)
             runs[4 * m], runs[4 * m + 1] = lo, hi
             runs[4 * m + 2], runs[4 * m + 3] = sample_at[lo], sample_at[hi]
             gaps[m] = (midpoint(m, m - 1).encode(),
@@ -263,7 +225,7 @@ def _frame(a: int, b: int) -> _Frame:
             f'\n<text x="{_fmt(xs[x + b] + 4)}" y="{_fmt(ys[y + a] - 4)}" '
             f'font-size="{_fmt(scale * 0.6)}">'.encode())
     return _Frame(text, runs, _svg_head(WIDTH, height) + rect,
-                  b"".join(points), starts, gaps, marks)
+                  points, starts, gaps, marks)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from harmonicknots import chebgeom, render
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.exact import fold
 from harmonicknots.render import (MARGIN, SAMPLES, STROKE, WIDTH,
-                                  RenderOptions, _fmt, _trim_fields,
+                                  RenderOptions, _fmt,
                                   billiard_point, render_billiard, render_xy)
 
 from conftest import assert_same_text
@@ -220,6 +220,8 @@ TRIPLES = st.integers(2, 40).flatmap(lambda b: st.tuples(
 @example((11, 40, 999999937), True)
 # ab = 2368: some windows are narrower than a sample step and hide none.
 @example((37, 64, 5), False)
+# A billiard lattice text of 75,814 bytes: its offsets pass 2^16.
+@example((23, 199, 5), True)
 def test_matches_the_reference_drawings(triple, annotate):
     a, b, c = triple
     assume(gcd(a, b) == 1 and gcd(c, a * b) == 1)
@@ -233,6 +235,7 @@ def test_matches_the_reference_drawings(triple, annotate):
 @example((1, 2, 3), False)
 @example((11, 40, 999999937), True)
 @example((37, 64, 5), False)
+@example((23, 199, 5), True)
 def test_billiard_matches_the_reference(triple, annotate):
     a, b, c = triple
     assume(gcd(a, b) == 1 and gcd(c, a * b) == 1)
@@ -243,27 +246,51 @@ def test_billiard_matches_the_reference(triple, annotate):
 
 
 # ---------------------------------------------------------------------------
-# The xy columns: ``_fmt``'s rule applied to fixed-width fields.  No xy
-# coordinate of a degree below 120 ends in ".0000" at the sample points, so
-# the drawings never reach the bare-point pass; synthetic fields do.
+# ``_fmt`` prints every number of both drawings, and the reference
+# drawings call it too, so only its own cases pin its rule: trailing zeros
+# dropped, then a bare point.
 
 
-def test_trim_fields_on_synthetic_fields():
-    assert _trim_fields(b" 12.0000 ") == b" 12      "
-    assert _trim_fields(b" 12.5000 ") == b" 12.5    "
-    assert _trim_fields(b"100.0000 ") == b"100      "
-    assert _trim_fields(b"  -0.0000  10.0100 ") == b"  -0       10.01   "
+def test_fmt_on_synthetic_values():
+    assert _fmt(12.0) == "12"
+    assert _fmt(12.5) == "12.5"
+    assert _fmt(100.0) == "100"
+    assert _fmt(-0.0) == "-0"
+    assert _fmt(10.01) == "10.01"
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-99, 999) | st.integers(-99, 999).map(float),
-                min_size=1, max_size=20))
-def test_trim_fields_prints_as_fmt(values):
-    # Numbers of at most 8 characters, as in a column.
-    fields = (b"%9.4f" * len(values) + b" ") % tuple(values)
-    trimmed = _trim_fields(fields)
-    assert len(trimmed) == len(fields)
-    assert trimmed.split() == [_fmt(x).encode() for x in values]
+# sha256 over a grid of drawings, recorded before the xy samples were
+# printed by ``_fmt`` instead of by fixed-width columns: for a <= 7,
+# a < b < 30, gcd(a, b) = 1 and each c of GRID_C prime to ab, plain and
+# annotated, the xy bytes and then the billiard text; then four wide pairs
+# at c = 1, plain.
+GRID_C = (1, 2, 3, 5, 7, 11, 101, 1009, 99991, 999983)
+GRID_WIDE = ((11, 89), (37, 64), (13, 97), (29, 31))
+GRID_DIGEST = (
+    "30513a90391a4afd1e837fb0046f7e05a2f46d5d48fba098bc504d897a699fa9")
+
+
+def test_drawing_grid_digest():
+    digest = hashlib.sha256()
+    count = 0
+
+    def draw(K, options=None):
+        nonlocal count
+        digest.update(render_xy(K, options))
+        digest.update(render_billiard(K, options).encode())
+        count += 2
+
+    for a in range(1, 8):
+        for b in range(a + 1, 30):
+            for c in GRID_C:
+                if gcd(a, b) == 1 and gcd(c, a * b) == 1:
+                    K = HarmonicTriple(a, b, c)
+                    for annotate in (False, True):
+                        draw(K, RenderOptions(annotate_signs=annotate))
+    for a, b in GRID_WIDE:
+        draw(HarmonicTriple(a, b, 1))
+    assert count == 3928
+    assert digest.hexdigest() == GRID_DIGEST
 
 
 # ---------------------------------------------------------------------------
