@@ -3,7 +3,8 @@
 Subcommands:
   analyze A B C   full report for one curve (--json, --svg, --billiard)
   table           the reference table of all small irreducible curves
-  cf ALPHA BETA   continued-fraction toolbox for one two-bridge fraction
+  cf ALPHA BETA   continued-fraction toolbox for one two-bridge fraction,
+                  ALPHA up to CF_MAX_ALPHA
 
 Exit codes: 0 success; 1 standard output closed early (a broken pipe,
 as in ``table | head -1``), with nothing on stderr; 2 invalid input (an
@@ -165,10 +166,19 @@ def cmd_table(args) -> int:
     return 0
 
 
+# The largest alpha ``cf`` takes.  Its time and output grow linearly in
+# alpha: cold, ``cf 99999 2`` takes about 0.3 s and prints 0.5 MB, and
+# ``cf 999999 2`` 1.8 s and 5 MB.
+CF_MAX_ALPHA = 10 ** 5
+
+
 def cmd_cf(args) -> int:
     alpha, beta = args.alpha, args.beta
     if alpha <= 0 or alpha % 2 == 0:
         raise InputError(f"alpha must be odd and positive, got {alpha}")
+    if alpha > CF_MAX_ALPHA:
+        raise InputError(f"alpha {alpha} is above the cf limit of "
+                         f"{CF_MAX_ALPHA}")
     fr = SchubertFraction(alpha, beta)
     if fr.alpha != alpha:
         raise InputError(f"{alpha}/{beta} is not reduced")

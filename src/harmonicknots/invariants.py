@@ -1,45 +1,69 @@
 """Alexander polynomials and determinants from Gauss codes.
 
 The route is classical (Fox): free differential calculus on the Wirtinger
-relations, one per crossing, and the determinant of an (n-1) x (n-1)
-minor, with the last relation and arc 0 struck.  The relations are read
-straight from the Gauss code, with no presentation object in between,
-and all arithmetic is exact integer arithmetic.  Every Fox coefficient is
-linear in t, and on a relation's incoming and outgoing arc it is a unit,
-+-1 or +-t.  Delta comes by Kronecker substitution: at t = T = 2**B the
-minor's determinant is an integer whose balanced base-T digits are the
-coefficients.  B comes from an integer bound: by Parseval and Hadamard's
-inequality no coefficient exceeds the product of the rows' l2 norms on
-|t| = 1, which is at most sqrt(6) for a Fox row (``_kronecker_width``).
+relations, and the determinant of a minor of their Fox matrix.  The
+relations are read straight from the Gauss code, with no presentation
+object in between, and all arithmetic is exact integer arithmetic.
 
-The determinant comes from a sweep of the relations by decreasing
-crossing id: by increasing x for a ``build_gauss_code`` code, whose ids
-go by decreasing x, and against word order for a ``diagram_from_conway``
-one.  Each relation is solved for its first arc that is not yet
-expressed and has a unit coefficient, so a pivot is +-1 or +-T.  Its
-other unexpressed arcs become free, and a relation with no such arc
-becomes a row of the final system in the free arcs.  A vertical line
-meets few arcs, so the system is small: k <= 5 on the crossing table,
-k = (a - 1)/2 on H(a, a+2, a+4) and k <= 2 on twist codes.  The order
-only sets k; any order gives the same Delta.
+They are read in segment form.  Segment i runs from passage i to passage
+i + 1 (mod 2N).  An over-passage p gives the identity s(p-1) = s(p); the
+under-passage q of the same crossing gives the Wirtinger relation on
+(over, in, out) = (s(p), s(q-1), s(q)), with the coefficients (1-t, t, -1)
+if q's own sign is positive and (t-1, 1, -t) (scaled by t to stay
+polynomial) if it is negative.  Eliminating the identities, on unit
+pivots, merges the segments into arcs, so the 2N x 2N segment matrix has
+the arc matrix's minors up to units.  Every row sums to 0, so any column
+may be struck, and the segment that starts at the last under-passage
+goes.  The struck row is the one the Fox minor of ``tests/fox_oracle.py``
+drops, the last under-passage's relation: on a code of no diagram the
+relations need not be dependent, and striking another row would give
+another value there.
 
-Nothing is divided.  An expressed arc is stored as v / T**q, integers v
-over the free arcs and its own power q, and a pivot of +-T raises q by
-one.  The sweep is Gaussian elimination on unit pivots, so the minor's
-determinant is a unit times the system's, and multiplying a system row
-by its power of T changes only a unit.  Before the last elimination the
-common power of T leaves each row and then each column, which again
-changes only a unit and keeps the entries, and so the elimination, small.
-The value is thus T**e det(minor(T)) up to sign, for some integer e, and
-its balanced digits are those of det(minor(T)), shifted.  When e < 0,
-T**(-e) divides det(minor(T)), whose digits are all below T/2 in size,
-so its lowest -e digits are 0.  The digits are the minor's coefficients
-either way, so B stays the width the whole minor needs.  ``determinant``
-runs the same sweep at t = -1, where every pivot is +-1.
+Delta comes by Kronecker substitution: at t = T = 2**B the minor's
+determinant is an integer whose balanced base-T digits are the
+coefficients.  B comes from N alone.  By Parseval and Hadamard's
+inequality no coefficient exceeds the product, over the N - 1 rows of the
+arc minor, of each row's l2 norm on |t| = 1, which is at most sqrt(6) for
+a Fox row; so 2**(B-1) > isqrt(6**(N-1)) suffices.
+
+The determinant comes from a sweep of the crossings by decreasing id: by
+increasing x for a ``build_gauss_code`` code, whose ids go by decreasing
+x, and against word order for a ``diagram_from_conway`` one.  The order
+depends only on the code's crossing-id sequence, which for H(a, b, c) is
+a function of (a, b), so ``_plan`` caches it per sequence.  At each
+crossing the identity and then the Wirtinger relation is solved for a
+segment not yet expressed; its coefficient there is always a unit, so a
+pivot is +-1 or +-T.  Where both of its unknowns are unexpressed, one
+becomes free, and a relation with none becomes a row of the final system
+in the free variables.  Before a segment is solved for or made free, its
+arc is followed on through the over-passages whose identities are not yet
+swept; an expressed segment found there gives it its value, and those
+identities are used up.  Without that, the sweep meets some arcs from
+both ends, and H(41,43,45) ends with one more free variable and more
+powers of T in its system.  A vertical line meets few arcs, so the system
+is small: k <= 4 on the crossing table, k = (a - 1)/2 on H(a, a+2, a+4)
+and k <= 2 on twist codes.  The order only sets k; any order gives the
+same Delta.
+
+Nothing is divided.  An expressed segment is stored as v / T**q, integers
+v over the free variables and its own power q, and a pivot of +-T raises
+q by one.  The sweep is Gaussian elimination on unit pivots, so the
+minor's determinant is a unit times the system's, and multiplying a
+system row by its power of T changes only a unit.  Before the last
+elimination the common power of T leaves each row and then each column,
+which again changes only a unit and keeps the entries, and so the
+elimination, small.  The value is thus T**e det(minor(T)) up to sign, for
+some integer e, and its balanced digits are those of det(minor(T)),
+shifted.  When e < 0, T**(-e) divides det(minor(T)), whose digits are all
+below T/2 in size, so its lowest -e digits are 0.  The digits are the
+minor's coefficients either way, so B stays the width the whole minor
+needs.  ``determinant`` runs the same sweep at t = -1, where every pivot
+is +-1.
 """
 
 from __future__ import annotations
 
+import functools
 from math import isqrt
 from typing import NamedTuple
 
@@ -127,115 +151,155 @@ class LaurentPoly(_PolyFields):
 
 
 # ---------------------------------------------------------------------------
-# The Fox relations and the sweep
+# The Fox relations on segments, and the sweep
 
 
-# The Fox coefficients of a negative and of a positive crossing on (over,
-# in, out), then on (in, out) when the over arc is the incoming one, and on
-# (in, out) when it is the outgoing one.
-_FOX = (((-1, 1), (1, 0), (0, -1), (0, 1), (-1, 0)),
-        ((1, -1), (0, 1), (-1, 0), (1, 0), (0, -1)))
+@functools.lru_cache(maxsize=256)
+def _plan(ids: tuple) -> tuple[int, ...] | None:
+    """The sweep's order for every code whose passages carry the crossing
+    ids ``ids``: the two positions p < q of each crossing, by decreasing
+    id, in one flat tuple; None when some id does not pass exactly
+    twice."""
+    where: dict = {}
+    for position, cid in enumerate(ids):
+        where.setdefault(cid, []).append(position)
+    if any(len(ps) != 2 for ps in where.values()):
+        return None
+    return tuple([position for cid in sorted(where, reverse=True)
+                  for position in where[cid]])
 
 
-def _fox_rows(gc: GaussCode) -> list[dict[int, tuple[int, int]]]:
-    """The Fox relations but the last, by decreasing crossing id: each
-    maps an arc to (c0, c1), its coefficient c0 + c1*t, and arc 0 is
-    struck.
+def _sweep(gc: GaussCode, t: int) -> int:
+    """The determinant of the segment minor at t = -1 or t = 2**B, times
+    a sign and a power of t.
 
-    Arc j starts just after the j-th under-passage, so the k-th one has
-    incoming arc k - 1 (mod n) and outgoing arc k, and an over-passage lies
-    on the arc of the last under-passage before it.  The free derivatives
-    of the relation out = over^e * in * over^{-e}, abelianized, are linear:
-    a positive crossing contributes (1-t, t, -1) on (over, in, out), a
-    negative one (t-1, 1, -t) (scaled by t to stay polynomial), and
-    coincident arcs add up, to a unit again.  Any one relation is
-    redundant and any one arc may be struck, and all such minors agree up
-    to units: the last relation goes, and so does arc 0.
+    An expressed segment holds (v, q), its value v / t**q, with v the list
+    of its integer coefficients on the free variables up to the last
+    nonzero one, so a pivot of +-t raises q instead of dividing; segments
+    of one arc share one pair.
     """
-    gc.validate()
-    n = gc.crossing_count
-    over_arc = {}
-    unders = []
-    for e in gc.entries:
-        if e.passage == "O":
-            over_arc[e.crossing_id] = (len(unders) - 1) % n
-        else:
-            unders.append(e)
-    relations = []
-    for k, e in enumerate(unders[:-1]):
-        over, into = over_arc[e.crossing_id], (k - 1) % n
-        a, b, c, a_b, a_c = _FOX[e.sign > 0]
-        if over == into:
-            row = {into: a_b, k: c}
-        elif over == k:
-            row = {into: b, k: a_c}
-        else:
-            row = {over: a, into: b, k: c}
-        row.pop(0, None)
-        relations.append((e.crossing_id, row))
-    relations.sort(key=lambda r: r[0], reverse=True)
-    return [row for _, row in relations]
-
-
-def _kronecker_width(rows) -> int:
-    """The B of ``alexander``: 2**(B-1) exceeds every coefficient of the
-    determinant of the rows, dicts of (c0, c1) entries."""
-    squares = 1
-    for row in rows:
-        squares *= sum([(abs(c0) + abs(c1)) ** 2 for c0, c1 in row.values()])
-    return isqrt(squares).bit_length() + 1
-
-
-def _sweep(rows: list[dict[int, tuple[int, int]]], t: int) -> int:
-    """The determinant of the Fox minor at t = -1 or t = 2**B, times a
-    sign and a power of t.
-
-    Each row is solved for its first unexpressed arc with a unit
-    coefficient; its other unexpressed arcs become free, and a row with
-    no such arc joins the system.  An expressed arc is a pair (v, q), its
-    value v / t**q with v a dict of integers over the free arcs, so a
-    pivot of +-t raises q instead of dividing.
-    """
+    entries = gc.entries
+    if not entries:
+        return 1
+    ids, passages, signs = zip(*entries)
+    last = "".join(passages).rfind("U")
+    plan = _plan(ids) if last >= 0 else None
+    if plan is None:
+        gc.validate()  # raises: an id does not pass once over, once under
+    n2 = len(entries)
     shift = t.bit_length() - 1  # t = 2**shift; at t = -1 every q is 0
-    expressed: dict[int, tuple[dict[int, int], int]] = {}
+    val: list = [None] * n2
+    val[last] = ([], 0)  # the struck segment
+    used = bytearray(n2)  # the identities ``_arc`` has used up
     system = []
     free = 0
-    for row in rows:
-        pivot = None
-        terms = []
-        top = 0
-        for arc, pair in row.items():
-            known = expressed.get(arc)
-            if known is None:
-                if pivot is None and 0 in pair:
-                    pivot = arc
-                    continue
-                known = expressed[arc] = ({free: 1}, 0)
-                free += 1
-            terms.append((known, pair))
-            if known[1] > top:
-                top = known[1]
-        # unit * x + sum(c * v / t**q) = 0, where the unit is +-1 or +-t,
-        # gives x = -sum(c * v * t**(top - q)) / (unit * t**top).
-        sign = -1
-        if pivot is not None:
-            c0, c1 = row[pivot]
-            unit = c0 + c1 * t
-            if unit < 0:
-                sign = 1
-        value: dict[int, int] = {}
-        for (vec, q), (c0, c1) in terms:
-            c = sign * (c0 + c1 * t)
-            if q != top:
-                c <<= shift * (top - q)
-            for f, v in vec.items():
-                value[f] = value.get(f, 0) + c * v
-        if pivot is None:
-            system.append(value)
+    # Solving (1-t) o + t i - u = 0 (positive) or (t-1) o + i - t u = 0
+    # (negative) for u or i gives (c o + d x) / t**bump, x the other one;
+    # at t = -1, 1/t = t and nothing is over t.
+    solve = ((1 - t, t, 0), (t - 1, 1, 1) if shift else (2, -1, 0))
+    it = iter(plan)
+    for p, q in zip(it, it):
+        if passages[p] == "O" and passages[q] == "U":
+            over, under = p, q
         else:
-            expressed[pivot] = (value, top + (unit not in (1, -1)))
-    return _det([[row.get(f, 0) for f in range(free)] for row in system],
-                shift)
+            if passages[p] != "U" or passages[q] != "O":
+                gc.validate()  # raises: a crossing lacks a passage
+            over, under = q, p
+        a = over - 1
+        if not used[over]:
+            va, vo = val[a], val[over]
+            if va is None:
+                if vo is None:
+                    vo = _arc(val, passages, used, a, -1) \
+                        or _arc(val, passages, used, over, 1)
+                    if vo is None:
+                        vo = ([0] * free + [1], 0)
+                        free += 1
+                    val[over] = vo
+                val[a] = vo
+            elif vo is None:
+                val[over] = va
+            else:
+                system.append(_row(((1, va), (-1, vo)), shift))
+        if under == last:
+            continue  # the struck relation
+        positive = signs[under] > 0
+        i = under - 1
+        vi, vu = val[i], val[under]
+        # s(i) ends and s(under) starts here; each one's arc runs on
+        # through the over-passages at its other end.
+        if vi is None and passages[i] == "O":
+            vi = _arc(val, passages, used, i, -1)
+        if vu is None and passages[under + 1 - n2] == "O":
+            vu = _arc(val, passages, used, under, 1)
+        if vi is None and vu is None:
+            # Free the one whose solved-for partner needs no power of t.
+            vec = ([0] * free + [1], 0)
+            free += 1
+            if positive:
+                vi = val[i] = vec
+            else:
+                vu = val[under] = vec
+        if vi is not None and vu is not None:
+            co, ci, cu = (1 - t, t, -1) if positive else (t - 1, 1, -t)
+            system.append(_row(((co, val[over]), (ci, vi), (cu, vu)), shift))
+            continue
+        if vu is None:
+            (vx, qx), target = vi, under
+            c, d, bump = solve[not positive]
+        else:
+            (vx, qx), target = vu, i
+            c, d, bump = solve[positive]
+        vo, top = val[over]
+        if qx != top:
+            if qx < top:
+                d <<= shift * (top - qx)
+            else:
+                c <<= shift * (qx - top)
+                top = qx
+        vec = [c * v + d * w for v, w in zip(vo, vx)]
+        lo, lx = len(vo), len(vx)
+        if lo != lx:
+            vec += [c * v for v in vo[lx:]] if lo > lx \
+                else [d * w for w in vx[lo:]]
+        val[target] = (vec, top + bump)
+    return _det([row + [0] * (free - len(row)) for row in system], shift)
+
+
+def _arc(val: list, passages: tuple, used: bytearray, s: int, step: int):
+    """The value of the first expressed segment that segment s reaches in
+    direction ``step`` across over-passages with unused identities, or
+    None if an under-passage or a used identity comes first.  When found,
+    s and the segments passed take it, and those identities are used."""
+    n2 = len(val)
+    seg = s % n2
+    crossed = []
+    while True:
+        r = seg if step < 0 else (seg + 1) % n2  # the passage to cross
+        if passages[r] != "O" or used[r]:
+            return None
+        crossed.append(r)
+        seg = (seg + step) % n2
+        value = val[seg]
+        if value is not None:
+            break
+    for r in crossed:
+        used[r] = 1
+        val[r if step < 0 else r - 1] = value
+    return value
+
+
+def _row(terms, shift: int) -> list[int]:
+    """sum(c * v / t**q) over the terms (c, (v, q)), times t**top for the
+    largest q, top."""
+    top = max([q for _, (_, q) in terms])
+    total = [0] * max([len(vec) for _, (vec, _) in terms])
+    for c, (vec, q) in terms:
+        if q != top:
+            c <<= shift * (top - q)
+        for f, v in enumerate(vec):
+            total[f] += c * v
+    return total
 
 
 def _det(m: list[list[int]], shift: int) -> int:
@@ -247,16 +311,9 @@ def _det(m: list[list[int]], shift: int) -> int:
     ``prev``, the one on the pivots alone, divides the next step exactly.
     """
     if shift:
-        for _ in range(2):
-            for i, row in enumerate(m):
-                low = min(((v & -v).bit_length() for v in row if v),
-                          default=0)
-                if not low:
-                    return 0
-                power = (low - 1) // shift * shift
-                if power:
-                    m[i] = [v >> power for v in row]
-            m = [list(col) for col in zip(*m)]
+        m = _strip(m, shift)
+        if m is None:
+            return 0
     prev = 1
     while m:
         pivot = min(((v.bit_length(), r, c) for r, row in enumerate(m)
@@ -273,14 +330,29 @@ def _det(m: list[list[int]], shift: int) -> int:
     return prev
 
 
+def _strip(m: list[list[int]], shift: int) -> list[list[int]] | None:
+    """m without the common power of 2**shift of each row and then of each
+    column; None when a row or a column is 0."""
+    for _ in range(2):  # the rows, then the columns of the transpose
+        for i, row in enumerate(m):
+            low = min(((v & -v).bit_length() for v in row if v), default=0)
+            if not low:
+                return None
+            power = (low - 1) // shift * shift
+            if power:
+                m[i] = [v >> power for v in row]
+        m = [list(col) for col in zip(*m)]
+    return m
+
+
 def alexander(gc: GaussCode) -> LaurentPoly:
     """Alexander polynomial of the knot, unit-normalized.  A code whose
     minor determinant is not +-1 at t = 1 (a link's is 0) raises
     ``ValueError``."""
-    rows = _fox_rows(gc)
-    width = _kronecker_width(rows)
+    # Hadamard's bound for the N - 1 rows of the arc minor, sqrt(6) each.
+    width = isqrt(6 ** max(gc.crossing_count - 1, 0)).bit_length() + 1
     base = 1 << width
-    value = _sweep(rows, base)
+    value = _sweep(gc, base)
     half = base >> 1
     coeffs = []
     while value:
@@ -294,7 +366,7 @@ def alexander(gc: GaussCode) -> LaurentPoly:
 
 def determinant(gc: GaussCode) -> int:
     """|Delta(-1)|, computed directly by the sweep at t = -1."""
-    return abs(_sweep(_fox_rows(gc), -1))
+    return abs(_sweep(gc, -1))
 
 
 def factor_square(p: LaurentPoly) -> LaurentPoly | None:

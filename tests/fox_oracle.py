@@ -1,16 +1,19 @@
 """The Fox elimination that ``invariants`` ran before its sweep, kept as
 the oracle for it.
 
-``_alexander_minor`` builds the whole (n-1) x (n-1) Fox minor as sparse
-rows of (c0, c1) entries.  ``_det_poly`` evaluates it at t = 2**B, with
-the package's ``_kronecker_width``, and takes the integer determinant by
-``_det_sparse``, a pivot-cached sparse fraction-free elimination, whose
-balanced base-2**B digits are the coefficients.  ``oracle_alexander`` and
+``_alexander_minor`` builds the whole (n-1) x (n-1) Fox minor on arcs as
+sparse rows of (c0, c1) entries.  ``_det_poly`` evaluates it at t = 2**B,
+with B from ``_kronecker_width``, the Hadamard bound of the minor's own
+rows, and takes the integer determinant by ``_det_sparse``, a
+pivot-cached sparse fraction-free elimination, whose balanced base-2**B
+digits are the coefficients.  ``oracle_alexander`` and
 ``oracle_determinant`` are the two invariants by this route.
 """
 
+from math import isqrt
+
 from harmonicknots.diagram import GaussCode
-from harmonicknots.invariants import LaurentPoly, _kronecker_width
+from harmonicknots.invariants import LaurentPoly
 
 
 def _alexander_minor(gc: GaussCode) -> list[dict[int, tuple[int, int]]]:
@@ -47,6 +50,15 @@ def _alexander_minor(gc: GaussCode) -> list[dict[int, tuple[int, int]]]:
                 row[arc - 1] = (c0 + d0, c1 + d1)
         minor.append(row)
     return minor
+
+
+def _kronecker_width(rows) -> int:
+    """The B of ``alexander``: 2**(B-1) exceeds every coefficient of the
+    determinant of the rows, dicts of (c0, c1) entries."""
+    squares = 1
+    for row in rows:
+        squares *= sum([(abs(c0) + abs(c1)) ** 2 for c0, c1 in row.values()])
+    return isqrt(squares).bit_length() + 1
 
 
 def _det_sparse(rows: list[dict[int, int]]) -> int:

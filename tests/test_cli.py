@@ -597,6 +597,18 @@ class TestCfCommand:
             assert run(capsys, "cf", *pair) == (
                 2, "", f"error: {message}\n"), pair
 
+    def test_alpha_is_bounded(self, capsys):
+        # The largest odd alpha within the limit runs; the next is refused
+        # with the limit named.
+        assert cli.CF_MAX_ALPHA == 10 ** 5
+        code, out, err = run(capsys, "cf", "99999", "2")
+        assert (code, err) == (0, "")
+        assert out.startswith("fraction: 99999/2 ")
+        for alpha in ("100001", "1000001"):
+            assert run(capsys, "cf", alpha, "2") == (
+                2, "", f"error: alpha {alpha} is above the cf limit of "
+                "100000\n"), alpha
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 499).map(lambda k: 2 * k + 1).flatmap(
         lambda alpha: st.tuples(st.just(alpha),

@@ -1,8 +1,9 @@
 import random
 import sys
+import tracemalloc
 from bisect import bisect_left
 from itertools import permutations
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,18 +11,18 @@ from hypothesis import assume, given, settings, strategies as st
 from harmonicknots import invariants
 from harmonicknots.cfrac import SchubertFraction, positive_cf
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
-from harmonicknots.classify import enumerate_table_triples
+from harmonicknots.classify import analyze, enumerate_table_triples
 from harmonicknots.diagram import (GaussCode, GaussEntry, build_gauss_code,
                                    diagram_from_conway)
 from harmonicknots.invariants import (
-    LaurentPoly, _det, _fox_rows, _kronecker_width, alexander, determinant,
-    factor_square)
+    LaurentPoly, _det, _plan, _strip, alexander, determinant, factor_square)
 
 import fox_oracle
 from conftest import (alexander_of_fraction, hartley_alexander,
                       mirrored_code, poly_product, reversed_code)
 from fox_oracle import (_alexander_minor, _at, _det_poly, _det_sparse,
-                        oracle_alexander, oracle_determinant)
+                        _kronecker_width, oracle_alexander,
+                        oracle_determinant)
 
 
 def poly(*coeffs):
@@ -109,6 +110,10 @@ def kink_code(sign=1):
     return GaussCode((GaussEntry(1, "O", sign), GaussEntry(1, "U", sign)))
 
 
+# The Fox coefficients (c0, c1) of c0 + c1*t on (over, in, out), by sign.
+FOX = {1: ((1, -1), (0, 1), (-1, 0)), -1: ((-1, 1), (1, 0), (0, -1))}
+
+
 def bisect_minor(gc):
     """The oracle: the Wirtinger relations (over, incoming, outgoing arc
     and sign), one per under-passage, with each over-passage's arc found by
@@ -122,11 +127,10 @@ def bisect_minor(gc):
     relations = [((bisect_left(unders, overs[entries[u].crossing_id]) - 1) % n,
                   (k - 1) % n, k, entries[u].sign)
                  for k, u in enumerate(unders)]
-    fox = {1: ((1, -1), (0, 1), (-1, 0)), -1: ((-1, 1), (1, 0), (0, -1))}
     minor = []
     for over, incoming, outgoing, sign in relations[:-1]:
         row = {}
-        for arc, (c0, c1) in zip((over, incoming, outgoing), fox[sign]):
+        for arc, (c0, c1) in zip((over, incoming, outgoing), FOX[sign]):
             if arc:
                 d0, d1 = row.get(arc - 1, (0, 0))
                 row[arc - 1] = (c0 + d0, c1 + d1)
@@ -573,17 +577,79 @@ TWIST_FRACTIONS = [(alpha, beta) for alpha in range(3, 200, 2)
                    for beta in range(1, alpha) if gcd(alpha, beta) == 1]
 
 
+def segment_relations(gc):
+    """One Fox row per passage, on the segments (segment i runs from
+    passage i to passage i + 1): the identity s(p-1) = s(p) of an
+    over-passage p, the Wirtinger relation on (over, in, out) of an
+    under-passage."""
+    entries = gc.entries
+    n2 = len(entries)
+    over_at = {e.crossing_id: i for i, e in enumerate(entries)
+               if e.passage == "O"}
+    relations = []
+    for q, e in enumerate(entries):
+        if e.passage == "O":
+            terms = (((q - 1) % n2, (1, 0)), (q, (-1, 0)))
+        else:
+            terms = zip((over_at[e.crossing_id], (q - 1) % n2, q),
+                        FOX[1 if e.sign > 0 else -1])
+        row = {}
+        for s, (c0, c1) in terms:
+            d0, d1 = row.get(s, (0, 0))
+            row[s] = (c0 + d0, c1 + d1)
+        relations.append(row)
+    return relations
+
+
+def last_under(gc):
+    return max(i for i, e in enumerate(gc.entries) if e.passage == "U")
+
+
+def segment_minor(gc):
+    """The minor the sweep eliminates: the last under-passage's relation
+    and the segment that starts there are struck."""
+    n2 = len(gc.entries)
+    last = last_under(gc)
+    column = {s: j for j, s in enumerate(s for s in range(n2) if s != last)}
+    return [{column[s]: v for s, v in row.items()
+             if s != last and v != (0, 0)}
+            for q, row in enumerate(segment_relations(gc)) if q != last]
+
+
+def up_to_unit(coeffs):
+    """A polynomial's coefficients up to a sign and a power of t."""
+    c = list(coeffs)
+    while c and not c[-1]:
+        c.pop()
+    c = c[next((i for i, v in enumerate(c) if v), len(c)):]
+    return [-v for v in c] if c and c[0] < 0 else c
+
+
+def assert_segment_minor_is_the_oracle_minor(gc):
+    # Every relation sums to 0, which lets the sweep strike any segment.
+    n = gc.crossing_count
+    full = segment_minor(gc)
+    assert len(full) == max(2 * n - 1, 0)
+    oracle = _alexander_minor(gc)
+    assert up_to_unit(_det_poly(full)) == up_to_unit(_det_poly(oracle))
+    # B from N alone is never below the bound of the oracle's own rows.
+    assert isqrt(6 ** max(n - 1, 0)).bit_length() + 1 >= \
+        _kronecker_width(oracle)
+
+
 class TestSweep:
-    def test_rows_are_the_oracle_minor(self, table_codes):
-        # The same Fox rows, ordered by crossing id instead of by
-        # under-passage, and keyed by arc j instead of column j - 1; so
-        # the same width B.
+    def test_segment_minor_is_the_oracle_minor(self, table_codes):
         for t, gc in table_codes.items():
-            rows, minor = _fox_rows(gc), _alexander_minor(gc)
-            assert sorted(sorted((arc - 1, pair) for arc, pair in row.items())
-                          for row in rows) == \
-                sorted(sorted(row.items()) for row in minor), t
-            assert _kronecker_width(rows) == _kronecker_width(minor), t
+            assert_segment_minor_is_the_oracle_minor(gc)
+            for row in segment_relations(gc):
+                assert sum(c0 for c0, _ in row.values()) == 0, t
+                assert sum(c1 for _, c1 in row.values()) == 0, t
+
+    @given(valid_codes())
+    def test_random_segment_minors_are_the_oracle_minor(self, gc):
+        # Codes of no diagram too: the struck row is the oracle's.
+        assume(gc.crossing_count)
+        assert_segment_minor_is_the_oracle_minor(gc)
 
     def test_table_matches_the_oracle(self, table_codes, monkeypatch):
         sizes = system_sizes(monkeypatch)
@@ -591,7 +657,7 @@ class TestSweep:
             assert alexander(gc) == oracle_alexander(gc), t
             assert determinant(gc) == oracle_determinant(gc), t
         # In x order a vertical line meets few arcs, so few become free.
-        assert len(sizes) == 2 * 431 and max(sizes) == 5
+        assert len(sizes) == 2 * 431 and max(sizes) == 4
 
     def test_ladder_matches_the_oracle(self, monkeypatch):
         sizes = system_sizes(monkeypatch)
@@ -670,6 +736,30 @@ class TestSweep:
         assert sum(abs(plain) > abs(stripped) for plain, stripped, _ in pairs) \
             > 350
 
+    def test_the_strip_narrows_the_system(self, monkeypatch):
+        # Pinned by size, not by time: on H(21,23,25) (N = 220) the strip
+        # leaves under a third of the system's bits.  Without it the last
+        # elimination of H(41,43,45) takes 39 s instead of 0.2 s.
+        seen = []
+
+        def spy(m, shift):
+            before = [row[:] for row in m]
+            after = _strip(m, shift)
+            seen.append((before, [row[:] for row in after]))
+            return after
+
+        monkeypatch.setattr(invariants, "_strip", spy)
+        alexander(build_gauss_code(enumerate_crossings(
+            HarmonicTriple(21, 23, 25))))
+        (before, after), = seen
+        assert len(after) == len(before) == 10
+
+        def bits(m):
+            return [v.bit_length() for row in m for v in row]
+
+        assert 3 * sum(bits(after)) < sum(bits(before))
+        assert 3 * max(bits(after)) < max(bits(before))
+
     @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
         st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
                  min_size=n, max_size=n),
@@ -692,6 +782,46 @@ class TestSweep:
             ratio = abs(want) // got
             assert ratio & (ratio - 1) == 0
             assert (ratio.bit_length() - 1) % shift == 0
+
+
+class TestPlan:
+    def test_one_plan_serves_every_c(self):
+        # The crossing ids of H(a, b, c) follow (a, b) alone; c sets the
+        # over-passages, and with them the struck relation.
+        _plan.cache_clear()
+        codes = [build_gauss_code(enumerate_crossings(HarmonicTriple(5, 7, c)))
+                 for c in (1, 2, 3, 4, 6, 8, 9, 11, 12, 13)]
+        for gc in codes:
+            assert alexander(gc) == oracle_alexander(gc)
+            assert determinant(gc) == oracle_determinant(gc)
+        info = _plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(codes) - 1)
+        assert len({last_under(gc) for gc in codes}) > 1
+
+    def test_a_second_table_round_misses_no_plan(self):
+        triples = [HarmonicTriple(*t) for t in enumerate_table_triples(72)]
+        for K in triples:
+            analyze(K)
+        misses = _plan.cache_info().misses
+        for K in triples:
+            analyze(K)
+        assert _plan.cache_info().misses == misses
+
+    def test_table_plans_are_compact(self, table_codes):
+        # The cache is bounded, and the plans of one table round, with the
+        # id tuples they are keyed by, stay within 128 KB.
+        assert _plan.cache_info().maxsize == 256
+        _plan.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for gc in table_codes.values():
+                alexander(gc)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert _plan.cache_info().currsize == 58
+        assert held <= 128 * 1024
 
 
 class TestFactorSquare:
