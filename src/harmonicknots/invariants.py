@@ -5,19 +5,20 @@ relations, and the determinant of a minor of their Fox matrix.  The
 relations are read straight from the Gauss code, with no presentation
 object in between, and all arithmetic is exact integer arithmetic.
 
-They are read in segment form.  Segment i runs from passage i to passage
-i + 1 (mod 2N).  An over-passage p gives the identity s(p-1) = s(p); the
-under-passage q of the same crossing gives the Wirtinger relation on
-(over, in, out) = (s(p), s(q-1), s(q)), with the coefficients (1-t, t, -1)
-if q's own sign is positive and (t-1, 1, -t) (scaled by t to stay
-polynomial) if it is negative.  Eliminating the identities, on unit
-pivots, merges the segments into arcs, so the 2N x 2N segment matrix has
-the arc matrix's minors up to units.  Every row sums to 0, so any column
-may be struck, and the segment that starts at the last under-passage
-goes.  The struck row is the one the Fox minor of ``tests/fox_oracle.py``
-drops, the last under-passage's relation: on a code of no diagram the
-relations need not be dependent, and striking another row would give
-another value there.
+They are read on arcs.  Segment i runs from passage i to passage i + 1
+(mod 2N), and an arc is the run of segments from one under-passage to
+the next, named by the position it starts at; one pass over the passages
+gives each segment its arc, and the segments before the first
+under-passage lie on the arc that starts at the last one.  The
+under-passage q of a crossing whose over-passage is p gives the Wirtinger
+relation on (over, in, out) = (the arcs of segments p, q - 1 and q), with
+the coefficients (1-t, t, -1) if q's own sign is positive and (t-1, 1, -t)
+(scaled by t to stay polynomial) if it is negative.  Every row sums to 0,
+so any column may be struck, and the arc that starts at the last
+under-passage goes.  The struck row is the one the Fox minor of
+``tests/fox_oracle.py`` drops, the last under-passage's relation: on a
+code of no diagram the relations need not be dependent, and striking
+another row would give another value there.
 
 Delta comes by Kronecker substitution: at t = T = 2**B the minor's
 determinant is an integer whose balanced base-T digits are the
@@ -31,23 +32,18 @@ increasing x for a ``build_gauss_code`` code, whose ids go by decreasing
 x, and against word order for a ``diagram_from_conway`` one.  The order
 depends only on the code's crossing-id sequence, which for H(a, b, c) is
 a function of (a, b), so ``_plan`` caches it per sequence.  At each
-crossing the identity and then the Wirtinger relation is solved for a
-segment not yet expressed; its coefficient there is always a unit, so a
-pivot is +-1 or +-T.  Where both of its unknowns are unexpressed, one
-becomes free, and a relation with none becomes a row of the final system
-in the free variables.  Before a segment is solved for or made free, its
-arc is followed on through the over-passages whose identities are not yet
-swept; an expressed segment found there gives it its value, and those
-identities are used up.  Without that, the sweep meets some arcs from
-both ends, and H(41,43,45) ends with one more free variable and more
-powers of T in its system.  A vertical line meets few arcs, so the system
-is small: k <= 4 on the crossing table, k = (a - 1)/2 on H(a, a+2, a+4)
-and k <= 2 on twist codes.  The order only sets k; any order gives the
-same Delta.
+crossing the over arc, whose coefficient is no unit, becomes free if it is
+not yet expressed, and the Wirtinger relation is solved for an arc not
+yet expressed; its coefficient there is always a unit, so a pivot is +-1
+or +-T.  Where both the in and the out arc are unexpressed, one becomes
+free, and a relation with none becomes a row of the final system in the
+free variables.  A vertical line meets few arcs, so the system is small:
+k <= 4 on the crossing table, k = (a - 1)/2 on H(a, a+2, a+4) and k <= 2
+on twist codes.  The order only sets k; any order gives the same Delta.
 
-Nothing is divided.  An expressed segment is stored as v / T**q, integers
-v over the free variables and its own power q, and a pivot of +-T raises
-q by one.  The sweep is Gaussian elimination on unit pivots, so the
+Nothing is divided.  An expressed arc is stored as v / T**q, integers v
+over the free variables and its own power q, and a pivot of +-T raises q
+by one.  The sweep is Gaussian elimination on unit pivots, so the
 minor's determinant is a unit times the system's, and multiplying a
 system row by its power of T changes only a unit.  Before the last
 elimination the common power of T leaves each row and then each column,
@@ -151,7 +147,7 @@ class LaurentPoly(_PolyFields):
 
 
 # ---------------------------------------------------------------------------
-# The Fox relations on segments, and the sweep
+# The Fox relations on arcs, and the sweep
 
 
 @functools.lru_cache(maxsize=256)
@@ -170,13 +166,13 @@ def _plan(ids: tuple) -> tuple[int, ...] | None:
 
 
 def _sweep(gc: GaussCode, t: int) -> int:
-    """The determinant of the segment minor at t = -1 or t = 2**B, times
-    a sign and a power of t.
+    """The determinant of the arc minor at t = -1 or t = 2**B, times a
+    sign and a power of t.
 
-    An expressed segment holds (v, q), its value v / t**q, with v the list
-    of its integer coefficients on the free variables up to the last
-    nonzero one, so a pivot of +-t raises q instead of dividing; segments
-    of one arc share one pair.
+    ``val`` holds each expressed arc, by the position it starts at, as
+    (v, q), its value v / t**q, with v the list of its integer coefficients
+    on the free variables up to the last nonzero one, so a pivot of +-t
+    raises q instead of dividing.
     """
     entries = gc.entries
     if not entries:
@@ -186,11 +182,17 @@ def _sweep(gc: GaussCode, t: int) -> int:
     plan = _plan(ids) if last >= 0 else None
     if plan is None:
         gc.validate()  # raises: an id does not pass once over, once under
-    n2 = len(entries)
     shift = t.bit_length() - 1  # t = 2**shift; at t = -1 every q is 0
-    val: list = [None] * n2
-    val[last] = ([], 0)  # the struck segment
-    used = bytearray(n2)  # the identities ``_arc`` has used up
+    # arc[i]: the under-passage where segment i's arc starts; the segments
+    # before the first one run on the arc that starts at ``last``.
+    arc = []
+    start = last
+    for position, passage in enumerate(passages):
+        if passage == "U":
+            start = position
+        arc.append(start)
+    val: list = [None] * len(entries)
+    val[last] = ([], 0)  # the struck arc
     system = []
     free = 0
     # Solving (1-t) o + t i - u = 0 (positive) or (t-1) o + i - t u = 0
@@ -205,33 +207,15 @@ def _sweep(gc: GaussCode, t: int) -> int:
             if passages[p] != "U" or passages[q] != "O":
                 gc.validate()  # raises: a crossing lacks a passage
             over, under = q, p
-        a = over - 1
-        if not used[over]:
-            va, vo = val[a], val[over]
-            if va is None:
-                if vo is None:
-                    vo = _arc(val, passages, used, a, -1) \
-                        or _arc(val, passages, used, over, 1)
-                    if vo is None:
-                        vo = ([0] * free + [1], 0)
-                        free += 1
-                    val[over] = vo
-                val[a] = vo
-            elif vo is None:
-                val[over] = va
-            else:
-                system.append(_row(((1, va), (-1, vo)), shift))
         if under == last:
             continue  # the struck relation
+        # The arcs (over, in, out) = (over, i, under), each by its start.
+        over, i = arc[over], arc[under - 1]
+        if val[over] is None:
+            val[over] = ([0] * free + [1], 0)
+            free += 1
         positive = signs[under] > 0
-        i = under - 1
         vi, vu = val[i], val[under]
-        # s(i) ends and s(under) starts here; each one's arc runs on
-        # through the over-passages at its other end.
-        if vi is None and passages[i] == "O":
-            vi = _arc(val, passages, used, i, -1)
-        if vu is None and passages[under + 1 - n2] == "O":
-            vu = _arc(val, passages, used, under, 1)
         if vi is None and vu is None:
             # Free the one whose solved-for partner needs no power of t.
             vec = ([0] * free + [1], 0)
@@ -264,29 +248,6 @@ def _sweep(gc: GaussCode, t: int) -> int:
                 else [d * w for w in vx[lo:]]
         val[target] = (vec, top + bump)
     return _det([row + [0] * (free - len(row)) for row in system], shift)
-
-
-def _arc(val: list, passages: tuple, used: bytearray, s: int, step: int):
-    """The value of the first expressed segment that segment s reaches in
-    direction ``step`` across over-passages with unused identities, or
-    None if an under-passage or a used identity comes first.  When found,
-    s and the segments passed take it, and those identities are used."""
-    n2 = len(val)
-    seg = s % n2
-    crossed = []
-    while True:
-        r = seg if step < 0 else (seg + 1) % n2  # the passage to cross
-        if passages[r] != "O" or used[r]:
-            return None
-        crossed.append(r)
-        seg = (seg + step) % n2
-        value = val[seg]
-        if value is not None:
-            break
-    for r in crossed:
-        used[r] = 1
-        val[r if step < 0 else r - 1] = value
-    return value
 
 
 def _row(terms, shift: int) -> list[int]:

@@ -581,7 +581,8 @@ def segment_relations(gc):
     """One Fox row per passage, on the segments (segment i runs from
     passage i to passage i + 1): the identity s(p-1) = s(p) of an
     over-passage p, the Wirtinger relation on (over, in, out) of an
-    under-passage."""
+    under-passage.  Eliminating the identities, on their unit pivots,
+    merges the segments into the arcs the sweep reads."""
     entries = gc.entries
     n2 = len(entries)
     over_at = {e.crossing_id: i for i, e in enumerate(entries)
@@ -606,8 +607,9 @@ def last_under(gc):
 
 
 def segment_minor(gc):
-    """The minor the sweep eliminates: the last under-passage's relation
-    and the segment that starts there are struck."""
+    """The segment relations with the last under-passage's relation and
+    the segment that starts there struck: merging its identities leaves the
+    arc minor without the row and the column the sweep strikes."""
     n2 = len(gc.entries)
     last = last_under(gc)
     column = {s: j for j, s in enumerate(s for s in range(n2) if s != last)}
@@ -626,7 +628,9 @@ def up_to_unit(coeffs):
 
 
 def assert_segment_minor_is_the_oracle_minor(gc):
-    # Every relation sums to 0, which lets the sweep strike any segment.
+    # The merged minor is the oracle's up to a unit: every relation sums
+    # to 0, so the struck column changes only a sign, and the struck row
+    # is the oracle's.
     n = gc.crossing_count
     full = segment_minor(gc)
     assert len(full) == max(2 * n - 1, 0)
