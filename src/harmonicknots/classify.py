@@ -16,11 +16,10 @@ from .cfrac import (SchubertFraction, evaluate, evaluate_projective,
                     positive_cf, two_bridge_equivalent)
 from .chebgeom import Crossing, HarmonicTriple, enumerate_crossings
 from .diagram import (ConwayForm, GaussCode, build_gauss_code,
-                      conway_form_h4, diagram_from_conway,
-                      read_conway_from_diagram)
+                      conway_form_h4, read_conway_from_diagram)
 from .errors import InternalError
 from .invariants import LaurentPoly, alexander, factor_square
-from . import knotnames
+from . import diagram, knotnames
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +207,7 @@ def _verify_expectation(description: str, form: ConwayForm,
     # The predicted Delta comes from the standard twist diagram of the
     # form, which shares no diagram-building code with the Chebyshev
     # diagram that gave ``delta``; agreement is an independent check.
-    if alexander(diagram_from_conway(form)) != delta \
+    if alexander(diagram.diagram_from_conway(form)) != delta \
             or evaluate_projective(form).alpha != det:
         raise InternalError(f"{claim} fails: Alexander polynomial or "
                             "determinant differs")

@@ -1,4 +1,4 @@
-"""Knot diagrams: Gauss codes, twist-sequence readings, and a 4-plat builder.
+"""Knot diagrams: Gauss codes, twist-sequence readings, and a plat builder.
 
 Two independent roads lead to a Gauss code here: ``build_gauss_code``
 traverses the crossings of the Chebyshev curve itself, while
@@ -146,63 +146,50 @@ def read_conway_from_diagram(K: HarmonicTriple,
 
 
 # ---------------------------------------------------------------------------
-# Standard twist diagram of a term sequence (4-plat construction)
+# Standard twist diagram of a term sequence (plat closure of a braid word)
 
 
 def _plat_gauss_code(word: list[tuple[int, int]],
                      right_caps: tuple) -> GaussCode:
-    """Gauss code of the plat closure of a 4-strand braid word.
+    """Gauss code of the plat closure of a braid word, by one walk along
+    the closed strand.
 
-    ``word`` lists single crossings (j, s): generator sigma_j (j in 1..3,
-    acting on strand positions j, j+1) with handedness s = +-1.  The left
-    end is capped by bridges joining positions (1,2) and (3,4);
-    ``right_caps`` gives the right-end pairing in 0-based positions, the
-    parallel ((0, 1), (2, 3)) or the nested ((0, 3), (1, 2)); both are
-    planar and crossing-free.  Raises if the closure has more than one
-    component.
+    ``word`` lists single crossings (j, s): generator sigma_j, acting on
+    the 0-based strand positions j - 1 and j, with handedness s = +-1.
+    The left caps join (0, 1), (2, 3), ...; ``right_caps`` pairs the
+    right-end positions, planar and crossing-free, and so fixes the
+    strand count.  Raises if the closure has more than one component.
     """
-    wire_at = [0, 1, 2, 3]
-    passages: dict[int, list[tuple[int, bool]]] = {w: [] for w in wire_at}
-    handedness: dict[int, int] = {}
-    wires_of: dict[int, tuple[int, int]] = {}
-    for cid, (j, s) in enumerate(word, start=1):
-        upper, lower = wire_at[j - 1], wire_at[j]
-        over_upper = s > 0
-        passages[upper].append((cid, over_upper))
-        passages[lower].append((cid, not over_upper))
-        handedness[cid] = s
-        wires_of[cid] = (upper, lower)
-        wire_at[j - 1], wire_at[j] = lower, upper
-    end_pos = {w: p for p, w in enumerate(wire_at)}
-    start_pos = {w: w for w in range(4)}
-    right_partner = {}
+    partner = {}
     for p, q in right_caps:
-        right_partner[p], right_partner[q] = q, p
-
-    direction: dict[int, int] = {}
+        partner[p], partner[q] = q, p
     order: list[tuple[int, bool]] = []
-    wire, forward = 0, True
-    for _ in range(4):
-        direction[wire] = 1 if forward else -1
-        seq = passages[wire] if forward else list(reversed(passages[wire]))
-        order.extend(seq)
-        if forward:
-            p = right_partner[end_pos[wire]]
-            wire = next(w for w in range(4) if end_pos[w] == p)
-            forward = False
+    sign: dict[int, int] = {}
+    # From left position 0 going right; each pass through the word is a leg.
+    pos, step, legs = 0, 1, 0
+    while True:
+        legs += 1
+        for cid in range(1, len(word) + 1)[::step]:
+            j, s = word[cid - 1]
+            if pos == j - 1 or pos == j:
+                # The upper strand is at j - 1 going right, at j going
+                # left; it passes over iff s > 0.  The oriented sign is
+                # s times the directions of the two passages.
+                upper = (pos == j - 1) == (step > 0)
+                order.append((cid, upper == (s > 0)))
+                sign[cid] = sign.get(cid, s) * step
+                pos = 2 * j - 1 - pos
+        if step > 0:
+            pos = partner[pos]
         else:
-            wire = start_pos[wire] ^ 1  # left caps join (1,2) and (3,4)
-            forward = True
-        if wire == 0 and forward:
-            break
-    if len(direction) != 4 or len(order) != 2 * len(word):
+            pos ^= 1  # the left caps join (0, 1), (2, 3), ...
+            if pos == 0:
+                break
+        step = -step
+    if legs != 2 * len(right_caps):
         raise ValueError("plat closure is a link, not a knot")
-    entries = []
-    for cid, over in order:
-        u, l = wires_of[cid]
-        sign = handedness[cid] * direction[u] * direction[l]
-        entries.append(GaussEntry(cid, "O" if over else "U", sign))
-    return GaussCode(tuple(entries))
+    return GaussCode(tuple([GaussEntry(cid, "O" if over else "U", sign[cid])
+                            for cid, over in order]))
 
 
 def diagram_from_conway(cf: ConwayForm) -> GaussCode:

@@ -16,16 +16,20 @@ expansion of the fractions (2n^2+1)/(2n) from blocks, independently of
 package itself does not compute: continuant matrices, sign-change
 positions, the biregular crossing-number formula, reversal and mirror of
 a Gauss code, products of polynomials, and the Alexander polynomial of a
-twist sequence and, by Hartley's formula, of a two-bridge fraction.  The
-Fox elimination that ``alexander`` replaced is the oracle in
+twist sequence and, by Hartley's formula, of a two-bridge fraction.
+``TWIST_FRACTIONS`` lists every two-bridge fraction alpha/beta with
+alpha < 200, and ``twist_code`` builds its twist diagram.  The Fox
+elimination that ``alexander`` replaced is the oracle in
 ``fox_oracle.py``.
 """
 
 import hashlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from harmonicknots.cfrac import SchubertFraction, positive_cf
 from harmonicknots.chebgeom import Crossing
 from harmonicknots.diagram import GaussCode, GaussEntry, diagram_from_conway
 from harmonicknots.exact import fold, sign_sin
@@ -248,6 +252,16 @@ def alexander_of_fraction(terms):
     the standard twist diagram, which shares no diagram-building code with
     the Chebyshev pipeline."""
     return alexander(diagram_from_conway(terms))
+
+
+# Every fraction alpha/beta of a two-bridge knot with alpha < 200.
+TWIST_FRACTIONS = [(alpha, beta) for alpha in range(3, 200, 2)
+                   for beta in range(1, alpha) if gcd(alpha, beta) == 1]
+
+
+def twist_code(alpha, beta):
+    """The twist diagram of alpha/beta, read from its positive expansion."""
+    return diagram_from_conway(positive_cf(SchubertFraction(alpha, beta)))
 
 
 def hartley_alexander(alpha, beta):

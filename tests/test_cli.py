@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from harmonicknots import chebgeom, classify, cli, render
+from harmonicknots import chebgeom, classify, cli, diagram, render
 from harmonicknots.cfrac import (SchubertFraction, fraction_candidate,
                                   positive_cf)
 from harmonicknots.cli import main
@@ -95,8 +95,8 @@ class TestAnalyzeCommand:
 
     def test_failed_family_prediction_exit_3(self, capsys, monkeypatch):
         # The trefoil's twist diagram in place of the predicted 5_2's.
-        real = classify.diagram_from_conway
-        monkeypatch.setattr(classify, "diagram_from_conway",
+        real = diagram.diagram_from_conway
+        monkeypatch.setattr(diagram, "diagram_from_conway",
                             lambda form: real([3]))
         code, out, err = run(capsys, "analyze", "5", "6", "7")
         assert code == 3
@@ -106,7 +106,7 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("module, attr, fake, triple", [
         (chebgeom, "sign_sin", lambda real: lambda num, den: 0, "3 5 7"),
         (classify, "conway_form_h4", lambda real: reject_pair, "4 5 7"),
-        (classify, "diagram_from_conway",
+        (diagram, "diagram_from_conway",
          lambda real: lambda form: real([2]), "5 6 7"),
         (classify, "build_gauss_code", lambda real: lambda crossings:
          GaussCode(real(crossings).entries[:-1]), "3 5 7"),

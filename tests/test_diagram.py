@@ -1,16 +1,22 @@
+import hashlib
 import math
 import random
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from harmonicknots.cfrac import (SchubertFraction, evaluate,
-                                 evaluate_projective, two_bridge_equivalent)
+                                 evaluate_projective, positive_cf,
+                                 two_bridge_equivalent)
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.diagram import (
-    GaussCode, GaussEntry, build_gauss_code, conway_form_h4,
-    diagram_from_conway, read_conway_from_diagram)
+    GaussCode, GaussEntry, _plat_gauss_code, build_gauss_code,
+    conway_form_h4, diagram_from_conway, read_conway_from_diagram)
 from harmonicknots.invariants import alexander, determinant
+
+from conftest import TWIST_FRACTIONS, twist_code
+from fox_oracle import oracle_alexander
 
 
 def canonical_h4_pairs(limit, b_min=5):
@@ -21,6 +27,33 @@ def canonical_h4_pairs(limit, b_min=5):
             if gcd(b, c) == 1 and (c - b) % 4 != 0:
                 pairs.append((b, c))
     return pairs
+
+
+def twist_word(terms):
+    """The braid word and right caps that ``diagram_from_conway(terms)``
+    closes: odd regions twist positions (1, 2), even ones (0, 1) with the
+    handedness reversed."""
+    word = []
+    for i, a in enumerate(terms, start=1):
+        s = 1 if (a > 0) == (i % 2 == 1) else -1
+        word += [(2 if i % 2 else 1, s)] * abs(a)
+    caps = ((0, 1), (2, 3)) if len(terms) % 2 else ((0, 3), (1, 2))
+    return word, caps
+
+
+def planar_caps(n):
+    """The parallel and the nested right caps of n strands."""
+    return [tuple((i, i + 1) for i in range(0, n, 2)),
+            tuple((i, n - 1 - i) for i in range(n // 2))]
+
+
+@st.composite
+def plat_words(draw):
+    """A braid word on 4 or 6 strands with planar right caps."""
+    n = draw(st.sampled_from((4, 6)))
+    word = draw(st.lists(st.tuples(st.integers(1, n - 1),
+                                   st.sampled_from((1, -1))), max_size=12))
+    return word, draw(st.sampled_from(planar_caps(n)))
 
 
 class TestGaussCode:
@@ -118,6 +151,49 @@ class TestDiagramFromConway:
             diagram_from_conway([])
         with pytest.raises(ValueError, match="link"):
             diagram_from_conway([2, 2, 2])  # fraction 12/5: two components
+        for word, caps in [
+                ([], ((0, 1), (2, 3))),  # two crossing-free circles
+                # The trefoil on 6 strands, beside a circle on (4, 5).
+                ([(2, 1)] * 3, ((0, 1), (2, 3), (4, 5)))]:
+            with pytest.raises(ValueError, match="link"):
+                _plat_gauss_code(word, caps)
+
+    @given(plat_words())
+    def test_random_plats_are_knots_or_links(self, plat):
+        try:
+            code = _plat_gauss_code(*plat)
+        except ValueError as exc:
+            assert "link" in str(exc)
+            return
+        code.validate()
+        assert alexander(code) == oracle_alexander(code), plat
+
+    def test_twist_codes_byte_for_byte(self):
+        # One digest over every passage of every twist code with alpha <
+        # 200 pins start point, passage order, over/under and sign.
+        digest = hashlib.sha256()
+        for alpha, beta in TWIST_FRACTIONS:
+            digest.update(" ".join(
+                f"{cid}{passage}{sign:+d}"
+                for cid, passage, sign in twist_code(alpha, beta).entries
+            ).encode() + b"\n")
+        assert digest.hexdigest() == ("756aed655271cba2d60fd7ae0fa81dd3"
+                                      "d5288ed8062248ec2462eb1ad1ab66f2")
+
+    def test_six_strands(self):
+        # sigma_4^+-1 twists a third cap pair (4, 5) into the strand at
+        # position 3: one kink on 6 strands, the same knot.
+        forms = [[3]] + [positive_cf(SchubertFraction(*f))
+                         for f in TWIST_FRACTIONS[::40]]
+        for terms in forms:
+            word, caps = twist_word(terms)
+            code = diagram_from_conway(terms)
+            assert _plat_gauss_code(word, caps) == code, terms
+            for s in (1, -1):
+                six = _plat_gauss_code(word + [(4, s)], caps + ((4, 5),))
+                six.validate()
+                assert six.crossing_count == code.crossing_count + 1
+                assert alexander(six) == alexander(code), (terms, s)
 
     def test_determinant_matches_fraction_randomly(self):
         rng = random.Random(61)

@@ -9,17 +9,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from harmonicknots import invariants
-from harmonicknots.cfrac import SchubertFraction, positive_cf
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.classify import analyze, enumerate_table_triples
-from harmonicknots.diagram import (GaussCode, GaussEntry, build_gauss_code,
-                                   diagram_from_conway)
+from harmonicknots.diagram import GaussCode, GaussEntry, build_gauss_code
 from harmonicknots.invariants import (
     LaurentPoly, _det, _plan, _strip, alexander, determinant, factor_square)
 
 import fox_oracle
-from conftest import (alexander_of_fraction, hartley_alexander,
-                      mirrored_code, poly_product, reversed_code)
+from conftest import (TWIST_FRACTIONS, alexander_of_fraction,
+                      hartley_alexander, mirrored_code, poly_product,
+                      reversed_code, twist_code)
 from fox_oracle import (_alexander_minor, _at, _det_poly, _det_sparse,
                         _kronecker_width, oracle_alexander,
                         oracle_determinant)
@@ -566,15 +565,6 @@ def outcome(route, gc):
         return route(gc)
     except ValueError as exc:
         return type(exc)
-
-
-def twist_code(alpha, beta):
-    return diagram_from_conway(positive_cf(SchubertFraction(alpha, beta)))
-
-
-# Every fraction alpha/beta of a two-bridge knot with alpha < 200.
-TWIST_FRACTIONS = [(alpha, beta) for alpha in range(3, 200, 2)
-                   for beta in range(1, alpha) if gcd(alpha, beta) == 1]
 
 
 def segment_relations(gc):
