@@ -78,15 +78,6 @@ def reduce_c(K: HarmonicTriple) -> list[ReductionStep]:
         c = new_c
 
 
-def reduced_triple(K: HarmonicTriple,
-                   steps: list[ReductionStep]) -> tuple[HarmonicTriple, bool]:
-    """The irreducible triple that ``steps = reduce_c(K)`` reach, and
-    whether it is the mirror of K."""
-    if not steps:
-        return K, False
-    return HarmonicTriple(K.a, K.b, steps[-1].to_c), steps[-1].mirrored
-
-
 # ---------------------------------------------------------------------------
 # Canonical parameters for the two-bridge family a = 4
 
@@ -218,7 +209,10 @@ def _verify_expectation(description: str, form: ConwayForm,
 def analyze(K: HarmonicTriple) -> AnalysisReport:
     """Reduce, classify and compute all invariants of one curve."""
     steps = reduce_c(K)
-    reduced, mirrored = reduced_triple(K, steps)
+    reduced, mirrored = K, False
+    if steps:
+        reduced = HarmonicTriple(K.a, K.b, steps[-1].to_c)
+        mirrored = steps[-1].mirrored
     crossings = tuple(enumerate_crossings(reduced))
     gc = build_gauss_code(crossings)
     delta = alexander(gc)

@@ -25,7 +25,8 @@ determinant is an integer whose balanced base-T digits are the
 coefficients.  B comes from N alone.  By Parseval and Hadamard's
 inequality no coefficient exceeds the product, over the N - 1 rows of the
 arc minor, of each row's l2 norm on |t| = 1, which is at most sqrt(6) for
-a Fox row; so 2**(B-1) > isqrt(6**(N-1)) suffices.
+a Fox row; so 2**(B-1) > isqrt(6**(N-1)) suffices.  ``factor_square``
+reads a square root q of Delta from the same digits.
 
 The determinant comes from a sweep of the crossings by decreasing id: by
 increasing x for a ``build_gauss_code`` code, whose ids go by decreasing
@@ -306,23 +307,27 @@ def _strip(m: list[list[int]], shift: int) -> list[list[int]] | None:
     return m
 
 
+def _digits(value: int, width: int) -> list[int]:
+    """The balanced base-2**width digits of value, lowest first."""
+    base = 1 << width
+    half = base >> 1
+    digits = []
+    while value:
+        digit = value & (base - 1)
+        if digit >= half:
+            digit -= base
+        digits.append(digit)
+        value = (value - digit) >> width
+    return digits
+
+
 def alexander(gc: GaussCode) -> LaurentPoly:
     """Alexander polynomial of the knot, unit-normalized.  A code whose
     minor determinant is not +-1 at t = 1 (a link's is 0) raises
     ``ValueError``."""
     # Hadamard's bound for the N - 1 rows of the arc minor, sqrt(6) each.
     width = isqrt(6 ** max(gc.crossing_count - 1, 0)).bit_length() + 1
-    base = 1 << width
-    value = _sweep(gc, base)
-    half = base >> 1
-    coeffs = []
-    while value:
-        digit = value & (base - 1)
-        if digit >= half:
-            digit -= base
-        coeffs.append(digit)
-        value = (value - digit) >> width
-    return LaurentPoly.from_coeffs(coeffs)
+    return LaurentPoly.from_coeffs(_digits(_sweep(gc, 1 << width), width))
 
 
 def determinant(gc: GaussCode) -> int:
@@ -332,26 +337,14 @@ def determinant(gc: GaussCode) -> int:
 
 def factor_square(p: LaurentPoly) -> LaurentPoly | None:
     """A normalized q with q**2 = p (up to units), if one exists over Z.
-
-    The candidate is grown from the trailing coefficient by matching
-    coefficients of p = q*q; any mismatch reports absence.
-    """
-    coeffs = list(p.coeffs)
-    deg = len(coeffs) - 1
-    if deg % 2:
+    Parseval bounds its coefficients, sum(q_i**2) <= sum(|p_i|), so they
+    are the balanced digits of isqrt(p(2**width)) at the width below."""
+    width = isqrt(sum(map(abs, p.coeffs))).bit_length() + 1
+    value = p(1 << width)
+    root = isqrt(max(value, 0))
+    if root * root != value:
         return None
-    half = deg // 2
-    c0 = coeffs[0]
-    q0 = isqrt(c0) if c0 > 0 else 0
-    if q0 == 0 or q0 * q0 != c0:
-        return None
-    q = [q0] + [0] * half
-    for k in range(1, half + 1):
-        acc = sum(q[i] * q[k - i] for i in range(1, k))
-        num = coeffs[k] - acc
-        if num % (2 * q0):
-            return None
-        q[k] = num // (2 * q0)
-    if _pmul(q, q) != coeffs:
+    q = _digits(root, width)
+    if _pmul(q, q) != list(p.coeffs):
         return None
     return LaurentPoly.from_coeffs(q)

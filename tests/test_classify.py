@@ -10,7 +10,7 @@ from harmonicknots.cfrac import (SchubertFraction, evaluate,
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.classify import (
     analyze, canonical_h4, enumerate_table_triples,
-    predict_family, reduce_c, reduced_triple)
+    predict_family, reduce_c)
 from harmonicknots.diagram import build_gauss_code, conway_form_h4
 from harmonicknots.invariants import LaurentPoly, alexander, determinant
 
@@ -37,7 +37,7 @@ class TestReduceC:
             if gcd(a, b) != 1 or gcd(c, a) != 1 or gcd(c, b) != 1:
                 continue
             K = HarmonicTriple(a, b, c)
-            reduced, _ = reduced_triple(K, reduce_c(K))
+            reduced = HarmonicTriple(*analyze(K).reduced)
             assert reduce_c(reduced) == []
             assert reduced.c <= c
 
@@ -57,7 +57,7 @@ class TestReduceC:
             if not reduce_c(K):
                 continue
             sampled += 1
-            reduced, _ = reduced_triple(K, reduce_c(K))
+            reduced = HarmonicTriple(*analyze(K).reduced)
             assert alexander(build_gauss_code(enumerate_crossings(K))) == \
                 alexander(build_gauss_code(
                     enumerate_crossings(reduced))), (a, b, c)
@@ -71,7 +71,7 @@ class TestReduceC:
         K = HarmonicTriple(a, b, c)
         steps = reduce_c(K)
         assume(steps)
-        reduced, _ = reduced_triple(K, steps)
+        reduced = HarmonicTriple(*analyze(K).reduced)
         code = build_gauss_code(enumerate_crossings(K))
         code_reduced = build_gauss_code(enumerate_crossings(reduced))
         assert alexander(code) == alexander(code_reduced)
@@ -88,9 +88,9 @@ class TestReduceC:
         a, b, c = triple
         assume(gcd(a, b) == 1 and gcd(c, a * b) == 1)
         K = HarmonicTriple(a, b, c)
-        reduced, mirrored = reduced_triple(K, reduce_c(K))
-        expected = enumerate_crossings(reduced)
-        if mirrored:
+        report = analyze(K)
+        expected = enumerate_crossings(HarmonicTriple(*report.reduced))
+        if report.mirrored:
             expected = [x.mirrored() for x in expected]
         assert enumerate_crossings(K) == expected
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import tracemalloc
@@ -824,12 +825,21 @@ class TestFactorSquare:
         assert factor_square(sq) == poly(1, -3, 1)
         sq = poly_product(poly(1, -1, 1), poly(1, -1, 1))
         assert factor_square(sq) == poly(1, -1, 1)
+        assert factor_square(poly(1)) == poly(1)
 
     def test_non_squares(self):
         assert factor_square(poly(1, -1, 1)) is None
         assert factor_square(poly(1, -3, 1)) is None
         assert factor_square(poly_product(poly(1, -1, 1),
                                           poly(1, -3, 1))) is None
+        # Coefficients 101 in size set the width to 5, and the value at
+        # 2**5 is negative: 50 - 50*32 + 32**2 = -526.
+        assert poly(50, -50, 1)(32) == -526
+        assert factor_square(poly(50, -50, 1)) is None
+        # The width is 3 and 1 - 3*8 + 3*8**2 = 13**2, but the digits of
+        # 13 give -3 + 2t, whose square is not p.
+        assert poly(1, -3, 3)(8) == 13 ** 2
+        assert factor_square(poly(1, -3, 3)) is None
 
     def test_random_squares_roundtrip(self):
         rng = random.Random(67)
@@ -840,6 +850,35 @@ class TestFactorSquare:
                 continue
             q = LaurentPoly.from_coeffs(coeffs)
             assert factor_square(poly_product(q, q)) == q
+
+    def test_results_are_pinned(self, table_codes):
+        # One sha256 over the result, coefficients or None, on the
+        # table's Deltas, on H(2n-1, 2n, 2n+1) for n <= 10, and on 5,000
+        # seeded random unit-normalized polynomials of degree <= 12, every
+        # other one built as q*q.
+        deltas = [alexander(gc) for gc in table_codes.values()]
+        deltas += [alexander(build_gauss_code(enumerate_crossings(
+            HarmonicTriple(2 * n - 1, 2 * n, 2 * n + 1))))
+            for n in range(1, 11)]
+        rng = random.Random(2029)
+
+        def unit_poly(degree, size):
+            head = [rng.randint(-size, size) for _ in range(degree)]
+            return poly(*head, rng.choice((1, -1)) - sum(head))
+
+        for i in range(5000):
+            if i % 2:
+                q = unit_poly(rng.randint(0, 6), 5)
+                deltas.append(poly_product(q, q))
+            else:
+                deltas.append(unit_poly(rng.randint(0, 12), 9))
+        digest = hashlib.sha256()
+        for p in deltas:
+            root = factor_square(p)
+            digest.update(repr(None if root is None
+                               else root.coeffs).encode() + b"\n")
+        assert digest.hexdigest() == \
+            "a8aa5961b94f5d8e3447da3109d6511b315f78b98fff58403c11330fdfaefbc9"
 
     def test_large_coefficients_need_an_exact_root(self):
         n = 10 ** 20 + 12345
