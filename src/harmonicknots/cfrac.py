@@ -100,12 +100,9 @@ def two_bridge_equivalent(f: SchubertFraction, g: SchubertFraction,
     bf, bg = f.beta % a, g.beta % a
     if gcd(bf, a) != 1 or gcd(bg, a) != 1:
         raise ValueError("beta not invertible modulo alpha")
-    inv = pow(bf, -1, a)
-    if bg == bf or bg == inv:
-        return True
-    if up_to_mirror and (bg == a - bf or bg == a - inv):
-        return True
-    return False
+    if up_to_mirror:
+        return bg in f.equivalence_class()
+    return bg == bf or bg * bf % a == 1
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +121,6 @@ def evaluate_projective(cf: SignedCF) -> SchubertFraction:
     for a in cf:
         p, q, r, s = p * a + q, p, r * a + s, r
     return SchubertFraction(p, r)
-
-
-def evaluate(cf: SignedCF) -> SchubertFraction:
-    """Exact value of [a1, ..., an] as a fraction with alpha >= 0.
-
-    The sign of the value is carried by beta.  Raises ValueError
-    when the value is projectively infinite (e.g. [1, 0] or [1,-2,1,-2]),
-    which is exactly when the plain right-to-left folding would hit an
-    unresolvable reciprocal of zero.
-    """
-    value = evaluate_projective(cf)
-    if value.beta == 0:
-        raise ValueError(f"{list(cf)} evaluates to an infinite value")
-    return value
 
 
 def positive_cf(f: SchubertFraction) -> list[int]:
@@ -208,7 +191,7 @@ def expand_1212(f: SchubertFraction) -> list[int]:
     else:
         raise InternalError(
             f"expansion of {f.alpha}/{f.beta} did not terminate")
-    if evaluate(terms) != f or _longest_sign_change_run(terms) >= 3:
+    if evaluate_projective(terms) != f or _longest_sign_change_run(terms) >= 3:
         raise InternalError(
             f"expansion of {f.alpha}/{f.beta} failed validation")
     return terms

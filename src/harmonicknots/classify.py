@@ -12,8 +12,8 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .cfrac import (SchubertFraction, evaluate, evaluate_projective,
-                    positive_cf, two_bridge_equivalent)
+from .cfrac import (SchubertFraction, evaluate_projective, positive_cf,
+                    two_bridge_equivalent)
 from .chebgeom import Crossing, HarmonicTriple, enumerate_crossings
 from .diagram import (ConwayForm, GaussCode, build_gauss_code,
                       conway_form_h4, read_conway_from_diagram)
@@ -130,7 +130,7 @@ def canonical_h4(b: int, c: int) -> CanonicalH4:
             c, mirrored = abs(c - 6 * b), not mirrored
         else:
             break
-    fraction = evaluate(conway_form_h4(b, c))
+    fraction = evaluate_projective(conway_form_h4(b, c))
     return CanonicalH4(b, c, mirrored, fraction, (3 * b + c - 2) // 4)
 
 
@@ -245,8 +245,7 @@ def analyze(K: HarmonicTriple) -> AnalysisReport:
             if reduced.b < reduced.c and (reduced.b + reduced.c) % 3 == 0 \
                     and crossing_number != (reduced.b + reduced.c) // 3:
                 raise InternalError("crossing number routes disagree")
-        record = knotnames.name_by_fraction(fraction) \
-            if fraction.alpha > 1 else None
+        record = knotnames.name_by_fraction(fraction)
         unknotted = unknotted or fraction.alpha == 1
     else:
         source = f"H({reduced.a},{reduced.b},{reduced.c})"

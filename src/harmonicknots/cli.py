@@ -85,7 +85,7 @@ def _print_report(r: AnalysisReport, out) -> None:
     if r.fraction is not None:
         src = f" [{r.fraction_source}]" if r.fraction_source else ""
         print(f"  two-bridge fraction: {_fraction_text(r)}{src}", file=out)
-    # An unknot's JSON crossing_number and name stay null.
+    # An unknot's JSON name is null; crossing_number is too, unless a = 4.
     crossing_number = 0 if r.unknotted else r.crossing_number
     if crossing_number is not None:
         print(f"  crossing number: {crossing_number}", file=out)
@@ -192,7 +192,7 @@ def cmd_cf(args) -> int:
     pos = positive_cf(SchubertFraction(alpha, rest))
     print(f"positive expansion of {alpha}/{rest}: {pos}"
           f"  crossing number {sum(pos)}")
-    for rep in sorted(set(fr.equivalence_class())):
+    for rep in fr.equivalence_class():
         if rep % 2 == 1:
             continue
         cand = fraction_candidate(alpha, rep)

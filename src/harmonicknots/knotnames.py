@@ -73,8 +73,7 @@ def name_by_fraction(fraction: SchubertFraction) -> KnotRecord | None:
     for rec in records():
         if rec.fraction is None:
             continue
-        if rec.fraction.alpha == fraction.alpha and two_bridge_equivalent(
-                rec.fraction, fraction, up_to_mirror=True):
+        if two_bridge_equivalent(rec.fraction, fraction, up_to_mirror=True):
             return rec
     return None
 

@@ -15,7 +15,7 @@ from math import gcd
 
 
 from harmonicknots.cfrac import (
-    SchubertFraction, _longest_sign_change_run, evaluate, evaluate_projective,
+    SchubertFraction, _longest_sign_change_run, evaluate_projective,
     expand_1212, fraction_candidate, positive_cf, two_bridge_equivalent)
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.classify import analyze, canonical_h4
@@ -92,7 +92,7 @@ def test_criterion_03_h4_fraction_properties():
         assert len(pairs) >= 25
         for b, c in pairs:
             cf = conway_form_h4(b, c)
-            fraction = evaluate(cf)
+            fraction = evaluate_projective(cf)
             alpha, beta = fraction.alpha, fraction.beta
             assert beta % 2 == 0, (b, c)
             assert (beta * beta) % alpha in (2 % alpha, (-2) % alpha), (b, c)
@@ -120,7 +120,7 @@ def test_criterion_04_consecutive_degree_family():
             assert delta == delta4 and det == det4, n
             twist_form = [3] + [2] * (n - 2)
             assert delta == alexander_of_fraction(twist_form), n
-            assert det == evaluate(twist_form).alpha, n
+            assert det == evaluate_projective(twist_form).alpha, n
         assert time.time() - start < 120.0
 
 
@@ -132,14 +132,14 @@ def test_criterion_05_degree_five_families():
             assert alexander(gc) == alexander_of_fraction(
                 [2 * n + 1, 2 * n]), n
             assert determinant(gc) == 4 * n * n + 2 * n + 1 == \
-                evaluate([2 * n + 1, 2 * n]).alpha, n
+                evaluate_projective([2 * n + 1, 2 * n]).alpha, n
 
             K = HarmonicTriple(5, 5 * n + 3, 5 * n + 4)
             gc = build_gauss_code(enumerate_crossings(K))
             assert alexander(gc) == alexander_of_fraction(
                 [2 * n + 1, 2 * n + 2]), n
             assert determinant(gc) == 4 * n * n + 6 * n + 3 == \
-                evaluate([2 * n + 1, 2 * n + 2]).alpha, n
+                evaluate_projective([2 * n + 1, 2 * n + 2]).alpha, n
 
 
 def test_criterion_06_composite_detection():
@@ -220,7 +220,8 @@ def test_criterion_08_exclusion_families():
             report = fraction_candidate(alpha, beta)
             assert report.beta_sq_mod == alpha - 2
             construction = denominator_family_blocks(n)
-            assert evaluate(construction) == SchubertFraction(alpha, beta)
+            assert evaluate_projective(construction) == \
+                SchubertFraction(alpha, beta)
             assert report.expansion == construction
             assert report.obstructed == (n > 1)
 
@@ -240,7 +241,7 @@ def test_criterion_09_property_suites():
             done += 1
             r = SchubertFraction(alpha, beta)
             terms = expand_1212(r)
-            assert evaluate(terms) == r
+            assert evaluate_projective(terms) == r
             assert [abs(t) for t in terms] == [1, 2] * (len(terms) // 2)
             assert _longest_sign_change_run(terms) < 3
             # Value criterion: above 1 exactly when the second term is +2.

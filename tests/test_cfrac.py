@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from harmonicknots.cfrac import (
-    SchubertFraction, _longest_sign_change_run, evaluate, evaluate_projective,
+    SchubertFraction, _longest_sign_change_run, evaluate_projective,
     expand_1212, fraction_candidate, positive_cf, two_bridge_equivalent)
 
 from conftest import (PreconditionError, cf_matrix, crossing_number_bireg,
@@ -15,19 +15,16 @@ from conftest import (PreconditionError, cf_matrix, crossing_number_bireg,
 
 class TestEvaluate:
     def test_fixtures(self):
-        assert evaluate([1, 2]) == SchubertFraction(3, 2)
-        assert evaluate([1, 0, 1, 2]) == SchubertFraction(5, 2)
-        assert evaluate([-1, -2, 1, 2]) == SchubertFraction(7, -4)
+        assert evaluate_projective([1, 2]) == SchubertFraction(3, 2)
+        assert evaluate_projective([1, 0, 1, 2]) == SchubertFraction(5, 2)
+        assert evaluate_projective([-1, -2, 1, 2]) == SchubertFraction(7, -4)
 
-    def test_infinite_values_raise(self):
-        with pytest.raises(ValueError, match="infinite value"):
-            evaluate([1, 0])
-        with pytest.raises(ValueError, match="infinite value"):
-            evaluate([1, -2, 1, -2])
-        assert evaluate_projective([1, -2, 1, -2]) == SchubertFraction(1, 0)
+    def test_infinite_values_are_one_over_zero(self):
+        for terms in ([1, 0], [1, -2, 1, -2]):
+            assert evaluate_projective(terms) == SchubertFraction(1, 0), terms
 
     def test_zero_value(self):
-        assert evaluate([2, 0, -2]) == SchubertFraction(0, 1)
+        assert evaluate_projective([2, 0, -2]) == SchubertFraction(0, 1)
 
     def test_trailing_zero_projective_rule(self):
         assert evaluate_projective([5, 3, 0]) == evaluate_projective([5])
@@ -39,8 +36,8 @@ class TestEvaluate:
             value = Fraction(terms[-1])
             for t in reversed(terms[:-1]):
                 value = t + 1 / value
-            assert evaluate(terms) == SchubertFraction(value.numerator,
-                                                       value.denominator)
+            assert evaluate_projective(terms) == SchubertFraction(
+                value.numerator, value.denominator)
 
 
 class TestPositiveCF:
@@ -59,7 +56,7 @@ class TestPositiveCF:
         rng = random.Random(17)
         for _ in range(200):
             f = SchubertFraction(rng.randint(1, 400), rng.randint(1, 400))
-            assert evaluate(positive_cf(f)) == f
+            assert evaluate_projective(positive_cf(f)) == f
 
 
 class TestCrossingNumberBireg:
@@ -121,7 +118,7 @@ class TestExpand1212:
             done += 1
             r = SchubertFraction(alpha, beta)
             terms = expand_1212(r)
-            assert evaluate(terms) == r
+            assert evaluate_projective(terms) == r
             assert terms[0] == 1
             assert [abs(t) for t in terms] == [1, 2] * (len(terms) // 2)
             assert _longest_sign_change_run(terms) <= 2
@@ -167,21 +164,21 @@ class TestPrefixIdentities:
         while done < 100:
             tail = [rng.choice([-3, -2, -1, 1, 2, 3])
                     for _ in range(rng.randint(1, 8))]
-            if evaluate_projective(tail) != evaluate_projective(prefix + tail):
+            plain = evaluate_projective(tail)
+            if evaluate_projective(prefix + tail) != plain:
                 pytest.fail(f"prefix changed the value of {tail}")
-            try:
-                plain = evaluate(tail)
-            except ValueError:
+            # Only finite values count towards the 100 tails.
+            if plain.beta == 0:
                 continue
             done += 1
-            assert evaluate(prefix + tail) == plain
 
 
 class TestPalindromicSquareProperty:
     def test_exhaustive_small_patterns(self):
         # Every [1, 2e2, e3, 2e4, ...] with palindromic sign-change
         # sequence has beta^2 = +-2 (mod alpha); evaluated through the
-        # Mobius matrix directly so the check is independent of evaluate().
+        # Mobius matrix directly so the check is independent of
+        # evaluate_projective().
         count = 0
         for m in range(1, 7):
             for signs in itertools.product((1, -1), repeat=2 * m - 1):
@@ -223,8 +220,34 @@ class TestTwoBridgeEquivalence:
         # gcd(beta, alpha) > 1 cannot arise through the constructor (it
         # reduces), so build the tuple past it to check the guard.
         f = tuple.__new__(SchubertFraction, (9, 3))
-        with pytest.raises(ValueError, match="not invertible"):
-            two_bridge_equivalent(f, SchubertFraction(9, 4))
+        g = SchubertFraction(9, 4)
+        for up_to_mirror in (False, True):
+            with pytest.raises(ValueError, match="not invertible"):
+                two_bridge_equivalent(f, g, up_to_mirror)
+            with pytest.raises(ValueError, match="not invertible"):
+                two_bridge_equivalent(g, f, up_to_mirror)
+
+    def test_against_the_definition(self):
+        # Every pair of units modulo every odd alpha < 80, in both modes:
+        # beta' = beta or beta' * beta = 1 (mod alpha), and with the mirror
+        # also -beta' in place of beta'.
+        def same(b, b2, alpha):
+            return (b2 - b) % alpha == 0 or b2 * b % alpha == 1
+
+        pairs = 0
+        for alpha in range(1, 80, 2):
+            units = [b for b in range(alpha) if gcd(b, alpha) == 1]
+            for b in units:
+                f = SchubertFraction(alpha, b)
+                for b2 in units:
+                    g = SchubertFraction(alpha, b2)
+                    oriented = same(b, b2, alpha)
+                    mirror = oriented or same(b, -b2, alpha)
+                    assert two_bridge_equivalent(f, g) == oriented, (f, g)
+                    assert two_bridge_equivalent(
+                        f, g, up_to_mirror=True) == mirror, (f, g)
+                    pairs += 1
+        assert pairs == 59_533
 
     def test_equivalence_relation(self):
         rng = random.Random(37)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from harmonicknots import classify
-from harmonicknots.cfrac import (SchubertFraction, evaluate,
+from harmonicknots.cfrac import (SchubertFraction, evaluate_projective,
                                  fraction_candidate, two_bridge_equivalent)
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.classify import (
@@ -292,13 +292,15 @@ class TestNonHarmonicFamily:
             r = fraction_candidate(alpha, beta)
             assert r.beta_sq_mod == alpha - 2
             construction = denominator_family_blocks(n)
-            assert evaluate(construction) == SchubertFraction(alpha, beta)
+            assert evaluate_projective(construction) == \
+                SchubertFraction(alpha, beta)
             assert r.expansion == construction
             assert r.obstructed == (n > 1), n
 
     def test_small_cases(self):
-        assert evaluate(denominator_family_blocks(2)) == SchubertFraction(9, 4)
-        assert evaluate(denominator_family_blocks(3)) == \
+        assert evaluate_projective(denominator_family_blocks(2)) == \
+            SchubertFraction(9, 4)
+        assert evaluate_projective(denominator_family_blocks(3)) == \
             SchubertFraction(19, 6)
 
 

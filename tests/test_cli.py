@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import io
 import json
 import os
@@ -68,9 +69,13 @@ class TestAnalyzeCommand:
         # A degree 1 or a <= 2 leaves a coordinate with at most one
         # critical point; H(3,4,10^30+1) reduces to H(3,4,1), whose
         # fraction 1/0 gave the note before.  The text names the unknot;
-        # the JSON keeps both fields null.
-        for triple in (("3", "5", "1"), ("2", "3", "5"), ("5", "6", "1"),
-                       ("1", "2", "3"), ("3", "4", str(10 ** 30 + 1))):
+        # the JSON keeps the name null, and the crossing number too,
+        # except for a = 4, where the canonical form gives 0.
+        for triple, crossing_number in (
+                (("3", "5", "1"), None), (("2", "3", "5"), None),
+                (("5", "6", "1"), None), (("1", "2", "3"), None),
+                (("3", "4", "1"), None), (("3", "4", str(10 ** 30 + 1)), None),
+                (("4", "5", "1"), 0), (("4", "7", "1"), 0)):
             code, out, _ = run(capsys, "analyze", *triple)
             assert code == 0, triple
             assert out.count("note: unknotted curve") == 1, triple
@@ -81,7 +86,8 @@ class TestAnalyzeCommand:
                 "  name: unknot",
                 "  note: unknotted curve"], triple
             data = json.loads(run(capsys, "analyze", *triple, "--json")[1])
-            assert data["crossing_number"] is None and data["name"] is None
+            assert data["crossing_number"] == crossing_number, triple
+            assert data["name"] is None, triple
         code, out, _ = run(capsys, "analyze", "3", "4", "5")
         assert "unknot" not in out
 
@@ -649,3 +655,39 @@ class TestFuzzedArgv:
             except SystemExit as exc:  # argparse rejects the argv
                 code = exc.code
         assert code in (0, 2, 3), (argv, err.getvalue())
+
+
+def stdout_digest(argvs):
+    """sha256 of the stdout of ``main`` run on each argv in turn; each run
+    must exit 0."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0, argv
+        digest.update(out.getvalue().encode())
+    return digest.hexdigest()
+
+
+class TestByteContract:
+    """The outputs that every refactor must leave byte for byte the same,
+    pinned by digest."""
+
+    def test_table(self):
+        assert stdout_digest([["table", "--max-ab", "72"]]) == (
+            "8f4411abe80d73a8aba77f357252a28cfb8e0d126a2d6e6ce84802ca08f1097a")
+
+    def test_analyze_json_on_the_table(self):
+        triples = classify.enumerate_table_triples(72)
+        assert len(triples) == 431
+        assert stdout_digest([["analyze", *map(str, t), "--json"]
+                              for t in triples]) == (
+            "03d107cdf319a1c783706332ad20b630712f7668817ec55070b4cc27991b18bb")
+
+    def test_cf_on_every_small_fraction(self):
+        # Every odd alpha < 200 with each coprime beta, |beta| <= alpha.
+        argvs = [["cf", str(alpha), str(beta)] for alpha in range(1, 200, 2)
+                 for beta in range(-alpha, alpha + 1) if gcd(alpha, beta) == 1]
+        assert len(argvs) == 16_303
+        assert stdout_digest(argvs) == (
+            "1728666722f47cb5ba8f35887a69cb25ec129ff3bb517f70a494ddcb278d6834")

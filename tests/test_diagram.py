@@ -6,9 +6,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from harmonicknots.cfrac import (SchubertFraction, evaluate,
-                                 evaluate_projective, positive_cf,
-                                 two_bridge_equivalent)
+from harmonicknots.cfrac import (SchubertFraction, evaluate_projective,
+                                 positive_cf, two_bridge_equivalent)
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.diagram import (
     GaussCode, GaussEntry, _plat_gauss_code, build_gauss_code,
@@ -89,16 +88,20 @@ class TestGaussCode:
 class TestConwayFormH4:
     def test_fixtures(self):
         assert conway_form_h4(5, 7) == [1, 2, -1, -2]
-        assert evaluate(conway_form_h4(5, 7)) == SchubertFraction(7, 4)
+        assert evaluate_projective(conway_form_h4(5, 7)) == \
+            SchubertFraction(7, 4)
         assert conway_form_h4(3, 5) == [-1, -2]
-        assert evaluate(conway_form_h4(3, 5)) == SchubertFraction(3, -2)
+        assert evaluate_projective(conway_form_h4(3, 5)) == \
+            SchubertFraction(3, -2)
         assert conway_form_h4(7, 9) == [-1, -2, 1, 2, -1, -2]
 
     def test_values_equivalent_to_reference(self):
-        assert two_bridge_equivalent(evaluate(conway_form_h4(5, 7)),
-                                     SchubertFraction(7, 2), up_to_mirror=True)
-        assert two_bridge_equivalent(evaluate(conway_form_h4(7, 9)),
-                                     SchubertFraction(17, 5), up_to_mirror=True)
+        assert two_bridge_equivalent(
+            evaluate_projective(conway_form_h4(5, 7)),
+            SchubertFraction(7, 2), up_to_mirror=True)
+        assert two_bridge_equivalent(
+            evaluate_projective(conway_form_h4(7, 9)),
+            SchubertFraction(17, 5), up_to_mirror=True)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="no twist sequence"):
@@ -227,7 +230,7 @@ class TestDeterminantAlphaConsistency:
         for b, c in canonical_h4_pairs(40):
             K = HarmonicTriple(4, b, c)
             assert determinant(build_gauss_code(enumerate_crossings(K))) == \
-                evaluate(conway_form_h4(b, c)).alpha, (b, c)
+                evaluate_projective(conway_form_h4(b, c)).alpha, (b, c)
 
 
 class TestTwistChainFamily:
@@ -235,7 +238,7 @@ class TestTwistChainFamily:
         # The pair (2k-1, 2k+1) yields the fraction of [3, 2, ..., 2]
         # with k-2 twos (crossing number 2k-1).
         for k in range(2, 12):
-            got = evaluate(conway_form_h4(2 * k - 1, 2 * k + 1))
-            chain = evaluate([3] + [2] * (k - 2))
+            got = evaluate_projective(conway_form_h4(2 * k - 1, 2 * k + 1))
+            chain = evaluate_projective([3] + [2] * (k - 2))
             assert got.alpha == chain.alpha, k
             assert two_bridge_equivalent(got, chain, up_to_mirror=True), k

@@ -59,6 +59,9 @@ def test_fraction_lookup():
     rec = name_by_fraction(SchubertFraction(7, -2))  # mirror included
     assert rec.name == "5_2"
     assert name_by_fraction(SchubertFraction(9, 2)) is None
+    # The unknot's fractions name nothing: no row has alpha 1.
+    for beta in (0, 1, -2):
+        assert name_by_fraction(SchubertFraction(1, beta)) is None, beta
 
 
 def test_invariant_lookup_and_star():
