@@ -249,8 +249,7 @@ def analyze(K: HarmonicTriple) -> AnalysisReport:
         unknotted = unknotted or fraction.alpha == 1
     else:
         source = f"H({reduced.a},{reduced.b},{reduced.c})"
-        record = next((r for r in knotnames.records() if r.source == source),
-                      None)
+        record = knotnames.name_by_source(source)
         if record is not None and (record.alexander != delta
                                    or record.determinant != det):
             raise InternalError(f"table row {source} disagrees with pipeline")

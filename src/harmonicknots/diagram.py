@@ -6,11 +6,29 @@ traverses the crossings of the Chebyshev curve itself, while
 term sequence.  The invariant machinery downstream treats both
 identically, which is what makes the second one usable as an oracle for
 the first.
+
+Of a Chebyshev crossing, only the over/under choice and the two signs
+depend on c (see ``chebgeom``); the rest follows from (a, b).  So each
+reading of a curve diagram caches its c-independent part, in a cache
+bounded to 64 entries as ``chebgeom._frame`` is (the crossing table has
+58 pairs), and fills an entry on its first use:
+- ``build_gauss_code`` caches the traversal order, keyed on the crossings'
+  passage numerators (t_num, s_num, ...), and checks them for coincident
+  values when it fills an entry.  Its passages come from a table of
+  interned ``GaussEntry`` values, four per crossing id (over or under,
+  sign +1 or -1), shared by every code and grown to the largest N seen.
+- ``read_conway_from_diagram`` caches the x-groups in scan order, keyed
+  on (a, b) and the crossings' (x_order, y_level, ...), and runs the
+  a = 3 and a = 4 shape checks when it fills an entry.  Per curve only
+  the sign sums and the cancelling-pair check remain.
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import chain
 from math import gcd
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence
 
 from .chebgeom import Crossing, HarmonicTriple
@@ -48,30 +66,83 @@ class GaussCode(NamedTuple):
             raise ValueError("each crossing must be visited exactly twice")
 
 
+# The passage numerators and the x rank and y level: the parts of a
+# crossing that depend on (a, b) alone.  The caches below are keyed on
+# them, flattened: a tuple of 2N ints takes a quarter of N pairs' memory.
+# Each key is built from a list, so it is allocated at its final size.  A
+# tuple grown from an iterator is resized, and the interpreter's free
+# lists keep such tuples of under 20 items, up to 2,000 of a size: keys
+# built that way left the process 1.6 MB larger after 1,000 table rounds.
+_parameters = attrgetter("t_num", "s_num")
+_levels = attrgetter("x_order", "y_level")
+
+# _ENTRIES[cid - 1] maps (over at t, oriented sign) to the crossing's
+# entries at its t and its s passage.  A larger N replaces the table by a
+# longer one, so a table in use never changes, even under threads.
+_ENTRIES: tuple[dict[tuple[bool, int], tuple[GaussEntry, GaussEntry]], ...] = ()
+
+
+def _entry_pairs(cid: int) -> dict[tuple[bool, int],
+                                   tuple[GaussEntry, GaussEntry]]:
+    pairs = {}
+    for sign in (1, -1):
+        over, under = GaussEntry(cid, "O", sign), GaussEntry(cid, "U", sign)
+        pairs[True, sign] = (over, under)
+        pairs[False, sign] = (under, over)
+    return pairs
+
+
+def _entries(n: int) -> tuple[dict, ...]:
+    """The interned entry table, grown to at least n crossing ids."""
+    global _ENTRIES
+    table = _ENTRIES
+    if len(table) < n:
+        table += tuple([_entry_pairs(cid)
+                        for cid in range(len(table) + 1, n + 1)])
+        _ENTRIES = table
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _traversal(parameters: tuple[int, ...]) -> itemgetter:
+    """The traversal order of every crossing list whose crossings carry
+    the passage numerators ``parameters`` (t_num, s_num, t_num, ...), as a
+    getter of the 2N passages listed crossing by crossing, t passage first.
+
+    The 2N parameter angles are pairwise distinct multiples of pi/(ab), so
+    sorting their integer numerators gives the exact order; t =
+    cos(num pi / ab) increases as the folded numerator decreases.
+    """
+    if len(set(parameters)) != len(parameters):
+        raise InternalError("coincident crossing parameters")
+    return itemgetter(*sorted(range(len(parameters)),
+                              key=parameters.__getitem__, reverse=True))
+
+
 def build_gauss_code(crossings: Sequence[Crossing]) -> GaussCode:
     """Gauss code of a Chebyshev diagram, traversed by increasing t.
 
     ``crossings`` is the diagram's ``enumerate_crossings`` list.  Every
-    crossing contributes its t- and s-parameter passage; the 2N parameter
-    angles are pairwise distinct multiples of pi/(ab), so sorting their
-    integer numerators gives the exact traversal order.  Crossing ids are
-    1-based in order of decreasing x.
+    crossing contributes its t- and s-parameter passage, in the order
+    ``_traversal`` caches for its numerators; crossing ids are 1-based in
+    order of decreasing x.  The entries are the interned ones, shared by
+    every code; an oriented sign other than +-1 raises ``ValueError``.
     """
-    passages = []
-    for cid, c in enumerate(crossings, start=1):
-        over_t = c.over_at_t
-        passages.append((c.t_num, cid, over_t, c.oriented_sign))
-        passages.append((c.s_num, cid, not over_t, c.oriented_sign))
-    nums = {p[0] for p in passages}
-    if len(nums) != len(passages):
-        raise InternalError("coincident crossing parameters")
-    # t = cos(num pi / ab) increases as the folded numerator decreases.
-    passages.sort(key=lambda p: p[0], reverse=True)
-    # From a list, so the tuple is allocated at its final size (see
-    # ``LaurentPoly.from_coeffs``).
-    entries = tuple([GaussEntry(cid, "O" if over else "U", sign)
-                     for _, cid, over, sign in passages])
-    return GaussCode(entries)
+    if not crossings:
+        return GaussCode(())
+    order = _traversal(tuple([*chain.from_iterable(map(_parameters,
+                                                       crossings))]))
+    passages: list[GaussEntry] = []
+    try:
+        for pairs, c in zip(_entries(len(crossings)), crossings):
+            passages += pairs[c.over_at_t, c.oriented_sign]
+    except KeyError:
+        cid = len(passages) // 2 + 1
+        c = crossings[cid - 1]
+        raise ValueError(
+            f"crossing {cid} has oriented sign {c.oriented_sign!r} "
+            f"(over at t: {c.over_at_t!r}); expected +-1") from None
+    return GaussCode(order(passages))
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +173,41 @@ def conway_form_h4(b: int, c: int) -> ConwayForm:
     return terms
 
 
+@functools.lru_cache(maxsize=64)
+def _twist_groups(a: int, b: int,
+                  levels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The x-groups of every (a, b) crossing list whose crossings carry
+    the levels ``levels`` (x_order, y_level, x_order, ...), scanned by
+    increasing x, each as its crossings' list indices.  The shape checks
+    run here, once."""
+    groups: dict[int, list[int]] = {}
+    for i, x_order in enumerate(levels[::2]):
+        groups.setdefault(x_order, []).append(i)
+    # x_order ranks by decreasing x; scan by increasing x.
+    ordered = [groups[r] for r in sorted(groups, reverse=True)]
+    if len(ordered) != b - 1:
+        raise InternalError(
+            f"expected {b - 1} x-groups, found {len(ordered)}")
+    axis_level = a // 2 if a % 2 == 0 else None
+    for i, group in enumerate(ordered, start=1):
+        if a == 4:
+            on_axis = all(levels[2 * j + 1] == axis_level for j in group)
+            if i % 2 == 1 and not (on_axis and len(group) == 1):
+                raise InternalError("odd positions must be single axis crossings")
+            if i % 2 == 0 and (on_axis or len(group) != 2):
+                raise InternalError("even positions must be symmetric pairs")
+        elif len(group) != 1:
+            raise InternalError("a = 3 diagrams have distinct x-coordinates")
+    return tuple([tuple(group) for group in ordered])
+
+
 def read_conway_from_diagram(K: HarmonicTriple,
                              crossings: Sequence[Crossing]) -> ConwayForm:
     """Read the twist sequence off the Chebyshev diagram, for a in {3, 4}.
 
     ``crossings`` is the ``enumerate_crossings`` list of K.  Crossings are
-    grouped by exact x-coordinate and scanned by increasing x.
+    grouped by exact x-coordinate and scanned by increasing x, in the
+    groups ``_twist_groups`` caches.
     The twist sign of a crossing at scan position i is its twist sign D for
     odd i and -D for even i (right twists count positive at odd positions,
     negative at even ones); a group contributes the sum of its signs.  For
@@ -117,31 +217,13 @@ def read_conway_from_diagram(K: HarmonicTriple,
     if K.a not in (3, 4):
         raise ValueError(
             f"twist-sequence reading needs a in {{3, 4}}, got a={K.a}")
-    groups: dict[int, list] = {}
-    for c in crossings:
-        groups.setdefault(c.x_order, []).append(c)
-    # x_order ranks by decreasing x; scan by increasing x.
-    ordered = [groups[r] for r in sorted(groups, reverse=True)]
-    if len(ordered) != K.b - 1:
-        raise InternalError(
-            f"expected {K.b - 1} x-groups, found {len(ordered)}")
-    terms = []
-    axis_level = K.a // 2 if K.a % 2 == 0 else None
-    for i, group in enumerate(ordered, start=1):
-        parity = 1 if i % 2 else -1
-        term = sum(parity * c.sign for c in group)
-        if K.a == 4:
-            on_axis = all(c.y_level == axis_level for c in group)
-            if i % 2 == 1 and not (on_axis and len(group) == 1):
-                raise InternalError("odd positions must be single axis crossings")
-            if i % 2 == 0 and (on_axis or len(group) != 2):
-                raise InternalError("even positions must be symmetric pairs")
-            if term == 0:
-                raise InternalError(
-                    "cancelling pair: not a diagram of a harmonic knot")
-        elif len(group) != 1:
-            raise InternalError("a = 3 diagrams have distinct x-coordinates")
-        terms.append(term)
+    groups = _twist_groups(
+        K.a, K.b, tuple([*chain.from_iterable(map(_levels, crossings))]))
+    sign = [c.sign for c in crossings].__getitem__
+    terms = [sum(map(sign, group)) for group in groups]
+    terms[1::2] = [-term for term in terms[1::2]]
+    if K.a == 4 and 0 in terms:
+        raise InternalError("cancelling pair: not a diagram of a harmonic knot")
     return terms
 
 

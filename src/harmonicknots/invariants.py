@@ -308,7 +308,10 @@ def _strip(m: list[list[int]], shift: int) -> list[list[int]] | None:
 
 
 def _digits(value: int, width: int) -> list[int]:
-    """The balanced base-2**width digits of value, lowest first."""
+    """The balanced base-2**width digits of value, lowest first.  A width
+    below 2 raises ``ValueError``: base 2 has no balanced digit for 1."""
+    if width < 2:
+        raise ValueError(f"digit width {width} is below 2")
     base = 1 << width
     half = base >> 1
     digits = []

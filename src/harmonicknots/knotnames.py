@@ -10,6 +10,13 @@ others are derived; a test recomputes them with this package's own
 pipeline and pins the shipped copy to the result.
 
 Lookups outside the table report None ("unidentified") rather than guess.
+They read one index, built from ``records()`` on the first lookup and
+kept for the process: the first row of each source triple
+(``name_by_source``), the fraction-bearing rows by alpha
+(``name_by_fraction``) and all rows by determinant
+(``name_by_invariants``), each list in table order.  So a lookup tests the
+few rows that share its key, and finds what a scan of the table in order
+would find.
 """
 
 from __future__ import annotations
@@ -68,11 +75,33 @@ def records() -> tuple[KnotRecord, ...]:
     return tuple(rows)
 
 
+class _Index(NamedTuple):
+    by_source: dict[str, KnotRecord]
+    by_alpha: dict[int, list[KnotRecord]]
+    by_determinant: dict[int, list[KnotRecord]]
+
+
+@functools.cache
+def _index() -> _Index:
+    """The table's rows keyed three ways, built on the first lookup."""
+    index = _Index({}, {}, {})
+    for rec in records():
+        index.by_source.setdefault(rec.source, rec)
+        if rec.fraction is not None:
+            index.by_alpha.setdefault(rec.fraction.alpha, []).append(rec)
+        index.by_determinant.setdefault(rec.determinant, []).append(rec)
+    return index
+
+
+def name_by_source(source: str) -> KnotRecord | None:
+    """The row computed from the curve ``source``, written as in the
+    table's source column (``H(5,6,7)``), or None."""
+    return _index().by_source.get(source)
+
+
 def name_by_fraction(fraction: SchubertFraction) -> KnotRecord | None:
     """Two-bridge lookup: match up to mirror against fraction-bearing rows."""
-    for rec in records():
-        if rec.fraction is None:
-            continue
+    for rec in _index().by_alpha.get(fraction.alpha, ()):
         if two_bridge_equivalent(rec.fraction, fraction, up_to_mirror=True):
             return rec
     return None
@@ -87,8 +116,8 @@ def name_by_invariants(delta: LaurentPoly, det: int,
     names collide on the key the lookup abstains (returns None) rather
     than pick one.
     """
-    hits = [rec for rec in records()
-            if rec.determinant == det and rec.crossing_number <= crossing_bound
+    hits = [rec for rec in _index().by_determinant.get(det, ())
+            if rec.crossing_number <= crossing_bound
             and rec.alexander == delta]
     names = {rec.name for rec in hits}
     if len(names) == 1:

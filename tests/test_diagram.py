@@ -1,20 +1,25 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from harmonicknots import diagram
 from harmonicknots.cfrac import (SchubertFraction, evaluate_projective,
                                  positive_cf, two_bridge_equivalent)
 from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
+from harmonicknots.classify import enumerate_table_triples
 from harmonicknots.diagram import (
     GaussCode, GaussEntry, _plat_gauss_code, build_gauss_code,
     conway_form_h4, diagram_from_conway, read_conway_from_diagram)
+from harmonicknots.errors import InternalError
 from harmonicknots.invariants import alexander, determinant
 
 from conftest import TWIST_FRACTIONS, twist_code
+from diagram_oracle import oracle_gauss_code, oracle_read_conway
 from fox_oracle import oracle_alexander
 
 
@@ -83,6 +88,175 @@ class TestGaussCode:
         bad = GaussCode((GaussEntry(1, "O", 1), GaussEntry(1, "O", 1)))
         with pytest.raises(ValueError):
             bad.validate()
+
+
+def outcome(route, *args):
+    """The value of ``route(*args)``, or the type and text of its raise."""
+    try:
+        return route(*args)
+    except (ValueError, InternalError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_readings_match_oracle(K):
+    """Code and twist reading of H(K) equal the oracles' on a fresh list,
+    and on a second one that the caches now hold."""
+    for _ in range(2):
+        crossings = enumerate_crossings(K)
+        assert build_gauss_code(crossings) == oracle_gauss_code(crossings), K
+        if K.a in (3, 4):
+            assert outcome(read_conway_from_diagram, K, crossings) == \
+                outcome(oracle_read_conway, K, crossings), K
+
+
+# Pairwise coprime degrees a < b, a <= 9, b <= 80, any c (c < b allowed).
+TRIPLES = st.integers(2, 80).flatmap(lambda b: st.tuples(
+    st.integers(1, min(b - 1, 9)), st.just(b),
+    st.integers(1, 10 ** 9))).filter(
+        lambda t: gcd(t[0], t[1]) == 1 and gcd(t[2], t[0] * t[1]) == 1)
+
+
+class TestCachedReadings:
+    """``build_gauss_code`` and ``read_conway_from_diagram`` against the
+    per-curve code they replaced, kept in ``diagram_oracle``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(TRIPLES)
+    @example((1, 2, 3))
+    @example((3, 4, 5))
+    @example((4, 79, 3))
+    @example((9, 80, 999999937))
+    def test_random_triples_match_the_oracle(self, triple):
+        assert_readings_match_oracle(HarmonicTriple(*triple))
+
+    def test_caches_evict_and_refill(self):
+        # 90 pairs (a, b) with a in {3, 4} and b <= 80 cycle both
+        # 64-entry caches; the first pairs are then read again from
+        # refilled entries.
+        pairs = [(a, b) for a in (3, 4) for b in range(a + 1, 81)
+                 if gcd(a, b) == 1]
+        assert len(pairs) == 90
+        for a, b in pairs + pairs[:10]:
+            c = next(c for c in range(b + 1, 3 * a * b) if gcd(c, a * b) == 1)
+            assert_readings_match_oracle(HarmonicTriple(a, b, c))
+        for cache in (diagram._traversal, diagram._twist_groups):
+            info = cache.cache_info()
+            assert info.maxsize == 64 and info.currsize == 64, info
+
+    def test_table_round_fills_each_cache_once(self):
+        # One table round fills one traversal per (a, b) and one twist
+        # reading per (3, b) or (4, b), within 192 KB with their keys and
+        # the entry table; a second round misses nothing and holds no more
+        # than the few KB the interpreter's tuple free lists may keep.
+        lists = [(K, enumerate_crossings(K)) for K in
+                 (HarmonicTriple(*t) for t in enumerate_table_triples(72))]
+
+        def table_round():
+            for K, crossings in lists:
+                build_gauss_code(crossings)
+                if K.a in (3, 4):
+                    read_conway_from_diagram(K, crossings)
+
+        caches = (diagram._traversal, diagram._twist_groups)
+        for cache in caches:
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table_round()
+            held = tracemalloc.get_traced_memory()[0] - before
+            misses = [cache.cache_info().misses for cache in caches]
+            entries = len(diagram._ENTRIES)
+            table_round()
+            again = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert misses == [58, 34]
+        assert [cache.cache_info().misses for cache in caches] == misses
+        assert len(diagram._ENTRIES) == entries
+        assert held <= 192 * 1024
+        assert again <= held + 16 * 1024
+
+    def test_one_flipped_crossing(self):
+        # Same numerators, so the cached traversal serves every list; only
+        # the flipped crossing's two passages change.
+        K = HarmonicTriple(5, 7, 9)
+        crossings = enumerate_crossings(K)
+        base = build_gauss_code(crossings)
+        for i in range(len(crossings)):
+            flipped = list(crossings)
+            flipped[i] = flipped[i]._replace(
+                over_at_t=not flipped[i].over_at_t)
+            got = build_gauss_code(flipped)
+            assert got == oracle_gauss_code(flipped), i
+            changed = [j for j, (x, y) in enumerate(zip(got.entries,
+                                                        base.entries))
+                       if x != y]
+            assert len(changed) == 2, i
+            assert {got.entries[j].crossing_id for j in changed} == {i + 1}
+
+    def test_codes_share_their_entries(self):
+        # Every code draws on one interned entry per (id, passage, sign).
+        first = build_gauss_code(enumerate_crossings(HarmonicTriple(4, 7, 9)))
+        again = build_gauss_code(enumerate_crossings(HarmonicTriple(4, 7, 9)))
+        other = build_gauss_code(enumerate_crossings(HarmonicTriple(4, 7, 5)))
+        assert all(x is y for x, y in zip(first.entries, again.entries))
+        shared = {e: e for e in other.entries}
+        assert all(shared[e] is e for e in first.entries if e in shared)
+
+    def test_coincident_numerators_raise_on_every_call(self):
+        crossings = list(enumerate_crossings(HarmonicTriple(3, 5, 7)))
+        crossings[1] = crossings[1]._replace(s_num=crossings[0].t_num)
+        for _ in range(3):
+            with pytest.raises(InternalError, match="coincident"):
+                build_gauss_code(crossings)
+        with pytest.raises(InternalError, match="coincident"):
+            oracle_gauss_code(crossings)
+
+    @pytest.mark.parametrize("sign", [0, 2, -3])
+    def test_sign_other_than_unit_raises(self, sign):
+        crossings = list(enumerate_crossings(HarmonicTriple(4, 7, 9)))
+        crossings[3] = crossings[3]._replace(oriented_sign=sign)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="crossing 4 has oriented"):
+                build_gauss_code(crossings)
+        # A crossing id beyond any the entry table has reached.
+        crossings = list(enumerate_crossings(HarmonicTriple(7, 400, 3)))
+        crossings[-1] = crossings[-1]._replace(oriented_sign=sign)
+        with pytest.raises(ValueError, match=f"crossing {len(crossings)} "):
+            build_gauss_code(crossings)
+
+    def test_shape_checks_raise_on_every_call(self):
+        K = HarmonicTriple(4, 7, 9)
+        crossings = list(enumerate_crossings(K))
+        # An axis crossing moved off the axis, then the last one merged
+        # into the pair before it, one group short.
+        axis = [i for i, c in enumerate(crossings) if c.y_level == 2]
+        off_axis = list(crossings)
+        off_axis[axis[0]] = off_axis[axis[0]]._replace(y_level=1)
+        merged = list(crossings)
+        merged[-1] = merged[-1]._replace(x_order=merged[-2].x_order)
+        for bad, match in ((off_axis, "single axis"), (merged, "x-groups")):
+            for _ in range(2):
+                with pytest.raises(InternalError, match=match):
+                    read_conway_from_diagram(K, bad)
+            assert outcome(oracle_read_conway, K, bad) == \
+                outcome(read_conway_from_diagram, K, bad)
+
+    def test_cancelling_pair_raises_per_curve(self):
+        # A symmetric pair of opposite signs sums to 0; the cached groups
+        # are sound, and the sign check runs on each list.
+        K = HarmonicTriple(4, 7, 9)
+        crossings = list(enumerate_crossings(K))
+        good = read_conway_from_diagram(K, crossings)
+        pair = [i for i, c in enumerate(crossings) if c.y_level != 2][:2]
+        cancel = list(crossings)
+        cancel[pair[0]] = cancel[pair[0]]._replace(
+            sign=-crossings[pair[1]].sign)
+        for _ in range(2):
+            with pytest.raises(InternalError, match="cancelling pair"):
+                read_conway_from_diagram(K, cancel)
+        assert read_conway_from_diagram(K, crossings) == good
 
 
 class TestConwayFormH4:

@@ -14,7 +14,8 @@ from harmonicknots.chebgeom import HarmonicTriple, enumerate_crossings
 from harmonicknots.classify import analyze, enumerate_table_triples
 from harmonicknots.diagram import GaussCode, GaussEntry, build_gauss_code
 from harmonicknots.invariants import (
-    LaurentPoly, _det, _plan, _strip, alexander, determinant, factor_square)
+    LaurentPoly, _det, _digits, _plan, _strip, alexander, determinant,
+    factor_square)
 
 import fox_oracle
 from conftest import (TWIST_FRACTIONS, alexander_of_fraction,
@@ -817,6 +818,24 @@ class TestPlan:
             tracemalloc.stop()
         assert _plan.cache_info().currsize == 58
         assert held <= 128 * 1024
+
+
+class TestDigits:
+    def test_width_below_two_raises(self):
+        # In base 2 the balanced digits are -1 and 0, so 1 would map to
+        # itself for ever; the width is refused before any digit.
+        for value, width in ((1, 1), (0, 1), (5, 0), (-3, -1)):
+            with pytest.raises(ValueError, match="below 2"):
+                _digits(value, width)
+
+    def test_balanced_digits(self):
+        assert _digits(0, 2) == []
+        assert _digits(1, 2) == [1]
+        assert _digits(2, 2) == [-2, 1]
+        for value in range(-300, 301):
+            for width in (2, 3, 5):
+                assert _digits(value, width) == \
+                    balanced_digits(value, width), (value, width)
 
 
 class TestFactorSquare:
