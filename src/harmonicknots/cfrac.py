@@ -71,14 +71,11 @@ class SchubertFraction(_FractionFields):
         """Canonical printable form: smallest denominator in the class.
 
         Among the four residues beta^{+-1}, -beta^{+-1} (mod alpha) the
-        smallest one in (0, alpha) is printed; integers print bare.
+        smallest one in [0, alpha) is printed; integers print bare.  So
+        every unknot fraction, alpha = 1, prints as 1/0.
         """
         if self.alpha == 0:
             return "0"
-        if self.beta == 0:
-            return "1/0"
-        if self.alpha == 1:
-            return "1"
         b = min(self.equivalence_class())
         if b == 1:
             return str(self.alpha)

@@ -11,9 +11,7 @@ signs follow from it.  So ``_frame`` builds, once per (a, b), every double
 point in x order with its parameters, x rank, y level and both of its
 possible crossings, in a cache bounded to 64 pairs (the crossing table
 has 58), and ``enumerate_crossings`` picks one crossing per double point
-from two sine signs.  ``diagram`` caches what it reads off the frame's
-c-independent fields the same way: the Gauss-code traversal order and the
-twist groups of a <= 4, each bounded to 64 entries.
+from two sine signs.
 """
 
 from __future__ import annotations

@@ -8,25 +8,19 @@ identically, which is what makes the second one usable as an oracle for
 the first.
 
 Of a Chebyshev crossing, only the over/under choice and the two signs
-depend on c (see ``chebgeom``); the rest follows from (a, b).  So each
-reading of a curve diagram caches its c-independent part, in a cache
-bounded to 64 entries as ``chebgeom._frame`` is (the crossing table has
-58 pairs), and fills an entry on its first use:
-- ``build_gauss_code`` caches the traversal order, keyed on the crossings'
-  passage numerators (t_num, s_num, ...), and checks them for coincident
-  values when it fills an entry.  Its passages come from a table of
-  interned ``GaussEntry`` values, four per crossing id (over or under,
-  sign +1 or -1), shared by every code and grown to the largest N seen.
-- ``read_conway_from_diagram`` caches the x-groups in scan order, keyed
-  on (a, b) and the crossings' (x_order, y_level, ...), and runs the
-  a = 3 and a = 4 shape checks when it fills an entry.  Per curve only
-  the sign sums and the cancelling-pair check remain.
+depend on c (see ``chebgeom``); the rest follows from (a, b).  So
+``build_gauss_code`` caches the traversal order, keyed on the crossings'
+passage numerators (t_num, s_num, ...), in a cache bounded to 64 entries
+as ``chebgeom._frame`` is (the crossing table has 58 pairs), and checks
+them for coincident values when it fills an entry.  Its passages are
+interned ``GaussEntry`` values, four per crossing id (over or under, sign
++1 or -1), shared by every code.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import chain
+from itertools import chain, groupby
 from math import gcd
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence
@@ -66,41 +60,25 @@ class GaussCode(NamedTuple):
             raise ValueError("each crossing must be visited exactly twice")
 
 
-# The passage numerators and the x rank and y level: the parts of a
-# crossing that depend on (a, b) alone.  The caches below are keyed on
-# them, flattened: a tuple of 2N ints takes a quarter of N pairs' memory.
-# Each key is built from a list, so it is allocated at its final size.  A
-# tuple grown from an iterator is resized, and the interpreter's free
-# lists keep such tuples of under 20 items, up to 2,000 of a size: keys
-# built that way left the process 1.6 MB larger after 1,000 table rounds.
+# The passage numerators, which depend on (a, b) alone, key the traversal
+# cache, flattened: a tuple of 2N ints takes a quarter of N pairs' memory.
+# The key is built from a list, so it is allocated at its final size.  A
+# tuple grown from an iterator is resized, and the interpreter's free lists
+# keep such tuples of under 20 items, up to 2,000 of a size: keys built
+# that way left the process 1.6 MB larger after 1,000 table rounds.
 _parameters = attrgetter("t_num", "s_num")
-_levels = attrgetter("x_order", "y_level")
-
-# _ENTRIES[cid - 1] maps (over at t, oriented sign) to the crossing's
-# entries at its t and its s passage.  A larger N replaces the table by a
-# longer one, so a table in use never changes, even under threads.
-_ENTRIES: tuple[dict[tuple[bool, int], tuple[GaussEntry, GaussEntry]], ...] = ()
 
 
-def _entry_pairs(cid: int) -> dict[tuple[bool, int],
-                                   tuple[GaussEntry, GaussEntry]]:
-    pairs = {}
-    for sign in (1, -1):
-        over, under = GaussEntry(cid, "O", sign), GaussEntry(cid, "U", sign)
-        pairs[True, sign] = (over, under)
-        pairs[False, sign] = (under, over)
-    return pairs
-
-
-def _entries(n: int) -> tuple[dict, ...]:
-    """The interned entry table, grown to at least n crossing ids."""
-    global _ENTRIES
-    table = _ENTRIES
-    if len(table) < n:
-        table += tuple([_entry_pairs(cid)
-                        for cid in range(len(table) + 1, n + 1)])
-        _ENTRIES = table
-    return table
+@functools.cache
+def _entries(cid: int, sign: int) -> tuple[GaussEntry, GaussEntry]:
+    """The over and under entries of crossing ``cid`` with oriented sign
+    ``sign``, interned: every code holds these."""
+    if sign not in (1, -1):
+        raise ValueError(
+            f"crossing {cid} has oriented sign {sign!r}; expected +-1")
+    # The ints, also for an equal value such as True or 1.0.
+    sign = 1 if sign > 0 else -1
+    return GaussEntry(cid, "O", sign), GaussEntry(cid, "U", sign)
 
 
 @functools.lru_cache(maxsize=64)
@@ -133,15 +111,9 @@ def build_gauss_code(crossings: Sequence[Crossing]) -> GaussCode:
     order = _traversal(tuple([*chain.from_iterable(map(_parameters,
                                                        crossings))]))
     passages: list[GaussEntry] = []
-    try:
-        for pairs, c in zip(_entries(len(crossings)), crossings):
-            passages += pairs[c.over_at_t, c.oriented_sign]
-    except KeyError:
-        cid = len(passages) // 2 + 1
-        c = crossings[cid - 1]
-        raise ValueError(
-            f"crossing {cid} has oriented sign {c.oriented_sign!r} "
-            f"(over at t: {c.over_at_t!r}); expected +-1") from None
+    for cid, c in enumerate(crossings, start=1):
+        over, under = _entries(cid, c.oriented_sign)
+        passages += (over, under) if c.over_at_t else (under, over)
     return GaussCode(order(passages))
 
 
@@ -173,57 +145,55 @@ def conway_form_h4(b: int, c: int) -> ConwayForm:
     return terms
 
 
-@functools.lru_cache(maxsize=64)
-def _twist_groups(a: int, b: int,
-                  levels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The x-groups of every (a, b) crossing list whose crossings carry
-    the levels ``levels`` (x_order, y_level, x_order, ...), scanned by
-    increasing x, each as its crossings' list indices.  The shape checks
-    run here, once."""
-    groups: dict[int, list[int]] = {}
-    for i, x_order in enumerate(levels[::2]):
-        groups.setdefault(x_order, []).append(i)
-    # x_order ranks by decreasing x; scan by increasing x.
-    ordered = [groups[r] for r in sorted(groups, reverse=True)]
-    if len(ordered) != b - 1:
-        raise InternalError(
-            f"expected {b - 1} x-groups, found {len(ordered)}")
-    axis_level = a // 2 if a % 2 == 0 else None
-    for i, group in enumerate(ordered, start=1):
-        if a == 4:
-            on_axis = all(levels[2 * j + 1] == axis_level for j in group)
-            if i % 2 == 1 and not (on_axis and len(group) == 1):
-                raise InternalError("odd positions must be single axis crossings")
-            if i % 2 == 0 and (on_axis or len(group) != 2):
-                raise InternalError("even positions must be symmetric pairs")
-        elif len(group) != 1:
-            raise InternalError("a = 3 diagrams have distinct x-coordinates")
-    return tuple([tuple(group) for group in ordered])
+_x_order = attrgetter("x_order")
+_sign = attrgetter("sign")
 
 
 def read_conway_from_diagram(K: HarmonicTriple,
                              crossings: Sequence[Crossing]) -> ConwayForm:
     """Read the twist sequence off the Chebyshev diagram, for a in {3, 4}.
 
-    ``crossings`` is the ``enumerate_crossings`` list of K.  Crossings are
-    grouped by exact x-coordinate and scanned by increasing x, in the
-    groups ``_twist_groups`` caches.
-    The twist sign of a crossing at scan position i is its twist sign D for
-    odd i and -D for even i (right twists count positive at odd positions,
-    negative at even ones); a group contributes the sum of its signs.  For
-    a = 4 the groups alternate single axis crossings and symmetric pairs,
-    giving the [+-1, +-2, ...] shape; for a = 3 all groups are singletons.
+    ``crossings`` is the ``enumerate_crossings`` list of K, grouped by
+    exact x-coordinate and scanned by increasing x.  The twist sign of a
+    crossing at scan position i is its twist sign D for odd i and -D for
+    even i (right twists count positive at odd positions, negative at
+    even ones); a group contributes the sum of its signs.  For a = 4 the
+    groups alternate single axis crossings and symmetric pairs, giving
+    the [+-1, +-2, ...] shape; for a = 3 all groups are singletons.  Each
+    call checks that shape, and raises ``InternalError`` on a wrong one
+    or on an a = 4 group whose signs cancel.
     """
     if K.a not in (3, 4):
         raise ValueError(
             f"twist-sequence reading needs a in {{3, 4}}, got a={K.a}")
-    groups = _twist_groups(
-        K.a, K.b, tuple([*chain.from_iterable(map(_levels, crossings))]))
-    sign = [c.sign for c in crossings].__getitem__
-    terms = [sum(map(sign, group)) for group in groups]
-    terms[1::2] = [-term for term in terms[1::2]]
-    if K.a == 4 and 0 in terms:
-        raise InternalError("cancelling pair: not a diagram of a harmonic knot")
+    # x_order ranks by decreasing x; scan by increasing x.  The sort is
+    # stable, so each x-group keeps its crossings in list order.
+    scan = sorted(crossings, key=_x_order, reverse=True)
+    count = len(set(map(_x_order, crossings)))
+    if count != K.b - 1:
+        raise InternalError(f"expected {K.b - 1} x-groups, found {count}")
+    if K.a == 3:
+        if count != len(scan):
+            raise InternalError("a = 3 diagrams have distinct x-coordinates")
+        terms = [*map(_sign, scan)]
+        terms[1::2] = [-term for term in terms[1::2]]
+        return terms
+    terms = []  # a = 4, whose axis y = 0 is y_level 2
+    for i, (_, run) in enumerate(groupby(scan, _x_order)):
+        group = [*run]
+        if i % 2:
+            if len(group) != 2 or group[0].y_level == group[1].y_level == 2:
+                raise InternalError("even positions must be symmetric pairs")
+            term = -group[0].sign - group[1].sign
+        else:
+            if len(group) != 1 or group[0].y_level != 2:
+                raise InternalError(
+                    "odd positions must be single axis crossings")
+            term = group[0].sign
+        if term == 0:
+            raise InternalError(
+                "cancelling pair: not a diagram of a harmonic knot")
+        terms.append(term)
     return terms
 
 

@@ -304,3 +304,5 @@ class TestSchubertFraction:
         assert SchubertFraction(3, 2).display() == "3"
         assert SchubertFraction(7, 4).display() == "7/2"
         assert SchubertFraction(1, 0).display() == "1/0"
+        assert SchubertFraction(1, 1).display() == "1/0"
+        assert SchubertFraction(1, -1).display() == "1/0"

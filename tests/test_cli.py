@@ -91,6 +91,15 @@ class TestAnalyzeCommand:
         code, out, _ = run(capsys, "analyze", "3", "4", "5")
         assert "unknot" not in out
 
+    def test_unknots_print_one_fraction(self, capsys):
+        # H(4,7,1) has the fraction 1/-2, and H(3,4,1) and H(4,5,1) have
+        # 1/0: one unknot, one line.
+        for triple in (("3", "4", "1"), ("4", "5", "1"), ("4", "7", "1")):
+            code, out, _ = run(capsys, "analyze", *triple)
+            assert code == 0, triple
+            assert "  two-bridge fraction: 1/0 [computed]" in \
+                out.splitlines(), triple
+
     def test_family_prediction(self, capsys):
         code, out, _ = run(capsys, "analyze", "5", "6", "7")
         assert code == 0
@@ -486,6 +495,20 @@ class TestTableCommand:
             assert shown_name == name + ("*" if starred else ""), triple
             assert shown_frac == frac, triple
 
+    def test_bound_is_limited(self, capsys, monkeypatch):
+        # Past the limit, table is refused with the limit named; at a
+        # lowered limit, the bound itself still runs.
+        assert cli.TABLE_MAX_AB == 200
+        for bound in ("201", "1000"):
+            assert run(capsys, "table", "--max-ab", bound) == (
+                2, "", f"error: --max-ab {bound} is above the table limit "
+                "of 200\n"), bound
+        monkeypatch.setattr(cli, "TABLE_MAX_AB", 8)
+        code, out, _ = run(capsys, "table", "--max-ab", "8")
+        assert code == 0 and out.endswith(" curves\n")
+        assert run(capsys, "table", "--max-ab", "9") == (
+            2, "", "error: --max-ab 9 is above the table limit of 8\n")
+
     def test_small_bound(self, capsys):
         code, out, _ = run(capsys, "table", "--max-ab", "8")
         assert code == 0
@@ -690,4 +713,4 @@ class TestByteContract:
                  for beta in range(-alpha, alpha + 1) if gcd(alpha, beta) == 1]
         assert len(argvs) == 16_303
         assert stdout_digest(argvs) == (
-            "1728666722f47cb5ba8f35887a69cb25ec129ff3bb517f70a494ddcb278d6834")
+            "4db35bc003fb0d25aac8e215fcde13dd76b6140830ef8733a9800ba57286cfdb")

@@ -116,6 +116,32 @@ TRIPLES = st.integers(2, 80).flatmap(lambda b: st.tuples(
         lambda t: gcd(t[0], t[1]) == 1 and gcd(t[2], t[0] * t[1]) == 1)
 
 
+@st.composite
+def mutated_lists(draw):
+    """An a in {3, 4} crossing list with one field changed: one crossing's
+    x_order to a neighbour's, its y_level, or its sign; sometimes reversed
+    as well, out of x order."""
+    a = draw(st.sampled_from((3, 4)))
+    b = draw(st.sampled_from([b for b in range(a + 1, 41) if gcd(a, b) == 1]))
+    c = draw(st.integers(1, 10 ** 6).filter(lambda c: gcd(c, a * b) == 1))
+    K = HarmonicTriple(a, b, c)
+    crossings = enumerate_crossings(K)
+    i = draw(st.integers(0, len(crossings) - 1))
+    field = draw(st.sampled_from(("x_order", "y_level", "sign")))
+    if field == "x_order":
+        j = draw(st.sampled_from([j for j in (i - 1, i + 1)
+                                  if 0 <= j < len(crossings)]))
+        value = crossings[j].x_order
+    elif field == "y_level":
+        value = draw(st.integers(0, a))
+    else:
+        value = draw(st.integers(-2, 2))
+    crossings[i] = crossings[i]._replace(**{field: value})
+    if draw(st.booleans()):
+        crossings.reverse()
+    return K, crossings
+
+
 class TestCachedReadings:
     """``build_gauss_code`` and ``read_conway_from_diagram`` against the
     per-curve code they replaced, kept in ``diagram_oracle``."""
@@ -129,9 +155,17 @@ class TestCachedReadings:
     def test_random_triples_match_the_oracle(self, triple):
         assert_readings_match_oracle(HarmonicTriple(*triple))
 
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_lists())
+    def test_one_changed_field_reads_as_the_oracle(self, mutated):
+        # The same terms, or the same error type and message.
+        K, crossings = mutated
+        assert outcome(read_conway_from_diagram, K, crossings) == \
+            outcome(oracle_read_conway, K, crossings)
+
     def test_caches_evict_and_refill(self):
-        # 90 pairs (a, b) with a in {3, 4} and b <= 80 cycle both
-        # 64-entry caches; the first pairs are then read again from
+        # 90 pairs (a, b) with a in {3, 4} and b <= 80 cycle the 64-entry
+        # traversal cache; the first pairs are then read again from
         # refilled entries.
         pairs = [(a, b) for a in (3, 4) for b in range(a + 1, 81)
                  if gcd(a, b) == 1]
@@ -139,15 +173,14 @@ class TestCachedReadings:
         for a, b in pairs + pairs[:10]:
             c = next(c for c in range(b + 1, 3 * a * b) if gcd(c, a * b) == 1)
             assert_readings_match_oracle(HarmonicTriple(a, b, c))
-        for cache in (diagram._traversal, diagram._twist_groups):
-            info = cache.cache_info()
-            assert info.maxsize == 64 and info.currsize == 64, info
+        info = diagram._traversal.cache_info()
+        assert info.maxsize == 64 and info.currsize == 64, info
 
     def test_table_round_fills_each_cache_once(self):
-        # One table round fills one traversal per (a, b) and one twist
-        # reading per (3, b) or (4, b), within 192 KB with their keys and
-        # the entry table; a second round misses nothing and holds no more
-        # than the few KB the interpreter's tuple free lists may keep.
+        # One table round fills one traversal per (a, b) and the entries
+        # of every (crossing id, sign) it meets, within 192 KB with their
+        # keys; a second round misses nothing and holds no more than the
+        # few KB the interpreter's tuple free lists may keep.
         lists = [(K, enumerate_crossings(K)) for K in
                  (HarmonicTriple(*t) for t in enumerate_table_triples(72))]
 
@@ -157,7 +190,7 @@ class TestCachedReadings:
                 if K.a in (3, 4):
                     read_conway_from_diagram(K, crossings)
 
-        caches = (diagram._traversal, diagram._twist_groups)
+        caches = (diagram._traversal, diagram._entries)
         for cache in caches:
             cache.cache_clear()
         tracemalloc.start()
@@ -166,14 +199,14 @@ class TestCachedReadings:
             table_round()
             held = tracemalloc.get_traced_memory()[0] - before
             misses = [cache.cache_info().misses for cache in caches]
-            entries = len(diagram._ENTRIES)
             table_round()
             again = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert misses == [58, 34]
+        signs = {(cid, c.oriented_sign) for _, crossings in lists
+                 for cid, c in enumerate(crossings, start=1)}
+        assert misses == [58, len(signs)]
         assert [cache.cache_info().misses for cache in caches] == misses
-        assert len(diagram._ENTRIES) == entries
         assert held <= 192 * 1024
         assert again <= held + 16 * 1024
 
@@ -220,23 +253,43 @@ class TestCachedReadings:
         for _ in range(2):
             with pytest.raises(ValueError, match="crossing 4 has oriented"):
                 build_gauss_code(crossings)
-        # A crossing id beyond any the entry table has reached.
+        # A crossing id beyond any that the entries have reached.
         crossings = list(enumerate_crossings(HarmonicTriple(7, 400, 3)))
         crossings[-1] = crossings[-1]._replace(oriented_sign=sign)
         with pytest.raises(ValueError, match=f"crossing {len(crossings)} "):
             build_gauss_code(crossings)
 
+    def test_entries_hold_int_signs(self):
+        # A sign equal to +-1, filled first, still gives entries of the
+        # ints +-1, which the oracle's code holds too.
+        crossings = enumerate_crossings(HarmonicTriple(4, 7, 9))
+        want = oracle_gauss_code(crossings)
+        for one in (True, 1.0):
+            diagram._entries.cache_clear()
+            odd = [c._replace(oriented_sign=one if c.oriented_sign == 1
+                              else -one) for c in crossings]
+            got = build_gauss_code(odd)
+            assert got == want
+            assert {type(e.sign) for e in got.entries} == {int}, one
+            assert all(x is y for x, y in
+                       zip(build_gauss_code(crossings).entries, got.entries))
+
     def test_shape_checks_raise_on_every_call(self):
         K = HarmonicTriple(4, 7, 9)
         crossings = list(enumerate_crossings(K))
-        # An axis crossing moved off the axis, then the last one merged
-        # into the pair before it, one group short.
+        # An axis crossing moved off the axis; the last one merged into
+        # the pair before it, one group short; a pair split, one of its
+        # crossings joining the axis crossing at the next larger x.
         axis = [i for i, c in enumerate(crossings) if c.y_level == 2]
         off_axis = list(crossings)
         off_axis[axis[0]] = off_axis[axis[0]]._replace(y_level=1)
         merged = list(crossings)
         merged[-1] = merged[-1]._replace(x_order=merged[-2].x_order)
-        for bad, match in ((off_axis, "single axis"), (merged, "x-groups")):
+        split = list(crossings)
+        split[axis[0] + 1] = split[axis[0] + 1]._replace(
+            x_order=split[axis[0]].x_order)
+        for bad, match in ((off_axis, "single axis"), (merged, "x-groups"),
+                           (split, "symmetric pairs")):
             for _ in range(2):
                 with pytest.raises(InternalError, match=match):
                     read_conway_from_diagram(K, bad)
@@ -244,8 +297,8 @@ class TestCachedReadings:
                 outcome(read_conway_from_diagram, K, bad)
 
     def test_cancelling_pair_raises_per_curve(self):
-        # A symmetric pair of opposite signs sums to 0; the cached groups
-        # are sound, and the sign check runs on each list.
+        # A symmetric pair of opposite signs sums to 0; the groups are
+        # sound, and the sign check runs on each list.
         K = HarmonicTriple(4, 7, 9)
         crossings = list(enumerate_crossings(K))
         good = read_conway_from_diagram(K, crossings)
