@@ -3,20 +3,20 @@
 Each mutant is one text substitution in one file of ``src``.  The runner
 copies ``src`` and ``tests`` to a temporary directory, applies the
 mutant there, and runs the tests the mutant names against that copy,
-under a time limit; every named test must fail.  A mutant survives, and
-the run fails, when a named test passes, when the tests outrun the time
-limit, or when the old text does not occur exactly once in its file (so
-a refactor that moves the text updates the list on purpose).
+under a ``TIMEOUT``-second limit; every named test must fail.  A mutant
+survives, and the run fails, when a named test passes, when the tests
+outrun the time limit, or when the old text does not occur exactly once
+in its file (so a refactor that moves the text updates the list on
+purpose).
 
-    python tests/mutants.py [--timeout SECONDS] [LINE ...]
+    python tests/mutants.py
 
-LINE picks mutants by their line number in the list.  Pytest does not
-collect this file.  Hypothesis runs with a fixed seed, so a run repeats.
+Pytest does not collect this file.  Hypothesis runs with a fixed seed,
+so a run repeats.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 LIST = ROOT / "tests" / "mutants.txt"
+TIMEOUT = 120  # seconds for one mutant's tests
 
 
 class Mutant(NamedTuple):
@@ -57,7 +58,7 @@ def read_mutants() -> list[Mutant]:
     return mutants
 
 
-def survives(mutant: Mutant, timeout: float) -> str | None:
+def survives(mutant: Mutant) -> str | None:
     """Why ``mutant`` survives its tests, or None if each of them fails."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
@@ -81,9 +82,9 @@ def survives(mutant: Mutant, timeout: float) -> str | None:
                  "-p", "no:cacheprovider", "--hypothesis-seed=0",
                  *mutant.tests],
                 cwd=copy, env=env, capture_output=True, text=True,
-                timeout=timeout)
+                timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
-            return f"its tests ran past the {timeout:g} s limit"
+            return f"its tests ran past the {TIMEOUT} s limit"
     if proc.returncode not in (0, 1):
         # Not a test result: an unknown test id, or a collection error.
         last = (proc.stdout + proc.stderr).strip().splitlines()[-1:]
@@ -96,19 +97,12 @@ def survives(mutant: Mutant, timeout: float) -> str | None:
     return None
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--timeout", type=float, default=120,
-                        help="seconds for one mutant's tests (default 120)")
-    parser.add_argument("lines", nargs="*", type=int,
-                        help="run only the mutants on these lines")
-    args = parser.parse_args(argv)
-    mutants = [m for m in read_mutants()
-               if not args.lines or m.line in args.lines]
+def main() -> int:
+    mutants = read_mutants()
     survivors = 0
     for mutant in mutants:
         start = time.perf_counter()
-        reason = survives(mutant, args.timeout)
+        reason = survives(mutant)
         took = time.perf_counter() - start
         where = f"{LIST.name}:{mutant.line} {mutant.path}"
         if reason is None:
