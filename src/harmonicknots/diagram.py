@@ -7,22 +7,18 @@ term sequence.  The invariant machinery downstream treats both
 identically, which is what makes the second one usable as an oracle for
 the first.
 
-Of a Chebyshev crossing, only the over/under choice and the two signs
-depend on c (see ``chebgeom``); the rest follows from (a, b).  So
-``build_gauss_code`` caches the traversal order, keyed on the crossings'
-passage numerators (t_num, s_num, ...), in a cache bounded to 64 entries
-as ``chebgeom._frame`` is (the crossing table has 58 pairs), and checks
-them for coincident values when it fills an entry.  Its passages are
-interned ``GaussEntry`` values, four per crossing id (over or under, sign
-+1 or -1), shared by every code.
+``build_gauss_code`` places each passage at its integer numerator
+(t_num or s_num) and reads the passages by decreasing numerator, which is
+increasing t.  Its passages are interned ``GaussEntry`` values, four per
+crossing id (over or under, sign +1 or -1), shared by every code.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import chain, groupby
+from itertools import groupby
 from math import gcd
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .chebgeom import Crossing, HarmonicTriple
@@ -60,15 +56,6 @@ class GaussCode(NamedTuple):
             raise ValueError("each crossing must be visited exactly twice")
 
 
-# The passage numerators, which depend on (a, b) alone, key the traversal
-# cache, flattened: a tuple of 2N ints takes a quarter of N pairs' memory.
-# The key is built from a list, so it is allocated at its final size.  A
-# tuple grown from an iterator is resized, and the interpreter's free lists
-# keep such tuples of under 20 items, up to 2,000 of a size: keys built
-# that way left the process 1.6 MB larger after 1,000 table rounds.
-_parameters = attrgetter("t_num", "s_num")
-
-
 @functools.cache
 def _entries(cid: int, sign: int) -> tuple[GaussEntry, GaussEntry]:
     """The over and under entries of crossing ``cid`` with oriented sign
@@ -81,40 +68,28 @@ def _entries(cid: int, sign: int) -> tuple[GaussEntry, GaussEntry]:
     return GaussEntry(cid, "O", sign), GaussEntry(cid, "U", sign)
 
 
-@functools.lru_cache(maxsize=64)
-def _traversal(parameters: tuple[int, ...]) -> itemgetter:
-    """The traversal order of every crossing list whose crossings carry
-    the passage numerators ``parameters`` (t_num, s_num, t_num, ...), as a
-    getter of the 2N passages listed crossing by crossing, t passage first.
-
-    The 2N parameter angles are pairwise distinct multiples of pi/(ab), so
-    sorting their integer numerators gives the exact order; t =
-    cos(num pi / ab) increases as the folded numerator decreases.
-    """
-    if len(set(parameters)) != len(parameters):
-        raise InternalError("coincident crossing parameters")
-    return itemgetter(*sorted(range(len(parameters)),
-                              key=parameters.__getitem__, reverse=True))
-
-
 def build_gauss_code(crossings: Sequence[Crossing]) -> GaussCode:
     """Gauss code of a Chebyshev diagram, traversed by increasing t.
 
     ``crossings`` is the diagram's ``enumerate_crossings`` list.  Every
-    crossing contributes its t- and s-parameter passage, in the order
-    ``_traversal`` caches for its numerators; crossing ids are 1-based in
-    order of decreasing x.  The entries are the interned ones, shared by
-    every code; an oriented sign other than +-1 raises ``ValueError``.
+    crossing contributes its t- and s-parameter passage; crossing ids are
+    1-based in list order (decreasing x).  The 2N parameter angles are
+    pairwise distinct multiples of pi/(ab), and t = cos(num pi / ab)
+    increases as the folded numerator decreases, so the passages are read
+    by decreasing numerator; coincident numerators raise ``InternalError``.
+    The entries are the interned ones, shared by every code; an oriented
+    sign other than +-1 raises ``ValueError``.
     """
-    if not crossings:
-        return GaussCode(())
-    order = _traversal(tuple([*chain.from_iterable(map(_parameters,
-                                                       crossings))]))
-    passages: list[GaussEntry] = []
+    at: dict[int, GaussEntry] = {}
     for cid, c in enumerate(crossings, start=1):
         over, under = _entries(cid, c.oriented_sign)
-        passages += (over, under) if c.over_at_t else (under, over)
-    return GaussCode(order(passages))
+        if c.over_at_t:
+            at[c.t_num], at[c.s_num] = over, under
+        else:
+            at[c.t_num], at[c.s_num] = under, over
+    if len(at) != 2 * len(crossings):
+        raise InternalError("coincident crossing parameters")
+    return GaussCode(tuple([at[k] for k in sorted(at, reverse=True)]))
 
 
 # ---------------------------------------------------------------------------

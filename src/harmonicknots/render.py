@@ -8,11 +8,9 @@ billiard lattice path, each passage's hidden xy run and billiard gap
 ends, and each crossing's tags.  A drawing sorts its N under-passages
 and slices that text between them, so it runs no Python code per sample
 or vertex.  A frame takes 46 to 56 KB for a <= 5 and N <= 16, 41 KB of
-it the xy text.  ``chebgeom._frame`` and the traversal cache of
-``diagram`` stay caches of their own: ``table`` sweeps 58 pairs
-and draws none, a drawing frame is about eight times the 6 KB of a
-geometry frame, and neither the geometry nor the diagrams know anything
-of drawings.
+it the xy text.  ``chebgeom._frame`` stays a cache of its own: ``table``
+sweeps 58 pairs and draws none, a drawing frame is about eight times the
+6 KB of a geometry frame, and the geometry knows nothing of drawings.
 
 The frame holds ASCII bytes, a drawing is one ``bytes.join`` over
 slices of that text and a few fixed tags, and the one non-ASCII

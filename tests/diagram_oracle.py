@@ -1,6 +1,6 @@
-"""The per-curve diagram readings that ``diagram`` ran before its per-(a, b)
-caches, kept as the oracle for its cached traversal and interned entries,
-and for its twist reading.
+"""Per-curve diagram readings, kept as the oracle for ``diagram``'s Gauss
+codes, which place each passage at its numerator and hold interned
+entries, and for its twist reading.
 
 ``oracle_gauss_code`` sorts the 2N passage numerators of one crossing list
 and builds a fresh ``GaussEntry`` for each passage.
