@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands:
-  analyze A B C   full report for one curve (--json, --svg, --billiard)
+  analyze A B C   full report for one curve (--json, --svg, --billiard),
+                  (A-1)(B-1)/2 crossings up to ANALYZE_MAX_CROSSINGS
   table           the reference table of all small irreducible curves,
                   --max-ab up to TABLE_MAX_AB
   cf ALPHA BETA   continued-fraction toolbox for one two-bridge fraction,
@@ -9,9 +10,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 standard output closed early (a broken pipe,
 as in ``table | head -1``), with nothing on stderr; 2 invalid input (an
-InputError: a bad triple, fraction, table bound or output path); 3 a
-fault of the toolkit itself (an InternalError, or a ValueError from a
-library call the pipeline made).
+InputError: a bad triple, fraction or output path, or a size above a
+limit); 3 a fault of the toolkit itself (an InternalError, or a
+ValueError from a library call the pipeline made).
 """
 
 from __future__ import annotations
@@ -132,6 +133,10 @@ def cmd_analyze(args) -> int:
         a, b = b, a
         swapped = True
     K = HarmonicTriple(a, b, c)
+    if K.crossing_count > ANALYZE_MAX_CROSSINGS:
+        raise InputError(f"{_triple_text(a, b, c)} has {K.crossing_count} "
+                         f"crossings, above the analyze limit of "
+                         f"{ANALYZE_MAX_CROSSINGS}")
     report = analyze(K)
     if args.svg or args.billiard:
         # The drawings show K itself; the report's crossings are those of
@@ -180,6 +185,13 @@ CF_MAX_ALPHA = 10 ** 5
 # (4,330 curves) takes about 3.1 s, ``--max-ab 240`` (6,598) 8.7 s and
 # ``--max-ab 280`` (9,078) 19 s.
 TABLE_MAX_AB = 200
+
+# The most crossings, (a-1)(b-1)/2, ``analyze`` takes.  Its time follows
+# the Alexander sweep's, which grows about as N**3 at full width: cold, on
+# 2 shared cores, ``analyze 63 65 67`` (N = 1,984) takes 16-18 s,
+# ``analyze 4 1335 1337`` (N = 2,001) 16 s and ``analyze 2 4001 3``
+# (N = 2,000, a two-strand unknot) 0.6-0.8 s.
+ANALYZE_MAX_CROSSINGS = 2000
 
 
 def cmd_cf(args) -> int:

@@ -26,7 +26,8 @@ coefficients.  B comes from N alone.  By Parseval and Hadamard's
 inequality no coefficient exceeds the product, over the N - 1 rows of the
 arc minor, of each row's l2 norm on |t| = 1, which is at most sqrt(6) for
 a Fox row; so 2**(B-1) > isqrt(6**(N-1)) suffices.  ``factor_square``
-reads a square root q of Delta from the same digits.
+reads a square root q of Delta from the same digits, once |Delta(-1)| =
+q(-1)**2 has shown itself a perfect square; most Deltas leave there.
 
 The determinant comes from a sweep of the crossings by decreasing id: by
 increasing x for a ``build_gauss_code`` code, whose ids go by decreasing
@@ -43,19 +44,20 @@ k <= 4 on the crossing table, k = (a - 1)/2 on H(a, a+2, a+4) and k <= 2
 on twist codes.  The order only sets k; any order gives the same Delta.
 
 Nothing is divided.  An expressed arc is stored as v / T**q, integers v
-over the free variables and its own power q, and a pivot of +-T raises q
-by one.  The sweep is Gaussian elimination on unit pivots, so the
-minor's determinant is a unit times the system's, and multiplying a
-system row by its power of T changes only a unit.  Before the last
-elimination the common power of T leaves each row and then each column,
-which again changes only a unit and keeps the entries, and so the
-elimination, small.  The value is thus T**e det(minor(T)) up to sign, for
-some integer e, and its balanced digits are those of det(minor(T)),
-shifted.  When e < 0, T**(-e) divides det(minor(T)), whose digits are all
-below T/2 in size, so its lowest -e digits are 0.  The digits are the
-minor's coefficients either way, so B stays the width the whole minor
-needs.  ``determinant`` runs the same sweep at t = -1, where every pivot
-is +-1.
+over the free variables and its own power q, in two flat lists by arc,
+and a pivot of +-T raises q by one.  The sweep is Gaussian elimination
+on unit pivots, so the minor's determinant is a unit times the
+system's, and multiplying a system row by its power of T changes only a
+unit; a relation whose arcs are all expressed is summed into its row in
+place.  Before the last elimination the common power of T leaves each
+row and then each column, shifted in place, which again changes only a
+unit and keeps the entries, and so the elimination, small.  The value
+is thus T**e det(minor(T)) up to sign, for some integer e, and its
+balanced digits are those of det(minor(T)), shifted.  When e < 0,
+T**(-e) divides det(minor(T)), whose digits are all below T/2 in size,
+so its lowest -e digits are 0.  The digits are the minor's coefficients
+either way, so B stays the width the whole minor needs.
+``determinant`` runs the same sweep at t = -1, where every pivot is +-1.
 """
 
 from __future__ import annotations
@@ -170,10 +172,10 @@ def _sweep(gc: GaussCode, t: int) -> int:
     """The determinant of the arc minor at t = -1 or t = 2**B, times a
     sign and a power of t.
 
-    ``val`` holds each expressed arc, by the position it starts at, as
-    (v, q), its value v / t**q, with v the list of its integer coefficients
-    on the free variables up to the last nonzero one, so a pivot of +-t
-    raises q instead of dividing.
+    Each expressed arc, by the position it starts at, has its value
+    vecs[arc] / t**pows[arc]: ``vecs`` holds the list of its integer
+    coefficients on the free variables up to the last nonzero one, and a
+    pivot of +-t raises its power in ``pows`` instead of dividing.
     """
     entries = gc.entries
     if not entries:
@@ -183,7 +185,7 @@ def _sweep(gc: GaussCode, t: int) -> int:
     plan = _plan(ids) if last >= 0 else None
     if plan is None:
         gc.validate()  # raises: an id does not pass once over, once under
-    shift = t.bit_length() - 1  # t = 2**shift; at t = -1 every q is 0
+    shift = t.bit_length() - 1  # t = 2**shift; at t = -1 every power is 0
     # arc[i]: the under-passage where segment i's arc starts; the segments
     # before the first one run on the arc that starts at ``last``.
     arc = []
@@ -192,8 +194,9 @@ def _sweep(gc: GaussCode, t: int) -> int:
         if passage == "U":
             start = position
         arc.append(start)
-    val: list = [None] * len(entries)
-    val[last] = ([], 0)  # the struck arc
+    vecs: list = [None] * len(entries)
+    pows = [0] * len(entries)
+    vecs[last] = []  # the struck arc
     system = []
     free = 0
     # Solving (1-t) o + t i - u = 0 (positive) or (t-1) o + i - t u = 0
@@ -212,30 +215,40 @@ def _sweep(gc: GaussCode, t: int) -> int:
             continue  # the struck relation
         # The arcs (over, in, out) = (over, i, under), each by its start.
         over, i = arc[over], arc[under - 1]
-        if val[over] is None:
-            val[over] = ([0] * free + [1], 0)
+        vo = vecs[over]
+        if vo is None:
+            vo = vecs[over] = [0] * free + [1]
             free += 1
         positive = signs[under] > 0
-        vi, vu = val[i], val[under]
+        vi, vu = vecs[i], vecs[under]
         if vi is None and vu is None:
             # Free the one whose solved-for partner needs no power of t.
-            vec = ([0] * free + [1], 0)
+            vec = [0] * free + [1]
             free += 1
             if positive:
-                vi = val[i] = vec
+                vi = vecs[i] = vec
             else:
-                vu = val[under] = vec
+                vu = vecs[under] = vec
         if vi is not None and vu is not None:
+            # A row of the system: the relation times t**top, top the
+            # largest power of its three arcs.
             co, ci, cu = (1 - t, t, -1) if positive else (t - 1, 1, -t)
-            system.append(_row(((co, val[over]), (ci, vi), (cu, vu)), shift))
+            qo, qi, qu = pows[over], pows[i], pows[under]
+            top = max(qo, qi, qu)
+            row = [0] * free
+            for c, vec, power in ((co, vo, qo), (ci, vi, qi), (cu, vu, qu)):
+                c <<= shift * (top - power)
+                for f, v in enumerate(vec):
+                    row[f] += c * v
+            system.append(row)
             continue
         if vu is None:
-            (vx, qx), target = vi, under
+            vx, qx, target = vi, pows[i], under
             c, d, bump = solve[not positive]
         else:
-            (vx, qx), target = vu, i
+            vx, qx, target = vu, pows[under], i
             c, d, bump = solve[positive]
-        vo, top = val[over]
+        top = pows[over]
         if qx != top:
             if qx < top:
                 d <<= shift * (top - qx)
@@ -247,21 +260,9 @@ def _sweep(gc: GaussCode, t: int) -> int:
         if lo != lx:
             vec += [c * v for v in vo[lx:]] if lo > lx \
                 else [d * w for w in vx[lo:]]
-        val[target] = (vec, top + bump)
+        vecs[target] = vec
+        pows[target] = top + bump
     return _det([row + [0] * (free - len(row)) for row in system], shift)
-
-
-def _row(terms, shift: int) -> list[int]:
-    """sum(c * v / t**q) over the terms (c, (v, q)), times t**top for the
-    largest q, top."""
-    top = max([q for _, (_, q) in terms])
-    total = [0] * max([len(vec) for _, (vec, _) in terms])
-    for c, (vec, q) in terms:
-        if q != top:
-            c <<= shift * (top - q)
-        for f, v in enumerate(vec):
-            total[f] += c * v
-    return total
 
 
 def _det(m: list[list[int]], shift: int) -> int:
@@ -269,8 +270,9 @@ def _det(m: list[list[int]], shift: int) -> int:
     the common powers of 2**shift leave every row and column first.
 
     Fraction-free (Bareiss) elimination, pivoting on the entry of least
-    bit length: after each step every live entry is a minor of m, and
-    ``prev``, the one on the pivots alone, divides the next step exactly.
+    bit length, the first in row-major order among equals: after each
+    step every live entry is a minor of m, and ``prev``, the one on the
+    pivots alone, divides the next step exactly.
     """
     if shift:
         m = _strip(m, shift)
@@ -278,11 +280,13 @@ def _det(m: list[list[int]], shift: int) -> int:
             return 0
     prev = 1
     while m:
-        pivot = min(((v.bit_length(), r, c) for r, row in enumerate(m)
-                     for c, v in enumerate(row) if v), default=None)
-        if pivot is None:
+        least = 0
+        for i, row in enumerate(m):
+            for j, v in enumerate(row):
+                if v and (not least or v.bit_length() < least):
+                    least, r, c = v.bit_length(), i, j
+        if not least:
             return 0
-        _, r, c = pivot
         pivot_row = m.pop(r)
         p = pivot_row[c]
         for i, row in enumerate(m):
@@ -294,16 +298,26 @@ def _det(m: list[list[int]], shift: int) -> int:
 
 def _strip(m: list[list[int]], shift: int) -> list[list[int]] | None:
     """m without the common power of 2**shift of each row and then of each
-    column; None when a row or a column is 0."""
-    for _ in range(2):  # the rows, then the columns of the transpose
-        for i, row in enumerate(m):
-            low = min(((v & -v).bit_length() for v in row if v), default=0)
-            if not low:
-                return None
-            power = (low - 1) // shift * shift
-            if power:
-                m[i] = [v >> power for v in row]
-        m = [list(col) for col in zip(*m)]
+    column, shifted in place; None when a row or a column is 0.
+
+    The lowest set bit of a line's bitwise or is the lowest of its
+    entries'."""
+    for i, row in enumerate(m):
+        bits = functools.reduce(int.__or__, row, 0)
+        if not bits:
+            return None
+        power = ((bits & -bits).bit_length() - 1) // shift * shift
+        if power:
+            m[i] = [v >> power for v in row]
+    # zip reads column j before the loop shifts it.
+    for j, column in enumerate(zip(*m)):
+        bits = functools.reduce(int.__or__, column, 0)
+        if not bits:
+            return None
+        power = ((bits & -bits).bit_length() - 1) // shift * shift
+        if power:
+            for row in m:
+                row[j] >>= power
     return m
 
 
@@ -341,7 +355,13 @@ def determinant(gc: GaussCode) -> int:
 def factor_square(p: LaurentPoly) -> LaurentPoly | None:
     """A normalized q with q**2 = p (up to units), if one exists over Z.
     Parseval bounds its coefficients, sum(q_i**2) <= sum(|p_i|), so they
-    are the balanced digits of isqrt(p(2**width)) at the width below."""
+    are the balanced digits of isqrt(p(2**width)) at the width below.
+
+    A square +-t**k q**2 has |p(-1)| = q(-1)**2, so p leaves at once
+    when |p(-1)| is not a perfect square."""
+    det = abs(p(-1))
+    if isqrt(det) ** 2 != det:
+        return None
     width = isqrt(sum(map(abs, p.coeffs))).bit_length() + 1
     value = p(1 << width)
     root = isqrt(max(value, 0))

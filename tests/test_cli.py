@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 from pathlib import Path
@@ -58,6 +59,20 @@ class TestAnalyzeCommand:
                                  "degrees must be positive integers")):
             assert run(capsys, "analyze", *triple) == (
                 2, "", f"error: {message}\n"), triple
+
+    def test_crossing_count_is_limited(self, capsys):
+        # N = (a-1)(b-1)/2 follows (a, b) alone, so a triple above the
+        # limit is refused before any work, in either order of a and b.
+        assert cli.ANALYZE_MAX_CROSSINGS == 2000
+        for triple, name in ((("4", "1335", "1337"), "H(4,1335,1337)"),
+                             (("2002", "3", "2003"), "H(3,2002,2003)")):
+            start = time.perf_counter()
+            assert run(capsys, "analyze", *triple, "--json") == (
+                2, "", f"error: {name} has 2001 crossings, above the "
+                "analyze limit of 2000\n"), triple
+            assert time.perf_counter() - start < 1, triple
+        code, out, _ = run(capsys, "analyze", "2", "4001", "3", "--json")
+        assert code == 0 and len(json.loads(out)["crossings"]) == 2000
 
     def test_composite_note(self, capsys):
         code, out, _ = run(capsys, "analyze", "5", "7", "11")

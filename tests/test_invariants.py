@@ -311,6 +311,22 @@ def l1_width(minor):
     return bound.bit_length() + 1
 
 
+def strip_by_transposes(m, shift):
+    """The strip by its first route: each row's common power of
+    T = 2**shift leaves it, then each column's, as a row of the
+    transpose, transposed back."""
+    for _ in range(2):
+        for i, row in enumerate(m):
+            low = min(((v & -v).bit_length() for v in row if v), default=0)
+            if not low:
+                return None
+            power = (low - 1) // shift * shift
+            if power:
+                m[i] = [v >> power for v in row]
+        m = [list(col) for col in zip(*m)]
+    return m
+
+
 def balanced_digits(value, width):
     """The digits of value in base 2**width, each in [-2**(width-1),
     2**(width-1)), least significant first."""
@@ -756,6 +772,30 @@ class TestSweep:
         assert 3 * sum(bits(after)) < sum(bits(before))
         assert 3 * max(bits(after)) < max(bits(before))
 
+    @given(st.integers(1, 5).flatmap(lambda rows: st.integers(1, 5).flatmap(
+        lambda cols: st.tuples(
+            st.lists(st.lists(st.integers(-9, 9), min_size=cols,
+                              max_size=cols), min_size=rows, max_size=rows),
+            st.lists(st.integers(0, 3), min_size=rows, max_size=rows),
+            st.lists(st.integers(0, 3), min_size=cols, max_size=cols),
+            st.integers(1, 4), st.sampled_from((None, "row", "column")),
+            st.integers(0, 4)))))
+    def test_strip_in_place_is_the_transpose_route(self, case):
+        # Rows and columns scaled by powers of T = 2**shift, and now and
+        # then a row or a column of zeros, where both routes give None.
+        m, row_powers, col_powers, shift, zero, at = case
+        scaled = [[v << shift * (r + c) for v, c in zip(row, col_powers)]
+                  for row, r in zip(m, row_powers)]
+        if zero == "row":
+            scaled[at % len(scaled)] = [0] * len(col_powers)
+        elif zero == "column":
+            for row in scaled:
+                row[at % len(row)] = 0
+        want = strip_by_transposes([row[:] for row in scaled], shift)
+        assert _strip(scaled, shift) == want
+        if zero:
+            assert want is None
+
     @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
         st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
                  min_size=n, max_size=n),
@@ -859,6 +899,34 @@ class TestFactorSquare:
         # 13 give -3 + 2t, whose square is not p.
         assert poly(1, -3, 3)(8) == 13 ** 2
         assert factor_square(poly(1, -3, 3)) is None
+
+    def test_a_square_at_minus_one_and_at_the_width(self):
+        # |p(-1)| = 1 and, at the width 2, p(4) = 7**2; but the digits of
+        # 7 give -1 - 2t + t^2, whose square is not p.
+        p = poly(1, 0, -1, 1)
+        assert abs(p(-1)) == 1 and p(4) == 7 ** 2
+        assert factor_square(p) is None
+
+    def test_determinant_not_a_square_leaves_early(self, monkeypatch):
+        # A square +-t^k q^2 has |p(-1)| = q(-1)^2.  Where |p(-1)| is not
+        # a square, p is never evaluated at the width.
+        calls = []
+        call = LaurentPoly.__call__
+
+        def spy(p, x):
+            calls.append(x)
+            return call(p, x)
+
+        monkeypatch.setattr(LaurentPoly, "__call__", spy)
+        for p in (poly(1, -1, 1, -1, 1), poly(1, -3, 1),
+                  poly(2, -3, 2)):
+            calls.clear()
+            assert factor_square(p) is None
+            assert calls == [-1]
+        # (1 - t + t^2)^2, with |p(-1)| = 9, goes on to the width.
+        calls.clear()
+        assert factor_square(poly(1, -2, 3, -2, 1)) == poly(1, -1, 1)
+        assert calls[0] == -1 and len(calls) == 2
 
     def test_random_squares_roundtrip(self):
         rng = random.Random(67)
